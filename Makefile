@@ -160,14 +160,12 @@ bench-pr8:
 # resolve path under closed-loop HTTP load (cmd/loadgen): the same mixed
 # add/delete/resolve traffic against a 1-partition and a 4-partition
 # server, stepping client concurrency and recording throughput plus
-# p50/p95/p99 resolve latency per step. The flat (unpartitioned) label
-# rides along as the zero-router baseline. See PERFORMANCE.md for the
+# p50/p95/p99 resolve latency per step. See PERFORMANCE.md for the
 # crossover analysis.
 LOADGEN_FLAGS = -steps 1,2,4,8,16,32 -step-duration 2s -preload 400 -out BENCH_PR9.json
 bench-pr9:
-	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS) -partitions 0 -label flat
 	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS) -partitions 1 -label parts-1
-	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS) -partitions 4 -replicas 2 -label parts-4
+	$(GO) run ./cmd/loadgen $(LOADGEN_FLAGS) -partitions 4 -label parts-4
 
 # bench-pr10 measures the observability layer itself: the warm resolve
 # path with stage tracing off vs on (the acceptance bar is the delta
@@ -177,4 +175,4 @@ bench-pr9:
 LOADGEN10_FLAGS = -steps 1,4,16 -step-duration 2s -preload 400 -out BENCH_PR10.json
 bench-pr10:
 	$(GO) run ./cmd/bench -bench 'Obs' -benchtime 200x -out BENCH_PR10.json -label current
-	$(GO) run ./cmd/loadgen $(LOADGEN10_FLAGS) -partitions 4 -replicas 2 -label parts-4
+	$(GO) run ./cmd/loadgen $(LOADGEN10_FLAGS) -partitions 4 -label parts-4

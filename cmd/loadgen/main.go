@@ -2,8 +2,8 @@
 // into a measured curve: a closed-loop driver steps client concurrency
 // over a mixed add/delete/resolve workload against the serving HTTP API
 // and records throughput and p50/p95/p99 resolve latency per step as
-// JSON — the same per-label section schema cmd/bench writes, so the
-// partitioned and flat configurations diff with the same tooling.
+// JSON — the same per-label section schema cmd/bench writes, so runs at
+// different partition counts diff with the same tooling.
 //
 // Self-hosted (trains a model on a synthetic workload, serves it
 // in-process on a loopback listener, then drives it):
@@ -51,9 +51,8 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "", "base URL of a running server (e.g. http://localhost:8080); empty self-hosts one in-process")
-		partitions = flag.Int("partitions", 0, "self-host: partition the match store across this many partitions (0 = flat)")
-		replicas   = flag.Int("replicas", 1, "self-host: read replicas per partition")
-		maxPending = flag.Int("max-pending", 0, "self-host: bounded ingest queue (0 = default 256 with partitions)")
+		partitions = flag.Int("partitions", 1, "self-host: partition the match store across this many partitions (0 means 1)")
+		maxPending = flag.Int("max-pending", 0, "self-host: bounded ingest queue (0 = default 256, negative disables)")
 		profile    = flag.String("profile", "AB", "synthetic profile for the model and payload records: DS|AB|AG|SG|DA")
 		scale      = flag.Float64("scale", 0.05, "synthetic dataset scale")
 		seed       = flag.Uint64("seed", 11, "seed for training, payloads and the op mix")
@@ -88,7 +87,6 @@ func main() {
 		}
 		srv := server.New(m, server.Config{
 			Partitions: *partitions,
-			Replicas:   *replicas,
 			MaxPending: *maxPending,
 			Obs:        obs.NewRegistry(),
 		})
@@ -101,7 +99,7 @@ func main() {
 		go hs.Serve(ln)
 		defer hs.Close()
 		base = "http://" + ln.Addr().String()
-		log.Printf("self-hosted %s server on %s (partitions=%d replicas=%d)", *profile, base, *partitions, *replicas)
+		log.Printf("self-hosted %s server on %s (partitions=%d)", *profile, base, *partitions)
 	}
 
 	cfg := loadConfig{
@@ -123,8 +121,8 @@ func main() {
 		fmt.Printf("c=%-3d  %8.0f ops/s  %8.0f resolves/s  p50 %8s  p95 %8s  p99 %8s  throttled %d\n",
 			r.Concurrency, r.OpsPerSec(), r.ResolvesPerSec(), r.P50, r.P95, r.P99, r.Throttled)
 	}
-	flags := fmt.Sprintf("loadgen -steps %s -step-duration %s -k %d -add-frac %g -delete-frac %g -preload %d (profile %s, partitions %d, replicas %d)",
-		*stepsFlag, *stepDur, *k, *addFrac, *delFrac, *preload, *profile, *partitions, *replicas)
+	flags := fmt.Sprintf("loadgen -steps %s -step-duration %s -k %d -add-frac %g -delete-frac %g -preload %d (profile %s, partitions %d)",
+		*stepsFlag, *stepDur, *k, *addFrac, *delFrac, *preload, *profile, *partitions)
 	if err := writeResults(*out, *label, flags, results); err != nil {
 		log.Fatal(err)
 	}
@@ -548,7 +546,8 @@ func sectionFor(flags string, results []stepResult) benchSection {
 
 // writeResults merges one label's section into the output file, preserving
 // every other label — the same update-in-place contract as cmd/bench, so
-// flat and partitioned runs accumulate into one comparable document.
+// runs at different partition counts accumulate into one comparable
+// document.
 func writeResults(path, label, flags string, results []stepResult) error {
 	doc := map[string]json.RawMessage{}
 	if existing, err := os.ReadFile(path); err == nil {

@@ -27,33 +27,37 @@
 //	GET    /readyz           readiness (503 until the model is loaded and
 //	                         the -records warm-load has finished)
 //
-// -records seeds the online match store from a CSV in the repository's
-// table layout (header row, then id,entity_id,<values...> — what
-// cmd/datagen and dataset.WriteTableCSV emit). The load runs in the
-// background: the listener accepts traffic immediately, /readyz flips to
-// 200 when the index is warm.
+// The online match store holds -partitions N independent partitions
+// (default 1): records consistent-hash by ID, and every resolve
+// scatter-gathers across all partitions concurrently and merges their
+// top-k lists into the same ranked answer one flat store would return.
+// -max-pending bounds in-flight record mutations; past the bound, ingest
+// answers 429 + Retry-After instead of queueing without bound
+// (back-pressure sheds writes, never resolves).
+//
+// -records seeds the match store from a CSV in the repository's table
+// layout (header row, then id,entity_id,<values...> — what cmd/datagen and
+// dataset.WriteTableCSV emit). The load runs in the background: the
+// listener accepts traffic immediately, /readyz flips to 200 when the
+// index is warm.
 //
 // -data-dir makes the match store durable: every accepted record mutation
-// is framed into a write-ahead log (fsynced per the -fsync policy) before
-// it is applied, periodic snapshots (-snapshot-every) bound replay time,
-// and a restart replays snapshot + log tail to serve the same records with
-// no -records re-ingest. The replay runs in the background; /readyz
-// reports its progress as the not-ready reason and record mutations answer
-// 503 until it finishes. POST /v1/snapshot cuts a snapshot on demand.
-// With a populated -data-dir, -records is skipped (the store already has
-// its records); it seeds only an empty data dir.
+// is framed into its partition's write-ahead log (fsynced per the -fsync
+// policy) before it is applied, periodic snapshots (-snapshot-every)
+// bound replay time, and a restart replays snapshot + log tail to serve
+// the same records with no -records re-ingest. Partitions replay
+// concurrently in the background (restart time is the slowest partition,
+// not the sum); /readyz lists per-partition replay progress and record
+// mutations answer 503 until it finishes. POST /v1/snapshot cuts a
+// snapshot of every partition on demand. With a populated -data-dir,
+// -records is skipped (the store already has its records); it seeds only
+// an empty data dir.
 //
-// -partitions N shards the match store across N independent partitions:
-// records consistent-hash by ID, every resolve scatter-gathers across all
-// partitions concurrently and merges their top-k heaps into the same
-// ranked answer one flat store would return. -replicas R fans each
-// partition's reads across R replicas (power-of-two-choices). With
-// -data-dir, each partition persists into its own part-NNN subdirectory,
-// partitions replay concurrently at startup (restart time is the slowest
-// partition, not the sum), and /readyz lists per-partition replay
-// progress. -max-pending bounds in-flight record mutations; past the
-// bound, ingest answers 429 + Retry-After instead of queueing without
-// bound (back-pressure sheds writes, never resolves).
+// Data dir layout: each partition persists into its own part-NNN
+// subdirectory, and the partition count is fixed when the dir is created
+// — reopening with a different -partitions is refused. A dir holding one
+// store's log and snapshots at its root (the layout of a single-store
+// data dir) opens in place with -partitions 1 and is refused with more.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight requests
 // finish (bounded by -shutdown-timeout), then the micro-batcher stops, and
@@ -118,9 +122,8 @@ func main() {
 		snapEvery   = flag.Int("snapshot-every", 10000, "logged operations between automatic snapshots (negative disables; snapshots then happen only via POST /v1/snapshot and shutdown)")
 		minShared   = flag.Int("match-min-shared", 0, "blocking tokens a stored record must share with a probe (0 = default 1)")
 		maxBlock    = flag.Int("match-max-block", 0, "stop-token pruning bound for the match index (0 = default 200, negative disables)")
-		partitions  = flag.Int("partitions", 0, "partition the match store across this many independent partitions (scatter-gather resolve; 0 keeps one flat store)")
-		replicas    = flag.Int("replicas", 1, "read replicas per partition (power-of-two-choices fan-out; needs -partitions)")
-		maxPending  = flag.Int("max-pending", 0, "bounded ingest queue: record mutations beyond this many in flight answer 429 (0 = default 256 with -partitions, off without; negative disables)")
+		partitions  = flag.Int("partitions", 1, "partition the match store across this many independent partitions (scatter-gather resolve; 0 means 1)")
+		maxPending  = flag.Int("max-pending", 0, "bounded ingest queue: record mutations beyond this many in flight answer 429 (0 = default 256, negative disables)")
 		pprofAddr   = flag.String("pprof", "", "optional debug listener address (e.g. localhost:6060) exposing /debug/pprof and /debug/vars; empty disables it")
 		mutexFrac   = flag.Int("mutex-profile-fraction", 5, "with -pprof, sample 1/N of mutex-contention events into /debug/pprof/mutex (0 disables)")
 		blockRate   = flag.Int("block-profile-rate", 0, "with -pprof, sample blocking events of at least this many ns into /debug/pprof/block (0 disables; sampling has measurable overhead)")
@@ -148,16 +151,16 @@ func main() {
 
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
+	matchCfg := match.Config{
+		MinSharedTokens: *minShared,
+		MaxBlockSize:    *maxBlock,
+	}
 	srv := server.New(model, server.Config{
-		MaxBatch:  *maxBatch,
-		MaxLinger: *maxLinger,
-		ModelPath: *modelPath,
-		Match: match.Config{
-			MinSharedTokens: *minShared,
-			MaxBlockSize:    *maxBlock,
-		},
+		MaxBatch:    *maxBatch,
+		MaxLinger:   *maxLinger,
+		ModelPath:   *modelPath,
+		Match:       matchCfg,
 		Partitions:  *partitions,
-		Replicas:    *replicas,
 		MaxPending:  *maxPending,
 		Obs:         reg,
 		SlowRequest: *slowReq,
@@ -181,50 +184,24 @@ func main() {
 	// must not take traffic silently). With -data-dir the warm-up is the
 	// durable replay (snapshot + WAL tail), optionally followed by a
 	// -records seed when the replayed store came up empty.
-	switch {
-	case *dataDir != "" && *partitions > 0:
-		policy, interval, err := wal.ParseSyncPolicy(*fsyncFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv.SetDurablePending()
-		srv.SetNotReady(fmt.Sprintf("opening %d durable match partitions in %s", *partitions, *dataDir))
-		go openPartitionedStore(ctx, srv, model, *dataDir, *recordsPath, *partitions, *replicas, match.Config{
-			MinSharedTokens: *minShared,
-			MaxBlockSize:    *maxBlock,
-		}, match.DurableOptions{
-			Sync:          policy,
-			SyncInterval:  interval,
-			SnapshotEvery: *snapEvery,
-			Logf:          log.Printf,
-			OnStage:       srv.ObserveStage,
-		})
-	case *dataDir != "":
-		policy, interval, err := wal.ParseSyncPolicy(*fsyncFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv.SetDurablePending()
-		srv.SetNotReady(fmt.Sprintf("opening durable match store in %s", *dataDir))
-		go openDurableStore(ctx, srv, model, *dataDir, *recordsPath, match.DurableOptions{
-			Sync:          policy,
-			SyncInterval:  interval,
-			SnapshotEvery: *snapEvery,
-			Logf:          log.Printf,
-			OnStage:       srv.ObserveStage,
-		})
-	case *recordsPath != "":
-		srv.SetNotReady(fmt.Sprintf("warm-loading match records from %s", *recordsPath))
-		go func() {
-			n, err := warmLoadRecords(ctx, srv, srv.MatchStore().Arity(), *recordsPath)
+	if *dataDir != "" || *recordsPath != "" {
+		var opts match.DurableOptions
+		if *dataDir != "" {
+			policy, interval, err := wal.ParseSyncPolicy(*fsyncFlag)
 			if err != nil {
-				log.Printf("warm-load: %v (after %d records)", err, n)
-				srv.SetNotReady(fmt.Sprintf("warm-load of %s failed: %v", *recordsPath, err))
-				return
+				log.Fatal(err)
 			}
-			log.Printf("warm-loaded %d records into the match store", n)
-			srv.SetReady()
-		}()
+			opts = match.DurableOptions{
+				Sync:          policy,
+				SyncInterval:  interval,
+				SnapshotEvery: *snapEvery,
+				Logf:          log.Printf,
+				OnStage:       srv.ObserveStage,
+			}
+			srv.SetDurablePending()
+		}
+		srv.SetNotReady("starting the match store")
+		go openStore(ctx, srv, model, *dataDir, *recordsPath, matchCfg, opts)
 	}
 
 	if *pprofAddr != "" {
@@ -276,112 +253,65 @@ func main() {
 	// the durable store sealed — its unsnapshotted tail rolls into a final
 	// snapshot so the next start replays zero log frames.
 	srv.Close()
-	if d := srv.Durable(); d != nil {
-		log.Printf("sealing durable store in %s (final snapshot)", d.Dir())
-		if err := d.Close(); err != nil {
-			log.Printf("durable store close: %v", err)
-		}
-	}
-	if ps := srv.Partitioned(); ps != nil && ps.Durable() {
-		log.Printf("sealing %d durable match partitions (final snapshots)", ps.Partitions())
+	if ps := srv.Store(); ps.Durable() {
+		log.Printf("sealing %d durable match partitions in %s (final snapshots)", ps.Partitions(), *dataDir)
 		if err := ps.Close(); err != nil {
-			log.Printf("partitioned store close: %v", err)
+			log.Printf("match store close: %v", err)
 		}
 	}
 	log.Printf("served %d pairs across %d hot-swaps; bye", srv.Served(), srv.Swaps())
 }
 
-// openDurableStore replays the data dir in the background (the listener is
-// already up; /readyz carries the replay progress), installs the store,
-// and seeds it from recordsPath only when the replay produced an empty
-// store — a populated data dir already holds its records.
-func openDurableStore(ctx context.Context, srv *server.Server, model *learnrisk.Model, dir, recordsPath string, opts match.DurableOptions) {
-	opts.Progress = func(phase string, done, total int) {
-		if total > 0 {
-			srv.SetNotReady(fmt.Sprintf("replaying durable store: %s %d/%d", phase, done, total))
-		} else {
-			srv.SetNotReady(fmt.Sprintf("replaying durable store: %s %d ops", phase, done))
+// openStore brings the match store up in the background (the listener is
+// already serving; /readyz carries the progress). With a data dir it
+// replays every partition concurrently and installs the replayed store —
+// an open failure leaves the server not ready with the pending gate
+// holding mutations, since a replica must not take traffic with its
+// records missing. It then seeds the store from recordsPath, unless the
+// replay already brought records back.
+func openStore(ctx context.Context, srv *server.Server, model *learnrisk.Model, dir, recordsPath string, cfg match.Config, opts match.DurableOptions) {
+	if dir != "" {
+		n := srv.Store().Partitions()
+		for i := 0; i < n; i++ {
+			srv.SetPartitionNotReady(i, "opening")
 		}
-	}
-	d, err := model.OpenDurableMatchStore(dir, srv.MatchStore().Config(), opts)
-	if err != nil {
-		// The replica must not take traffic with its records missing, and
-		// mutations stay refused (the pending gate holds): an operator
-		// decision is needed, not a silently empty store.
-		log.Printf("durable store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("durable store open failed: %v", err))
-		return
-	}
-	rs := d.ReplayStats()
-	log.Printf("durable store %s: %d records from snapshot %d + %d tail ops (%d segments, torn=%v) in %s",
-		dir, rs.SnapshotRecords, rs.SnapshotSeq, rs.TailFrames, rs.Segments, rs.TornTail, rs.Duration)
-	if err := srv.InstallDurableStore(d); err != nil {
-		log.Printf("durable store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("durable store install failed: %v", err))
-		return
+		progress := func(part int, phase string, done, total int) {
+			if total > 0 {
+				srv.SetPartitionNotReady(part, fmt.Sprintf("replaying: %s %d/%d", phase, done, total))
+			} else {
+				srv.SetPartitionNotReady(part, fmt.Sprintf("replaying: %s %d ops", phase, done))
+			}
+		}
+		ps, err := model.OpenDurablePartitionedMatchStore(dir, n, cfg, opts, progress)
+		if err == nil {
+			err = srv.InstallStore(ps)
+			if err != nil {
+				_ = ps.Close() // best-effort: the install error is the one to report
+			}
+		}
+		if err != nil {
+			log.Printf("match store: %v", err)
+			srv.SetNotReady(fmt.Sprintf("match store open failed: %v", err))
+			return
+		}
+		log.Printf("match store %s: %d partitions, %d live records", dir, n, ps.Len())
+		for i := 0; i < n; i++ {
+			srv.SetPartitionReady(i)
+		}
+		if recordsPath != "" && ps.Len() > 0 {
+			log.Printf("skipping -records %s: the durable store already holds %d records", recordsPath, ps.Len())
+			recordsPath = ""
+		}
 	}
 	if recordsPath != "" {
-		if d.Len() > 0 {
-			log.Printf("skipping -records %s: the durable store already holds %d records", recordsPath, d.Len())
-		} else {
-			srv.SetNotReady(fmt.Sprintf("seeding durable store from %s", recordsPath))
-			n, err := warmLoadRecords(ctx, srv, srv.MatchStore().Arity(), recordsPath)
-			if err != nil {
-				log.Printf("warm-load: %v (after %d records)", err, n)
-				srv.SetNotReady(fmt.Sprintf("warm-load of %s failed: %v", recordsPath, err))
-				return
-			}
-			log.Printf("seeded %d records into the durable store", n)
+		srv.SetNotReady(fmt.Sprintf("warm-loading match records from %s", recordsPath))
+		n, err := warmLoadRecords(ctx, srv, srv.Store().Arity(), recordsPath)
+		if err != nil {
+			log.Printf("warm-load: %v (after %d records)", err, n)
+			srv.SetNotReady(fmt.Sprintf("warm-load of %s failed: %v", recordsPath, err))
+			return
 		}
-	}
-	srv.SetReady()
-}
-
-// openPartitionedStore replays every partition's data subdirectory
-// concurrently in the background (the listener is already up; /readyz
-// aggregates per-partition replay progress), installs the partitioned
-// store, and seeds it from recordsPath only when the replay produced an
-// empty store.
-func openPartitionedStore(ctx context.Context, srv *server.Server, model *learnrisk.Model, dir, recordsPath string, partitions, replicas int, cfg match.Config, opts match.DurableOptions) {
-	for i := 0; i < partitions; i++ {
-		srv.SetPartitionNotReady(i, "opening")
-	}
-	progress := func(part int, phase string, done, total int) {
-		if total > 0 {
-			srv.SetPartitionNotReady(part, fmt.Sprintf("replaying: %s %d/%d", phase, done, total))
-		} else {
-			srv.SetPartitionNotReady(part, fmt.Sprintf("replaying: %s %d ops", phase, done))
-		}
-	}
-	ps, err := model.OpenDurablePartitionedMatchStore(dir, partitions, replicas, cfg, opts, progress)
-	if err != nil {
-		// Same stance as the flat durable path: no silently empty replica.
-		log.Printf("partitioned store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("partitioned store open failed: %v", err))
-		return
-	}
-	log.Printf("partitioned store %s: %d partitions, %d live records", dir, ps.Partitions(), ps.Len())
-	if err := srv.InstallPartitionedStore(ps); err != nil {
-		log.Printf("partitioned store: %v", err)
-		srv.SetNotReady(fmt.Sprintf("partitioned store install failed: %v", err))
-		return
-	}
-	for i := 0; i < partitions; i++ {
-		srv.SetPartitionReady(i)
-	}
-	if recordsPath != "" {
-		if ps.Len() > 0 {
-			log.Printf("skipping -records %s: the partitioned store already holds %d records", recordsPath, ps.Len())
-		} else {
-			srv.SetNotReady(fmt.Sprintf("seeding partitioned store from %s", recordsPath))
-			n, err := warmLoadRecords(ctx, srv, ps.Arity(), recordsPath)
-			if err != nil {
-				log.Printf("warm-load: %v (after %d records)", err, n)
-				srv.SetNotReady(fmt.Sprintf("warm-load of %s failed: %v", recordsPath, err))
-				return
-			}
-			log.Printf("seeded %d records into the partitioned store", n)
-		}
+		log.Printf("warm-loaded %d records into the match store", n)
 	}
 	srv.SetReady()
 }

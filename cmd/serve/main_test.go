@@ -2,12 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	learnrisk "repro"
+	"repro/internal/match"
+	"repro/internal/server"
+	"repro/internal/wal"
 )
 
 // fakeAdder records the values it accepts and can be armed to fail from a
@@ -126,4 +132,118 @@ func (a *cancelingAdder) AddRecord(values []string) (uint64, error) {
 		a.cancel()
 	}
 	return id, err
+}
+
+// openStoreFixture trains a small model and writes n of its workload's
+// right-table records as a warm-load CSV.
+func openStoreFixture(t *testing.T, n int) (*learnrisk.Workload, *learnrisk.Model, string) {
+	t.Helper()
+	w, err := learnrisk.Generate("AB", 0.02, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := learnrisk.Train(context.Background(), w, learnrisk.Options{RiskEpochs: 150, ClassifierEpochs: 15, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	cw := csv.NewWriter(&buf)
+	cw.Write(append([]string{"id", "entity_id"}, w.AttrNames()...))
+	for i := 0; i < n; i++ {
+		vals, entity := w.RightRecordAt(i)
+		cw.Write(append([]string{fmt.Sprintf("r%d", i), entity}, vals...))
+	}
+	cw.Flush()
+	path := filepath.Join(t.TempDir(), "records.csv")
+	if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return w, m, path
+}
+
+// startStore runs openStore the way main does for the given flags and
+// returns the server once the open has finished.
+func startStore(t *testing.T, m *learnrisk.Model, partitions int, dir, records string) *server.Server {
+	t.Helper()
+	srv := server.New(m, server.Config{Partitions: partitions})
+	t.Cleanup(func() {
+		srv.Close()
+		if err := srv.Store().Close(); err != nil {
+			t.Errorf("closing the store: %v", err)
+		}
+	})
+	if dir != "" {
+		srv.SetDurablePending()
+	}
+	openStore(context.Background(), srv, m, dir, records, match.Config{}, match.DurableOptions{Sync: wal.SyncNever})
+	return srv
+}
+
+// TestOpenStore covers cmd/serve's one store-open path: an in-memory
+// warm-load, a fresh data dir seeded from -records and reopened without
+// it, a data dir written by a single flat durable store opened in place
+// as one partition (its records served, -records skipped), and that flat
+// dir refused as four partitions — not ready, mutations still gated.
+func TestOpenStore(t *testing.T) {
+	const n = 12
+	w, m, records := openStoreFixture(t, n)
+
+	if srv := startStore(t, m, 0, "", records); srv.Live() != n {
+		t.Errorf("in-memory warm-load: live = %d, want %d", srv.Live(), n)
+	} else if ok, reason := srv.Ready(); !ok {
+		t.Errorf("in-memory warm-load left the server not ready: %s", reason)
+	}
+
+	fresh := t.TempDir()
+	srv := startStore(t, m, 2, fresh, records)
+	if ok, reason := srv.Ready(); !ok || srv.Live() != n || !srv.Store().Durable() {
+		t.Fatalf("fresh data dir: ready=%v (%s), live %d, durable %v", ok, reason, srv.Live(), srv.Store().Durable())
+	}
+	if _, err := srv.AddRecord(rightValues(w, n)); err != nil {
+		t.Fatalf("add after open: %v", err)
+	}
+	if err := srv.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if srv := startStore(t, m, 2, fresh, records); srv.Live() != n+1 {
+		t.Errorf("reopened data dir: live = %d, want %d (replayed, -records skipped)", srv.Live(), n+1)
+	}
+
+	flat := t.TempDir()
+	d, err := m.OpenDurableMatchStore(flat, learnrisk.MatchConfig{}, learnrisk.DurableMatchOptions{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := d.Add(rightValues(w, n+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv = startStore(t, m, 1, flat, records)
+	if ok, reason := srv.Ready(); !ok || srv.Live() != 5 {
+		t.Fatalf("flat data dir as 1 partition: ready=%v (%s), live %d, want 5 (-records skipped)", ok, reason, srv.Live())
+	}
+	if vals, ok := srv.Store().Get(0); !ok || vals[0] != rightValues(w, n)[0] {
+		t.Errorf("flat data dir as 1 partition: record 0 = %v, want the flat store's first record", vals)
+	}
+
+	if err := srv.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv = startStore(t, m, 4, flat, records)
+	ok, reason := srv.Ready()
+	if ok || !strings.Contains(reason, "flat single-store layout") {
+		t.Errorf("flat data dir as 4 partitions: ready=%v, reason %q, want a refusal naming the layout", ok, reason)
+	}
+	if _, err := srv.AddRecord(rightValues(w, 0)); !errors.Is(err, server.ErrStoreLoading) {
+		t.Errorf("add after a refused open = %v, want ErrStoreLoading", err)
+	}
+}
+
+func rightValues(w *learnrisk.Workload, i int) []string {
+	vals, _ := w.RightRecordAt(i)
+	return vals
 }

@@ -136,7 +136,7 @@ func main() {
 		fmt.Printf("deleted record %d; its probe now resolves to %d other candidate(s)\n", firstHitID, len(resp.Matches))
 	}
 
-	st := srv.MatchStore().Stats()
+	st := srv.Store().PartitionStats()[0] // the default server's one partition
 	fmt.Printf("index: %d live records, %d tokens, %d tombstones, %d compactions, %.1f mean candidates/probe\n",
 		st.Live, st.Tokens, st.Tombstones, st.Compactions,
 		float64(st.Candidates)/float64(max(st.Probes, 1)))
@@ -197,12 +197,12 @@ func durableRestartDemo(w *learnrisk.Workload, model *learnrisk.Model, k int) er
 // shutdown order (HTTP, batcher, store — the store last, sealing a final
 // snapshot).
 func withDurableService(model *learnrisk.Model, dir string, fn func(base string) error) error {
-	d, err := model.OpenDurableMatchStore(dir, learnrisk.MatchConfig{}, learnrisk.DurableMatchOptions{})
+	d, err := model.OpenDurablePartitionedMatchStore(dir, 1, learnrisk.MatchConfig{}, learnrisk.DurableMatchOptions{}, nil)
 	if err != nil {
 		return err
 	}
 	srv := server.New(model, server.Config{MaxLinger: time.Millisecond})
-	if err := srv.InstallDurableStore(d); err != nil {
+	if err := srv.InstallStore(d); err != nil {
 		d.Close()
 		return err
 	}

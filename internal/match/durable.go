@@ -191,6 +191,14 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
+// IsDurableFile reports whether name is one of the files OpenDurable keeps
+// in its data dir: a log segment or a snapshot.
+func IsDurableFile(name string) bool {
+	_, seg := parseSeq(name, "wal-", ".log")
+	_, snap := parseSeq(name, "snap-", ".db")
+	return seg || snap
+}
+
 // OpenDurable opens (creating if needed) the durable store rooted at dir:
 // stale snapshot temp files are removed, the newest snapshot is loaded,
 // the log segments after it are replayed — a torn final frame is dropped

@@ -19,6 +19,18 @@ func (a Scored) worse(b Scored) bool {
 	return a.ID > b.ID
 }
 
+// Compare orders a and b best first — Rank descending, ID ascending on
+// ties — in the slices.SortFunc convention: negative when a ranks above b.
+func (a Scored) Compare(b Scored) int {
+	switch {
+	case b.worse(a):
+		return -1
+	case a.worse(b):
+		return 1
+	}
+	return 0
+}
+
 // TopK is a bounded best-k accumulator: a size-k min-heap whose root is the
 // worst retained entry, so a stream of N candidates costs O(N log k) and
 // the heap never grows past k. The zero value is unusable — Reset first.
@@ -89,14 +101,6 @@ func (t *TopK) siftDown(i int) {
 func (t *TopK) AppendSorted(dst []Scored) []Scored {
 	base := len(dst)
 	dst = append(dst, t.h...)
-	slices.SortFunc(dst[base:], func(a, b Scored) int {
-		switch {
-		case b.worse(a):
-			return -1
-		case a.worse(b):
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(dst[base:], Scored.Compare)
 	return dst
 }

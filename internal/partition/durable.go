@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,54 +18,64 @@ func partDirName(i int) string { return fmt.Sprintf("part-%03d", i) }
 
 var partDirRE = regexp.MustCompile(`^part-(\d{3})$`)
 
-// countPartDirs inventories an existing data dir's partition
-// subdirectories. Zero means a fresh dir.
-func countPartDirs(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		if e.IsDir() && partDirRE.MatchString(e.Name()) {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// OpenDurable opens (creating if needed) a durable partitioned store
-// rooted at dir: each partition persists into its own part-NNN
-// subdirectory (WAL segments + snapshots, the match.OpenDurable layout),
-// all partitions replay concurrently, the global ID allocator resumes past
-// the max replayed ID, and the token census is rebuilt from the surviving
-// records — so a restarted store prunes exactly like the one that shut
-// down.
+// partDirs lays the n partitions of a durable store out under dir, one
+// rule for every n:
 //
-// The partition count is fixed at creation: records are routed by
-// consistent-hashing their IDs, so a dir created with N partitions opened
-// as M would look every record up in the wrong place. A count mismatch is
-// refused, not repartitioned.
-func OpenDurable(dir string, arity int, o Options) (*Store, error) {
-	o = o.withDefaults()
-	if o.Scorer == nil {
-		return nil, errors.New("partition: Options.Scorer is required")
-	}
-	existing, err := countPartDirs(dir)
-	if err != nil {
+//   - A fresh dir gets one part-NNN subdirectory per partition.
+//   - A dir that already holds part-NNN subdirectories must hold exactly
+//     n. Records are routed by consistent-hashing their IDs, so a dir
+//     created with N partitions opened as M would look every record up in
+//     the wrong place: a count mismatch is refused, not repartitioned.
+//   - A dir holding one match store's files at its root (the flat layout
+//     match.OpenDurable writes) is a one-partition store and opens in
+//     place. Opened with n > 1 it is refused, as is a dir holding both
+//     layouts: either way the other layout's records would be orphaned.
+func partDirs(dir string, n int) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("partition: inspecting data dir: %w", err)
 	}
-	if existing > 0 && existing != o.Partitions {
+	parts, flat := 0, false
+	for _, e := range entries {
+		switch {
+		case e.IsDir() && partDirRE.MatchString(e.Name()):
+			parts++
+		case !e.IsDir() && match.IsDurableFile(e.Name()):
+			flat = true
+		}
+	}
+	switch {
+	case flat && parts > 0:
+		return nil, fmt.Errorf("partition: data dir %s holds both the flat single-store layout (log segments and snapshots at its root) and %d part-NNN partitions; refusing to open either and orphan the other",
+			dir, parts)
+	case flat && n != 1:
+		return nil, fmt.Errorf("partition: data dir %s holds the flat single-store layout (log segments and snapshots at its root), which opens only as 1 partition, not %d (repartition by rebuilding into a fresh dir)",
+			dir, n)
+	case flat:
+		return []string{dir}, nil
+	case parts > 0 && parts != n:
 		return nil, fmt.Errorf("partition: data dir %s holds %d partitions but %d were requested; the partition count is fixed at creation (repartition by rebuilding into a fresh dir)",
-			dir, existing, o.Partitions)
+			dir, parts, n)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("partition: creating data dir: %w", err)
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = filepath.Join(dir, partDirName(i))
 	}
+	return dirs, nil
+}
 
+// OpenDurable opens (creating if needed) a durable store rooted at dir:
+// each partition persists into its own directory (WAL segments +
+// snapshots, the match.OpenDurable layout; see partDirs), all partitions
+// replay concurrently, the global ID allocator resumes past the max
+// replayed ID, and the token census is rebuilt from the surviving records
+// — so a restarted store prunes exactly like the one that shut down.
+func OpenDurable(dir string, arity int, o Options) (*Store, error) {
+	o = o.withDefaults()
+	dirs, err := partDirs(dir, o.Partitions)
+	if err != nil {
+		return nil, err
+	}
 	s, partCfg, err := newRouter(arity, o)
 	if err != nil {
 		return nil, err
@@ -82,7 +93,7 @@ func OpenDurable(dir string, arity int, o Options) (*Store, error) {
 				o.Progress(i, phase, done, total)
 			}
 		}
-		durs[i], errs[i] = match.OpenDurable(filepath.Join(dir, partDirName(i)), arity, partCfg, opts)
+		durs[i], errs[i] = match.OpenDurable(dirs[i], arity, partCfg, opts)
 	})
 	if err := errors.Join(errs...); err != nil {
 		for _, d := range durs {
@@ -95,7 +106,7 @@ func OpenDurable(dir string, arity int, o Options) (*Store, error) {
 
 	var nextID uint64
 	for i, d := range durs {
-		s.parts[i] = newReplicaSet(NewLocalDurable(d, o.Scorer), o.Replicas)
+		s.parts[i] = part{st: d.Store, dur: d}
 		if n := d.NextID(); n > nextID {
 			nextID = n
 		}

@@ -22,18 +22,11 @@ type Options struct {
 	// a different count would look records up in the wrong partition —
 	// OpenDurable refuses the mismatch.
 	Partitions int
-	// Replicas is the read-replica fan-out per partition (default 1):
-	// Resolve and Get pick a replica by power-of-two-choices on in-flight
-	// counts. In-process replicas share the partition's store, so this is
-	// the routing seam for the HTTP-partition follow-on, not a data copy.
-	Replicas int
 	// Match is the blocking configuration. MaxBlockSize is interpreted
 	// globally: partitions run with local pruning disabled and the store's
 	// token census applies the bound across all partitions, so pruning
 	// verdicts match a single flat store over the same records.
 	Match match.Config
-	// Scorer ranks probes per partition (required).
-	Scorer Scorer
 	// Durable configures each partition's durability layer (OpenDurable
 	// only). Its Progress hook is superseded by the partition-aware one
 	// below.
@@ -47,9 +40,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Partitions <= 0 {
 		o.Partitions = 1
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 1
 	}
 	return o
 }
@@ -67,9 +57,9 @@ type censusShard struct {
 	m  map[string]int
 }
 
-// Store is the partitioned online match store: records consistent-hash
-// across partitions, probes scatter to every partition concurrently and
-// gather through one order-stable top-k merge. All methods are safe for
+// Store is the online match store: records consistent-hash across
+// partitions, probes scatter to every partition concurrently and gather
+// through one order-stable top-k merge (Resolve). All methods are safe for
 // concurrent use. Under serial mutations the resolve results are
 // bit-identical to a single flat store's (the fuzzed oracle test); under
 // concurrent mutation the census may briefly lag a partition's state, which
@@ -78,69 +68,19 @@ type censusShard struct {
 type Store struct {
 	arity    int
 	maxBlock int // resolved global stop-token bound (<= 0 disables)
-	parts    []*replicaSet
+	parts    []part
 	nextID   atomic.Uint64
 
 	// tok is an always-empty store used purely as the tokenizer: census
 	// updates and probe pruning must use the exact tokenization the
-	// partitions index by, and going through a match.Store guarantees that
-	// even when partitions are remote.
-	tok *Local
+	// partitions index by, and going through a match.Store guarantees it.
+	tok *match.Store
 
 	seed   maphash.Seed
 	census []censusShard
 
-	pickSeq atomic.Uint64
-	probes  atomic.Int64
-	pruned  atomic.Int64
-}
-
-// replicaSet is one partition's replicas plus their in-flight counters
-// (the power-of-two-choices signal).
-type replicaSet struct {
-	reps    []Partition
-	pending []atomic.Int64
-}
-
-// primary is the replica mutations go to. In-process replicas share the
-// store, so writing through the primary writes through all of them; remote
-// replicas make replication the transport's concern.
-func (g *replicaSet) primary() Partition { return g.reps[0] }
-
-// pick chooses a read replica: two pseudo-random candidates, the one with
-// fewer requests in flight wins (SNIPPETS' "greedy beats optimal" — no
-// load statistics service needed, just two counters).
-//
-//vetkit:hotpath
-func (g *replicaSet) pick(seq uint64) int {
-	n := len(g.reps)
-	if n == 1 {
-		return 0
-	}
-	h := splitmix64(seq)
-	a := int(h % uint64(n))
-	b := int((h >> 32) % uint64(n))
-	if a == b {
-		b++
-		if b == n {
-			b = 0
-		}
-	}
-	if g.pending[b].Load() < g.pending[a].Load() {
-		return b
-	}
-	return a
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap stateless bit mixer for
-// replica picks (full-period, no locks, no math/rand state).
-//
-//vetkit:hotpath
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	probes atomic.Int64
+	pruned atomic.Int64
 }
 
 // jumpHash is Lamping & Veach's jump consistent hash: O(ln buckets), no
@@ -164,25 +104,21 @@ func jumpHash(key uint64, buckets int) int {
 //vetkit:hotpath
 func (s *Store) partitionOf(id uint64) int { return jumpHash(id, len(s.parts)) }
 
-// New builds an in-memory partitioned store for records of the given
-// arity. Partition stores are created with local stop-token pruning
-// disabled — the Store's census applies Options.Match.MaxBlockSize
-// globally instead.
+// New builds an in-memory store for records of the given arity. Partition
+// stores are created with local stop-token pruning disabled — the Store's
+// census applies Options.Match.MaxBlockSize globally instead.
 func New(arity int, o Options) (*Store, error) {
 	o = o.withDefaults()
-	if o.Scorer == nil {
-		return nil, errors.New("partition: Options.Scorer is required")
-	}
 	s, partCfg, err := newRouter(arity, o)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < o.Partitions; i++ {
+	for i := range s.parts {
 		st, err := match.New(arity, partCfg)
 		if err != nil {
 			return nil, err
 		}
-		s.parts[i] = newReplicaSet(NewLocal(st, o.Scorer), o.Replicas)
+		s.parts[i] = part{st: st}
 	}
 	return s, nil
 }
@@ -203,8 +139,8 @@ func newRouter(arity int, o Options) (*Store, match.Config, error) {
 	s := &Store{
 		arity:    arity,
 		maxBlock: resolved.MaxBlockSize,
-		parts:    make([]*replicaSet, o.Partitions),
-		tok:      NewLocal(tokStore, o.Scorer),
+		parts:    make([]part, o.Partitions),
+		tok:      tokStore,
 		seed:     maphash.MakeSeed(),
 		census:   make([]censusShard, censusShards),
 	}
@@ -214,36 +150,15 @@ func newRouter(arity int, o Options) (*Store, match.Config, error) {
 	return s, partCfg, nil
 }
 
-func newReplicaSet(p Partition, replicas int) *replicaSet {
-	g := &replicaSet{
-		reps:    make([]Partition, replicas),
-		pending: make([]atomic.Int64, replicas),
-	}
-	for i := range g.reps {
-		g.reps[i] = p
-	}
-	return g
-}
-
 // Arity returns the schema arity records and probes must carry.
 func (s *Store) Arity() int { return s.arity }
 
 // Partitions returns the partition count.
 func (s *Store) Partitions() int { return len(s.parts) }
 
-// Replicas returns the per-partition replica fan-out.
-func (s *Store) Replicas() int { return len(s.parts[0].reps) }
-
 // Durable reports whether the partitions persist their mutations (built by
 // OpenDurable).
-func (s *Store) Durable() bool {
-	l, ok := s.parts[0].primary().(*Local)
-	return ok && l.Durable() != nil
-}
-
-// Partition returns one partition (read-side introspection: stats,
-// expvars, tests).
-func (s *Store) Partition(i int) Partition { return s.parts[i].primary() }
+func (s *Store) Durable() bool { return s.parts[0].dur != nil }
 
 // NextID reports the next record ID the store would assign.
 func (s *Store) NextID() uint64 { return s.nextID.Load() }
@@ -251,8 +166,8 @@ func (s *Store) NextID() uint64 { return s.nextID.Load() }
 // Len sums the partitions' live record counts.
 func (s *Store) Len() int {
 	n := 0
-	for _, g := range s.parts {
-		n += g.primary().Len()
+	for _, p := range s.parts {
+		n += p.st.Len()
 	}
 	return n
 }
@@ -273,12 +188,13 @@ func (s *Store) AddTraced(values []string, tr *obs.Trace) (uint64, error) {
 		return 0, fmt.Errorf("partition: record has %d values, store schema has %d: %w", len(values), s.arity, match.ErrArity)
 	}
 	id := s.nextID.Add(1) - 1
-	p := s.parts[s.partitionOf(id)].primary()
+	p := s.parts[s.partitionOf(id)]
 	var err error
-	if tm, ok := p.(TraceMutator); ok {
-		err = tm.AddAtTraced(id, values, tr)
+	if p.dur != nil {
+		// The wal-before-apply contract lives in match.DurableStore.AddAt.
+		err = p.dur.AddAtTraced(id, values, tr)
 	} else {
-		err = p.AddAt(id, values)
+		err = p.st.AddAt(id, values)
 	}
 	if err != nil {
 		return 0, err
@@ -296,16 +212,16 @@ func (s *Store) Delete(id uint64) (bool, error) {
 
 // DeleteTraced is Delete carrying a request-scoped trace (see AddTraced).
 func (s *Store) DeleteTraced(id uint64, tr *obs.Trace) (bool, error) {
-	p := s.parts[s.partitionOf(id)].primary()
-	vals, ok := p.Get(id)
+	p := s.parts[s.partitionOf(id)]
+	vals, ok := p.st.Get(id)
 	if !ok {
 		return false, nil
 	}
 	var err error
-	if tm, tok := p.(TraceMutator); tok {
-		ok, err = tm.DeleteTraced(id, tr)
+	if p.dur != nil {
+		ok, err = p.dur.DeleteTraced(id, tr)
 	} else {
-		ok, err = p.Delete(id)
+		ok = p.st.Delete(id)
 	}
 	if err != nil || !ok {
 		// A concurrent delete won the race (ok=false): it also owns the
@@ -316,33 +232,29 @@ func (s *Store) DeleteTraced(id uint64, tr *obs.Trace) (bool, error) {
 	return true, nil
 }
 
-// Get fetches a record through a picked replica of its owning partition.
+// Get fetches a record from its owning partition (the store's immutable
+// copy of the values).
 func (s *Store) Get(id uint64) ([]string, bool) {
-	g := s.parts[s.partitionOf(id)]
-	r := g.pick(s.pickSeq.Add(1))
-	g.pending[r].Add(1)
-	vals, ok := g.reps[r].Get(id)
-	g.pending[r].Add(-1)
-	return vals, ok
+	return s.parts[s.partitionOf(id)].st.Get(id)
 }
 
 // Resolve is the scatter-gather probe: the census decides the probe's
-// pruned stop tokens once, every partition ranks the probe concurrently
-// (through a picked replica) with that verdict applied, and the
-// per-partition top-k lists merge through one bounded heap. Exactness of
-// the merge: any record in the global top k is necessarily in its own
-// partition's top k (the ranking is a total order — Prob descending, ID
-// ascending), so merging the partitions' k-bounded lists loses nothing.
-func (s *Store) Resolve(probe []string, k int) ([]match.Scored, error) {
-	return s.ResolveTraced(probe, k, nil)
-}
-
-// ResolveTraced is Resolve with request-scoped stage timing: census
-// pruning on StageProbeTokenize, the scatter wall time on StageScatter
-// with per-leg durations feeding the slowest-partition attribution
-// (StageScatterSlowest + Trace.Slowest), and the bounded-heap merge on
-// StageTopKMerge. A nil trace records nothing and takes no timestamps.
-func (s *Store) ResolveTraced(probe []string, k int, tr *obs.Trace) ([]match.Scored, error) {
+// pruned stop tokens once, leg ranks the probe against every partition's
+// store concurrently with that verdict applied, and the per-partition
+// lists merge into the k best by key. leg must honor the skip list (sorted
+// ascending) and return at most k results, best first — key Rank
+// descending, ties toward the lower record ID; the merge is only exact when
+// every leg reports its partition's true top k. Exactness of the merge:
+// the ranking is a total order (IDs are global and unique), so any record
+// in the global top k is in its own partition's top k, and merging the
+// partitions' k-bounded lists loses nothing.
+//
+// With a trace, census pruning lands on StageProbeTokenize, the scatter
+// wall time on StageScatter with per-leg durations feeding the
+// slowest-partition attribution (StageScatterSlowest + Trace.Slowest), and
+// the merge on StageTopKMerge. A nil trace records nothing and takes no
+// timestamps.
+func Resolve[R any](s *Store, probe []string, k int, tr *obs.Trace, leg func(st *match.Store, skip []string) []R, key func(R) match.Scored) ([]R, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("partition: Resolve needs k > 0, got %d", k)
 	}
@@ -363,23 +275,18 @@ func (s *Store) ResolveTraced(probe []string, k int, tr *obs.Trace) ([]match.Sco
 		t0 = now
 	}
 	n := len(s.parts)
-	per := make([][]match.Scored, n)
-	errs := make([]error, n)
+	per := make([][]R, n)
 	// Workers == partitions: each leg is one independent index probe plus
 	// scoring; the point of partitioning is that they run at the same time.
 	par.ForWorkers(n, n, func(i int) {
-		g := s.parts[i]
-		r := g.pick(s.pickSeq.Add(1))
-		g.pending[r].Add(1)
 		var legStart time.Time
 		if tr != nil {
 			legStart = time.Now()
 		}
-		per[i], errs[i] = g.reps[r].Resolve(probe, k, skip)
+		per[i] = leg(s.parts[i].st, skip)
 		if tr != nil {
 			tr.ObservePartition(i, time.Since(legStart))
 		}
-		g.pending[r].Add(-1)
 	})
 	if tr != nil {
 		now := time.Now()
@@ -389,46 +296,43 @@ func (s *Store) ResolveTraced(probe []string, k int, tr *obs.Trace) ([]match.Sco
 		}
 		t0 = now
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var top match.TopK
-	top.Reset(k)
-	for _, res := range per {
-		for _, e := range res {
-			top.Offer(e)
-		}
-	}
+	merged := slices.Concat(per...)
+	slices.SortFunc(merged, func(a, b R) int { return key(a).Compare(key(b)) })
+	merged = merged[:min(k, len(merged))]
 	s.probes.Add(1)
 	s.pruned.Add(int64(len(skip)))
-	sorted := top.AppendSorted(nil)
 	if tr != nil {
 		tr.Add(obs.StageTopKMerge, time.Since(t0))
 	}
-	return sorted, nil
+	return merged, nil
 }
 
 // Snapshot cuts a snapshot of every durable partition concurrently and
 // returns the per-partition results (indexed by partition).
+// ErrNotDurable on an in-memory store.
 func (s *Store) Snapshot() ([]match.SnapshotInfo, error) {
+	if !s.Durable() {
+		return nil, fmt.Errorf("%w: the store has no data dir", ErrNotDurable)
+	}
 	n := len(s.parts)
 	infos := make([]match.SnapshotInfo, n)
 	errs := make([]error, n)
 	par.ForWorkers(n, n, func(i int) {
-		infos[i], errs[i] = s.parts[i].primary().Snapshot()
+		infos[i], errs[i] = s.parts[i].dur.Snapshot()
 	})
 	return infos, errors.Join(errs...)
 }
 
-// Close seals every partition concurrently (durable partitions roll their
-// tails into final snapshots).
+// Close seals every durable partition concurrently (each rolls its tail
+// into a final snapshot). An in-memory store has nothing to seal.
 func (s *Store) Close() error {
+	if !s.Durable() {
+		return nil
+	}
 	n := len(s.parts)
 	errs := make([]error, n)
 	par.ForWorkers(n, n, func(i int) {
-		errs[i] = s.parts[i].primary().Close()
+		errs[i] = s.parts[i].dur.Close()
 	})
 	return errors.Join(errs...)
 }
@@ -442,7 +346,7 @@ func (s *Store) censusShardOf(tok string) *censusShard {
 // censusAdd counts a just-installed record's distinct tokens. The values
 // passed the arity check upstream, so DistinctTokens cannot fail.
 func (s *Store) censusAdd(values []string) {
-	_ = s.tok.Store().DistinctTokens(values, func(t string) {
+	_ = s.tok.DistinctTokens(values, func(t string) {
 		cs := s.censusShardOf(t)
 		cs.mu.Lock()
 		cs.m[t]++
@@ -452,7 +356,7 @@ func (s *Store) censusAdd(values []string) {
 
 // censusRemove uncounts a just-deleted record's distinct tokens.
 func (s *Store) censusRemove(values []string) {
-	_ = s.tok.Store().DistinctTokens(values, func(t string) {
+	_ = s.tok.DistinctTokens(values, func(t string) {
 		cs := s.censusShardOf(t)
 		cs.mu.Lock()
 		if cs.m[t] <= 1 {
@@ -481,7 +385,7 @@ func (s *Store) appendSkip(dst []string, probe []string) ([]string, error) {
 		return dst[:0], nil
 	}
 	dst = dst[:0]
-	err := s.tok.Store().DistinctTokens(probe, func(t string) {
+	err := s.tok.DistinctTokens(probe, func(t string) {
 		if s.censusCount(t) > s.maxBlock {
 			dst = append(dst, t)
 		}
@@ -497,30 +401,23 @@ func (s *Store) appendSkip(dst []string, probe []string) ([]string, error) {
 
 // Stats is the router-level view the partition_stats expvar publishes.
 type Stats struct {
-	Partitions   int     `json:"partitions"`
-	Replicas     int     `json:"replicas"`
-	Records      []int   `json:"records"`       // live records per partition (skew at a glance)
-	Pending      []int64 `json:"pending"`       // in-flight reads per partition (summed over replicas)
-	Probes       int64   `json:"probes"`        // scatter-gather resolves served
-	PrunedTokens int64   `json:"pruned_tokens"` // probe tokens the census pruned, cumulative
-	CensusTokens int     `json:"census_tokens"` // distinct tokens currently counted
+	Partitions   int   `json:"partitions"`
+	Records      []int `json:"records"`       // live records per partition (skew at a glance)
+	Probes       int64 `json:"probes"`        // scatter-gather resolves served
+	PrunedTokens int64 `json:"pruned_tokens"` // probe tokens the census pruned, cumulative
+	CensusTokens int   `json:"census_tokens"` // distinct tokens currently counted
 }
 
 // Stats snapshots the router counters (brief per-stripe locks).
 func (s *Store) Stats() Stats {
 	st := Stats{
 		Partitions:   len(s.parts),
-		Replicas:     s.Replicas(),
 		Records:      make([]int, len(s.parts)),
-		Pending:      make([]int64, len(s.parts)),
 		Probes:       s.probes.Load(),
 		PrunedTokens: s.pruned.Load(),
 	}
-	for i, g := range s.parts {
-		st.Records[i] = g.primary().Len()
-		for r := range g.pending {
-			st.Pending[i] += g.pending[r].Load()
-		}
+	for i, p := range s.parts {
+		st.Records[i] = p.st.Len()
 	}
 	for i := range s.census {
 		cs := &s.census[i]
@@ -534,8 +431,8 @@ func (s *Store) Stats() Stats {
 // PartitionStats snapshots every partition's index counters.
 func (s *Store) PartitionStats() []match.Stats {
 	out := make([]match.Stats, len(s.parts))
-	for i, g := range s.parts {
-		out[i] = g.primary().Stats()
+	for i, p := range s.parts {
+		out[i] = p.st.Stats()
 	}
 	return out
 }
@@ -544,8 +441,22 @@ func (s *Store) PartitionStats() []match.Stats {
 // match_shard_stats expvar).
 func (s *Store) PartitionShardStats() [][]match.ShardStat {
 	out := make([][]match.ShardStat, len(s.parts))
-	for i, g := range s.parts {
-		out[i] = g.primary().ShardStats()
+	for i, p := range s.parts {
+		out[i] = p.st.ShardStats()
+	}
+	return out
+}
+
+// DurableStats snapshots every partition's durability counters (the
+// wal_stats/snapshot_stats expvars), indexed by partition; nil on an
+// in-memory store.
+func (s *Store) DurableStats() []match.DurableStats {
+	if !s.Durable() {
+		return nil
+	}
+	out := make([]match.DurableStats, len(s.parts))
+	for i, p := range s.parts {
+		out[i] = p.dur.DurableStats()
 	}
 	return out
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -15,12 +17,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/wal"
 )
-
-// fakeScorer is a deterministic stand-in for the facade's model: the rank
-// depends only on the (probe, candidate) values, is identical no matter
-// which store holds the candidate, and is heavily quantized so ties — the
-// case the ID tie-break must settle — are common.
-type fakeScorer struct{}
 
 func fakeRank(probe, vals []string) float64 {
 	h := fnv.New64a()
@@ -35,22 +31,35 @@ func fakeRank(probe, vals []string) float64 {
 	return float64(h.Sum64()%5) / 5 // five rank levels => constant ties
 }
 
-func (fakeScorer) ResolveShard(st *match.Store, probe []string, k int, skip []string) ([]match.Scored, error) {
-	var ps match.ProbeScratch
-	ids, err := st.AppendCandidatesSkip(nil, probe, &ps, skip)
-	if err != nil {
-		return nil, err
-	}
-	var top match.TopK
-	top.Reset(k)
-	for _, id := range ids {
-		vals, ok := st.Get(id)
-		if !ok {
-			continue
+// fakeLeg is a deterministic stand-in for the facade's resolve leg: the
+// rank depends only on the (probe, candidate) values, is identical no
+// matter which store holds the candidate, and is heavily quantized so ties
+// — the case the ID tie-break must settle — are common.
+func fakeLeg(probe []string, k int) func(st *match.Store, skip []string) []match.Scored {
+	return func(st *match.Store, skip []string) []match.Scored {
+		var ps match.ProbeScratch
+		ids, err := st.AppendCandidatesSkip(nil, probe, &ps, skip)
+		if err != nil {
+			panic(err) // Resolve checked the probe's arity before any leg ran
 		}
-		top.Offer(match.Scored{ID: id, Rank: fakeRank(probe, vals)})
+		var top match.TopK
+		top.Reset(k)
+		for _, id := range ids {
+			vals, ok := st.Get(id)
+			if !ok {
+				continue
+			}
+			top.Offer(match.Scored{ID: id, Rank: fakeRank(probe, vals)})
+		}
+		return top.AppendSorted(nil)
 	}
-	return top.AppendSorted(nil), nil
+}
+
+func scoredKey(s match.Scored) match.Scored { return s }
+
+// fakeResolve is a scatter-gather resolve with the fake leg.
+func fakeResolve(ps *Store, probe []string, k int) ([]match.Scored, error) {
+	return Resolve(ps, probe, k, nil, fakeLeg(probe, k), scoredKey)
 }
 
 // vocab is small on purpose: records collide on tokens constantly, so
@@ -74,39 +83,34 @@ func randValues(rng *rand.Rand, arity int) []string {
 // flatOracle resolves against a single flat store with the original
 // (pruning-enabled) config — exactly the single-store semantics the
 // partitioned path must reproduce bit for bit.
-func flatOracle(t *testing.T, st *match.Store, probe []string, k int) []match.Scored {
-	t.Helper()
-	out, err := fakeScorer{}.ResolveShard(st, probe, k, nil)
-	if err != nil {
-		t.Fatalf("oracle resolve: %v", err)
-	}
-	return out
+func flatOracle(st *match.Store, probe []string, k int) []match.Scored {
+	return fakeLeg(probe, k)(st, nil)
 }
 
 // TestFuzzPartitionedMatchesFlat is the equivalence oracle: a partitioned
 // store and a flat store fed the identical interleaved add/delete sequence
 // must answer every resolve with the identical ranked slice — same IDs,
-// same rank bits, same order — across partition counts, replica counts and
-// pruning configs (including an aggressive MaxBlockSize where the census
-// verdict decides most probes).
+// same rank bits, same order — across partition counts and pruning configs
+// (including an aggressive MaxBlockSize where the census verdict decides
+// most probes).
 func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 	const arity = 2
 	cases := []struct {
-		parts, replicas int
-		cfg             match.Config
+		parts int
+		cfg   match.Config
 	}{
-		{parts: 1, replicas: 1, cfg: match.Config{}},
-		{parts: 2, replicas: 1, cfg: match.Config{}},
-		{parts: 3, replicas: 2, cfg: match.Config{MaxBlockSize: 3}},
-		{parts: 5, replicas: 1, cfg: match.Config{MaxBlockSize: 2, MinSharedTokens: 2}},
-		{parts: 8, replicas: 3, cfg: match.Config{MaxBlockSize: -1}},
+		{parts: 1, cfg: match.Config{}},
+		{parts: 2, cfg: match.Config{}},
+		{parts: 3, cfg: match.Config{MaxBlockSize: 3}},
+		{parts: 5, cfg: match.Config{MaxBlockSize: 2, MinSharedTokens: 2}},
+		{parts: 8, cfg: match.Config{MaxBlockSize: -1}},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("parts=%d/replicas=%d/maxblock=%d/minshared=%d",
-			tc.parts, tc.replicas, tc.cfg.MaxBlockSize, tc.cfg.MinSharedTokens)
+		name := fmt.Sprintf("parts=%d/maxblock=%d/minshared=%d",
+			tc.parts, tc.cfg.MaxBlockSize, tc.cfg.MinSharedTokens)
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.parts)*31 + int64(tc.cfg.MaxBlockSize)))
-			ps, err := New(arity, Options{Partitions: tc.parts, Replicas: tc.replicas, Match: tc.cfg, Scorer: fakeScorer{}})
+			ps, err := New(arity, Options{Partitions: tc.parts, Match: tc.cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,11 +150,11 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 				default:
 					probe := randValues(rng, arity)
 					k := 1 + rng.Intn(5)
-					got, err := ps.Resolve(probe, k)
+					got, err := fakeResolve(ps, probe, k)
 					if err != nil {
 						t.Fatalf("op %d: partitioned resolve: %v", op, err)
 					}
-					want := flatOracle(t, flat, probe, k)
+					want := flatOracle(flat, probe, k)
 					if !slices.Equal(got, want) {
 						t.Fatalf("op %d: resolve(%v, k=%d) diverged (%d live records)\npartitioned: %v\nflat:        %v",
 							op, probe, k, len(live), got, want)
@@ -182,9 +186,7 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 func TestConcurrentAddDeleteResolveSnapshot(t *testing.T) {
 	ps, err := OpenDurable(t.TempDir(), 2, Options{
 		Partitions: 4,
-		Replicas:   2,
 		Match:      match.Config{MaxBlockSize: 8},
-		Scorer:     fakeScorer{},
 		Durable:    match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1},
 	})
 	if err != nil {
@@ -232,7 +234,7 @@ func TestConcurrentAddDeleteResolveSnapshot(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
-				if _, err := ps.Resolve(randValues(rng, 2), 5); err != nil {
+				if _, err := fakeResolve(ps, randValues(rng, 2), 5); err != nil {
 					t.Errorf("resolve: %v", err)
 					return
 				}
@@ -272,7 +274,6 @@ func TestDurableRestart(t *testing.T) {
 	opts := Options{
 		Partitions: 3,
 		Match:      match.Config{MaxBlockSize: 3},
-		Scorer:     fakeScorer{},
 		Durable:    match.DurableOptions{Sync: wal.SyncNever},
 	}
 	ps, err := OpenDurable(dir, 2, opts)
@@ -298,7 +299,7 @@ func TestDurableRestart(t *testing.T) {
 		flat.Delete(id)
 	}
 	probe := []string{"alpha beta", "gamma"}
-	before, err := ps.Resolve(probe, 10)
+	before, err := fakeResolve(ps, probe, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestDurableRestart(t *testing.T) {
 	}
 
 	// A different partition count must be refused, not repartitioned.
-	if _, err := OpenDurable(dir, 2, Options{Partitions: 5, Match: opts.Match, Scorer: fakeScorer{}}); err == nil {
+	if _, err := OpenDurable(dir, 2, Options{Partitions: 5, Match: opts.Match}); err == nil {
 		t.Fatal("reopening 3 partitions as 5 was accepted")
 	}
 
@@ -323,14 +324,14 @@ func TestDurableRestart(t *testing.T) {
 	if got, want := ps2.Len(), flat.Len(); got != want {
 		t.Errorf("restart Len = %d, want %d", got, want)
 	}
-	after, err := ps2.Resolve(probe, 10)
+	after, err := fakeResolve(ps2, probe, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(after, before) {
 		t.Errorf("restart changed the resolve answer\nbefore: %v\nafter:  %v", before, after)
 	}
-	if want := flatOracle(t, flat, probe, 10); !slices.Equal(after, want) {
+	if want := flatOracle(flat, probe, 10); !slices.Equal(after, want) {
 		t.Errorf("restarted store diverged from the flat oracle\ngot:  %v\nwant: %v", after, want)
 	}
 	// Fresh adds must not collide with replayed IDs.
@@ -340,6 +341,91 @@ func TestDurableRestart(t *testing.T) {
 	}
 	if id != nextID {
 		t.Errorf("post-restart add assigned %d, want %d", id, nextID)
+	}
+}
+
+// TestDurableLayout pins the data-dir layout rule: a dir written by one
+// flat match.DurableStore opens in place as one partition and serves the
+// same records; part-NNN dirs open as the partitions they hold, a count
+// mismatch refused; and a flat dir opened as several partitions — or a dir
+// holding both layouts — is refused with an error naming the layout,
+// instead of opening empty and orphaning the records.
+func TestDurableLayout(t *testing.T) {
+	opts := func(parts int) Options {
+		return Options{Partitions: parts, Durable: match.DurableOptions{Sync: wal.SyncNever}}
+	}
+	rng := rand.New(rand.NewSource(3))
+	flatDir := t.TempDir()
+	d, err := match.OpenDurable(flatDir, 2, match.Config{}, match.DurableOptions{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := d.Add(randValues(rng, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.Delete(5); err != nil {
+		t.Fatal(err)
+	}
+	probe := []string{"alpha beta", "gamma"}
+	want := flatOracle(d.Store, probe, 10)
+	live, nextID := d.Len(), d.NextID()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ps, err := OpenDurable(flatDir, 2, opts(1))
+	if err != nil {
+		t.Fatalf("flat dir as 1 partition: %v", err)
+	}
+	if ps.Len() != live || ps.NextID() != nextID {
+		t.Errorf("flat dir as 1 partition: live %d, next ID %d; want %d, %d", ps.Len(), ps.NextID(), live, nextID)
+	}
+	if got, err := fakeResolve(ps, probe, 10); err != nil || !slices.Equal(got, want) {
+		t.Errorf("flat dir as 1 partition resolves differently (err %v)\ngot:  %v\nwant: %v", err, got, want)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(flatDir, partDirName(0))); err == nil {
+		t.Error("opening a flat dir in place created a part-000 subdirectory")
+	}
+
+	if _, err := OpenDurable(flatDir, 2, opts(4)); err == nil || !strings.Contains(err.Error(), "flat single-store layout") {
+		t.Errorf("flat dir as 4 partitions: err = %v, want a refusal naming the flat layout", err)
+	}
+
+	partDir := t.TempDir()
+	ps, err = OpenDurable(partDir, 2, opts(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.Add([]string{"alpha", "beta"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(partDir, 2, opts(1)); err == nil || !strings.Contains(err.Error(), "holds 3 partitions") {
+		t.Errorf("3 partitions as 1: err = %v, want a count-mismatch refusal", err)
+	}
+	ps, err = OpenDurable(partDir, 2, opts(3))
+	if err != nil {
+		t.Fatalf("3 partitions reopened as 3: %v", err)
+	}
+	if ps.Len() != 1 || len(ps.DurableStats()) != 3 {
+		t.Errorf("3 partitions reopened: live %d over %d partitions, want 1 over 3", ps.Len(), len(ps.DurableStats()))
+	}
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Mkdir(filepath.Join(flatDir, partDirName(0)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(flatDir, 2, opts(1)); err == nil || !strings.Contains(err.Error(), "holds both") {
+		t.Errorf("dir with both layouts: err = %v, want a refusal", err)
 	}
 }
 
@@ -369,56 +455,24 @@ func TestJumpHash(t *testing.T) {
 	}
 }
 
-func TestReplicaPick(t *testing.T) {
-	g := newReplicaSet(&Local{}, 3)
-	seen := make([]int, 3)
-	for seq := uint64(0); seq < 3000; seq++ {
-		r := g.pick(seq)
-		if r < 0 || r >= 3 {
-			t.Fatalf("pick returned replica %d of 3", r)
-		}
-		seen[r]++
-	}
-	for r, n := range seen {
-		if n == 0 {
-			t.Errorf("replica %d never picked", r)
-		}
-	}
-	// A loaded replica loses the two-choice comparison whenever it is one
-	// of the candidates.
-	g.pending[0].Store(1000)
-	hot := 0
-	for seq := uint64(0); seq < 1000; seq++ {
-		if g.pick(seq) == 0 {
-			hot++
-		}
-	}
-	if hot > 0 {
-		t.Errorf("replica with 1000 pending picked %d of 1000 times; p2c should always prefer an idle one", hot)
-	}
-}
-
 func TestStoreValidation(t *testing.T) {
-	if _, err := New(2, Options{Partitions: 2}); err == nil {
-		t.Error("New without a Scorer accepted")
-	}
-	ps, err := New(2, Options{Partitions: 2, Scorer: fakeScorer{}})
+	ps, err := New(2, Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ps.Add([]string{"one value only"}); !errors.Is(err, match.ErrArity) {
 		t.Errorf("arity-mismatched add: err = %v, want ErrArity", err)
 	}
-	if _, err := ps.Resolve([]string{"too", "many", "values"}, 5); !errors.Is(err, match.ErrArity) {
+	if _, err := fakeResolve(ps, []string{"too", "many", "values"}, 5); !errors.Is(err, match.ErrArity) {
 		t.Errorf("arity-mismatched probe: err = %v, want ErrArity", err)
 	}
-	if _, err := ps.Resolve([]string{"a", "b"}, 0); err == nil {
+	if _, err := fakeResolve(ps, []string{"a", "b"}, 0); err == nil {
 		t.Error("k=0 resolve accepted")
 	}
 	if _, err := ps.Snapshot(); !errors.Is(err, ErrNotDurable) {
 		t.Errorf("in-memory snapshot: err = %v, want ErrNotDurable", err)
 	}
-	if ps.Durable() {
+	if ps.Durable() || ps.DurableStats() != nil {
 		t.Error("in-memory store reports durable")
 	}
 	if got, ok := ps.Get(42); ok {
@@ -433,7 +487,7 @@ func TestStoreValidation(t *testing.T) {
 }
 
 func TestStatsAndShardStats(t *testing.T) {
-	ps, err := New(1, Options{Partitions: 4, Replicas: 2, Scorer: fakeScorer{}})
+	ps, err := New(1, Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,12 +496,12 @@ func TestStatsAndShardStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ps.Resolve([]string{"alpha"}, 3); err != nil {
+	if _, err := fakeResolve(ps, []string{"alpha"}, 3); err != nil {
 		t.Fatal(err)
 	}
 	st := ps.Stats()
-	if st.Partitions != 4 || st.Replicas != 2 {
-		t.Errorf("Stats layout = %d partitions x %d replicas, want 4x2", st.Partitions, st.Replicas)
+	if st.Partitions != 4 {
+		t.Errorf("Stats layout = %d partitions, want 4", st.Partitions)
 	}
 	total := 0
 	for _, n := range st.Records {

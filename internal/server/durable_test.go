@@ -13,27 +13,28 @@ import (
 )
 
 // newDurableServer stands the HTTP stack up around a durable record store
-// rooted at dir, the way cmd/serve -data-dir does.
-func newDurableServer(t *testing.T, dir string) (*learnrisk.Workload, *learnrisk.Model, *Server, *httptest.Server, *match.DurableStore) {
+// of parts partitions rooted at dir, the way cmd/serve -data-dir does: New,
+// the pending gate closed, the durable store opened and installed.
+func newDurableServer(t *testing.T, dir string, parts int) (*learnrisk.Workload, *Server, *httptest.Server, *learnrisk.PartitionedMatchStore) {
 	t.Helper()
 	w, m := trainedModel(t, 7)
-	srv := New(m, Config{})
-	d, err := m.OpenDurableMatchStore(dir, learnrisk.MatchConfig{}, match.DurableOptions{
-		Sync: wal.SyncNever, SnapshotEvery: -1,
-	})
+	srv := New(m, Config{Partitions: parts})
+	srv.SetDurablePending()
+	ps, err := m.OpenDurablePartitionedMatchStore(dir, parts, learnrisk.MatchConfig{},
+		match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.InstallDurableStore(d); err != nil {
+	if err := srv.InstallStore(ps); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-		d.Close()
+		ps.Close()
 	})
-	return w, m, srv, ts, d
+	return w, srv, ts, ps
 }
 
 // TestDurableServerRestartServesIdenticalResolves is the acceptance check:
@@ -42,7 +43,7 @@ func newDurableServer(t *testing.T, dir string) (*learnrisk.Workload, *learnrisk
 // no re-ingest, and demand byte-identical resolve responses.
 func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 	dir := t.TempDir()
-	w, _, srv1, ts1, d1 := newDurableServer(t, dir)
+	w, srv1, ts1, d1 := newDurableServer(t, dir, 1)
 
 	n := w.NumRightRecords()
 	if n > 50 {
@@ -77,7 +78,7 @@ func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 			t.Fatalf("resolve %d = %d", i, code)
 		}
 	}
-	liveBefore := srv1.MatchStore().Len()
+	liveBefore := srv1.Live()
 
 	// Clean shutdown: drain HTTP, stop the batcher, close the store (which
 	// rolls the tail into a final snapshot).
@@ -88,12 +89,12 @@ func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 	}
 
 	// "Restart": a fresh process on the same data dir, zero re-ingest.
-	_, _, srv2, ts2, d2 := newDurableServer(t, dir)
-	if rs := d2.ReplayStats(); rs.TailFrames != 0 {
+	_, srv2, ts2, d2 := newDurableServer(t, dir, 1)
+	if rs := d2.DurableStats()[0].Replay; rs.TailFrames != 0 {
 		t.Errorf("clean restart replayed %d tail frames, want 0 (%+v)", rs.TailFrames, rs)
 	}
-	if srv2.MatchStore().Len() != liveBefore {
-		t.Fatalf("restart serves %d live records, want %d", srv2.MatchStore().Len(), liveBefore)
+	if srv2.Live() != liveBefore {
+		t.Fatalf("restart serves %d live records, want %d", srv2.Live(), liveBefore)
 	}
 	for i, p := range probes {
 		var got ResolveResponse
@@ -117,7 +118,7 @@ func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 
 // TestDurablePendingGate: while the data dir is still replaying in the
 // background, mutations and snapshot triggers answer 503 (ErrStoreLoading)
-// and scoring keeps working; InstallDurableStore opens the gate.
+// and scoring keeps working; InstallStore opens the gate.
 func TestDurablePendingGate(t *testing.T) {
 	w, m, srv, ts := newTestServer(t, Config{})
 	srv.SetDurablePending()
@@ -139,14 +140,13 @@ func TestDurablePendingGate(t *testing.T) {
 		t.Errorf("score while replaying = %d, want 200", code)
 	}
 
-	d, err := m.OpenDurableMatchStore(t.TempDir(), learnrisk.MatchConfig{}, match.DurableOptions{
-		Sync: wal.SyncNever, SnapshotEvery: -1,
-	})
+	d, err := m.OpenDurablePartitionedMatchStore(t.TempDir(), 1, learnrisk.MatchConfig{},
+		match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := srv.InstallDurableStore(d); err != nil {
+	if err := srv.InstallStore(d); err != nil {
 		t.Fatal(err)
 	}
 	var rec RecordResponse
@@ -172,7 +172,7 @@ func TestSnapshotEndpointWithoutDurableStore(t *testing.T) {
 // replaying), a forced schema-changing swap is refused — the data dir's
 // records are shaped for the served schema.
 func TestDurableRefusesSchemaSwap(t *testing.T) {
-	_, _, srv, _, _ := newDurableServer(t, t.TempDir())
+	_, srv, _, _ := newDurableServer(t, t.TempDir(), 1)
 	_, ab := trainedModelAB(t)
 	if err := srv.Swap(ab, true); !errors.Is(err, ErrDurableSchemaSwap) {
 		t.Fatalf("forced cross-schema swap with durable store = %v, want ErrDurableSchemaSwap", err)

@@ -47,7 +47,7 @@ func TestRecordsAndResolveEndpoints(t *testing.T) {
 		vals, _ := w.RightRecordAt(i)
 		ids[i] = addRecord(t, ts.URL, vals)
 	}
-	if live := srv.MatchStore().Len(); live != n {
+	if live := srv.Live(); live != n {
 		t.Fatalf("store live = %d after %d adds", live, n)
 	}
 
@@ -191,7 +191,7 @@ func TestStoreSurvivesSameFingerprintReload(t *testing.T) {
 		vals, _ := w.RightRecordAt(i)
 		addRecord(t, ts.URL, vals)
 	}
-	before := srv.MatchStore()
+	before := srv.Store()
 	if before.Len() != 10 {
 		t.Fatalf("live = %d", before.Len())
 	}
@@ -200,11 +200,11 @@ func TestStoreSurvivesSameFingerprintReload(t *testing.T) {
 	if _, _, err := srv.Reload(artifact, false); err != nil {
 		t.Fatal(err)
 	}
-	if srv.MatchStore() != before {
+	if srv.Store() != before {
 		t.Fatal("same-fingerprint reload replaced the match store")
 	}
-	if srv.MatchStore().Len() != 10 {
-		t.Fatalf("records lost across same-fingerprint reload: live = %d", srv.MatchStore().Len())
+	if srv.Live() != 10 {
+		t.Fatalf("records lost across same-fingerprint reload: live = %d", srv.Live())
 	}
 
 	// Different schema (AB: 3 attrs vs DS: 4): refused without force, and
@@ -216,13 +216,13 @@ func TestStoreSurvivesSameFingerprintReload(t *testing.T) {
 	if err := srv.Swap(ab, true); err != nil {
 		t.Fatal(err)
 	}
-	if srv.MatchStore() == before {
+	if srv.Store() == before {
 		t.Fatal("forced schema-changing swap kept the old store")
 	}
-	if srv.MatchStore().Len() != 0 {
-		t.Errorf("new store live = %d, want 0", srv.MatchStore().Len())
+	if srv.Live() != 0 {
+		t.Errorf("new store live = %d, want 0", srv.Live())
 	}
-	if srv.MatchStore().Arity() != len(ab.Schema()) {
-		t.Errorf("new store arity = %d, want %d", srv.MatchStore().Arity(), len(ab.Schema()))
+	if srv.Store().Arity() != len(ab.Schema()) {
+		t.Errorf("new store arity = %d, want %d", srv.Store().Arity(), len(ab.Schema()))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/match"
 	"repro/internal/obs"
 )
 
@@ -150,12 +151,25 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 	reg.Func("served_pairs", func() any { return s.Served() })
 	reg.Func("model_swaps", func() any { return s.Swaps() })
 
-	// Match-store counters as one tree: a single Stats() sweep per scrape
-	// (Stats briefly takes every shard lock, so one consistent snapshot
-	// beats five contending ones), re-read from the current store so the
-	// counters follow a forced schema-changing swap.
+	// Match-store counters as one tree, summed over the partitions: one
+	// Stats() sweep per partition per scrape (Stats briefly takes every
+	// shard lock, so one consistent snapshot beats five contending ones),
+	// re-read from the current store so the counters follow a forced
+	// schema-changing swap. Every resolve probes each partition once, so
+	// probes count partition legs, and a token indexed in several
+	// partitions counts once per partition.
 	reg.Func("match_store", func() any {
-		st := s.MatchStore().Stats()
+		var st match.Stats
+		for _, p := range s.Store().PartitionStats() {
+			st.Live += p.Live
+			st.Added += p.Added
+			st.Deleted += p.Deleted
+			st.Tokens += p.Tokens
+			st.Tombstones += p.Tombstones
+			st.Compactions += p.Compactions
+			st.Probes += p.Probes
+			st.Candidates += p.Candidates
+		}
 		mean := 0.0
 		if st.Probes > 0 {
 			mean = float64(st.Candidates) / float64(st.Probes)
@@ -173,30 +187,18 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 		}
 	})
 
-	// Per-shard index counters (skew at a glance): the flat store's
-	// shards, or every partition's shards on a partitioned server.
+	// Per-shard index counters of every partition (skew at a glance).
 	reg.Func("match_shard_stats", func() any {
-		if ps := s.Partitioned(); ps != nil {
-			return map[string]any{"partitioned": true, "partitions": ps.PartitionShardStats()}
-		}
-		return map[string]any{"partitioned": false, "shards": s.MatchStore().ShardStats()}
+		return map[string]any{"partitions": s.Store().PartitionShardStats()}
 	})
 
-	// Scatter-gather router counters. Registered even on a flat server
-	// (as {"enabled": false}) so dashboards can tell "not partitioned"
-	// from "metric missing".
+	// Scatter-gather router counters.
 	reg.Func("partition_stats", func() any {
-		ps := s.Partitioned()
-		if ps == nil {
-			return map[string]any{"enabled": false}
-		}
+		ps := s.Store()
 		st := ps.Stats()
 		return map[string]any{
-			"enabled":       true,
 			"partitions":    st.Partitions,
-			"replicas":      st.Replicas,
 			"records":       st.Records,
-			"pending":       st.Pending,
 			"probes":        st.Probes,
 			"pruned_tokens": st.PrunedTokens,
 			"census_tokens": st.CensusTokens,
@@ -205,18 +207,18 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 		}
 	})
 
-	// Durability counters, one consistent DurableStats sweep per scrape.
-	// Registered even on an in-memory server (as {"enabled": false}) so
-	// dashboards can tell "no durability" from "metric missing".
+	// Durability counters, aggregated over the partitions from one
+	// DurableStats sweep each per scrape. Registered even on an in-memory
+	// server (as {"enabled": false}) so dashboards can tell "no
+	// durability" from "metric missing".
 	reg.Func("wal_stats", func() any {
-		d := s.Durable()
-		if d == nil {
+		parts := s.Store().DurableStats()
+		if parts == nil {
 			return map[string]any{"enabled": false}
 		}
-		st := d.DurableStats()
+		st := foldDurable(parts)
 		return map[string]any{
 			"enabled":       true,
-			"dir":           st.Dir,
 			"segment_seq":   st.WALSeq,
 			"segment_bytes": st.WALSegmentBytes,
 			"appends":       st.WALAppends,
@@ -226,11 +228,11 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 		}
 	})
 	reg.Func("snapshot_stats", func() any {
-		d := s.Durable()
-		if d == nil {
+		parts := s.Store().DurableStats()
+		if parts == nil {
 			return map[string]any{"enabled": false}
 		}
-		st := d.DurableStats()
+		st := foldDurable(parts)
 		return map[string]any{
 			"enabled":             true,
 			"snapshots":           st.Snapshots,
@@ -244,4 +246,30 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 			"replay_millis":       st.Replay.Duration.Milliseconds(),
 		}
 	})
+}
+
+// foldDurable aggregates the partitions' durability counters the way the
+// snapshot endpoint aggregates a snapshot: counts and bytes summed,
+// sequences and durations the maximum (partitions log, snapshot and replay
+// concurrently), and a torn tail in any partition reported.
+func foldDurable(parts []match.DurableStats) match.DurableStats {
+	var st match.DurableStats
+	for _, p := range parts {
+		st.WALSeq = max(st.WALSeq, p.WALSeq)
+		st.WALSegmentBytes += p.WALSegmentBytes
+		st.WALAppends += p.WALAppends
+		st.WALBytes += p.WALBytes
+		st.WALSyncs += p.WALSyncs
+		st.TailOps += p.TailOps
+		st.Snapshots += p.Snapshots
+		st.SnapshotSeq = max(st.SnapshotSeq, p.SnapshotSeq)
+		st.SnapshotRecords += p.SnapshotRecords
+		st.SnapshotBytes += p.SnapshotBytes
+		st.SnapshotMillis = max(st.SnapshotMillis, p.SnapshotMillis)
+		st.Replay.TailFrames += p.Replay.TailFrames
+		st.Replay.SnapshotRecords += p.Replay.SnapshotRecords
+		st.Replay.TornTail = st.Replay.TornTail || p.Replay.TornTail
+		st.Replay.Duration = max(st.Replay.Duration, p.Replay.Duration)
+	}
+	return st
 }

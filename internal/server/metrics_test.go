@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -117,8 +118,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"served_pairs 1",
 		"match_store_records_indexed 1",
 		"match_store_resolves 1",
-		"match_shard_stats_partitioned 0",
-		"partition_stats_enabled 0",
+		"partition_stats_partitions 1",
+		"partition_stats_probes 1",
 		"wal_stats_enabled 0",
 		"snapshot_stats_enabled 0",
 	} {
@@ -143,7 +144,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 // TestMetricsPartitionedScatter pins the scatter-stage story: resolves on
 // a partitioned server time every partition leg, attribute the slowest
-// one, and the partition debug trees render enabled.
+// one, and the debug trees count every partition.
 func TestMetricsPartitionedScatter(t *testing.T) {
 	reg := obs.NewRegistry()
 	w, m := trainedModel(t, 7)
@@ -164,9 +165,10 @@ func TestMetricsPartitionedScatter(t *testing.T) {
 		"stage_scatter_ns_count 1",
 		"stage_scatter_slowest_ns_count 1",
 		"stage_probe_tokenize_ns_count 1",
-		"partition_stats_enabled 1",
 		"partition_stats_partitions 2",
-		"match_shard_stats_partitioned 1",
+		"partition_stats_probes 1",
+		"match_store_records_live 6",
+		"match_store_probes 2", // one candidate probe per partition leg
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q", want)
@@ -176,48 +178,61 @@ func TestMetricsPartitionedScatter(t *testing.T) {
 
 // TestMetricsDurableStages pins the durability stages: WAL append, fsync,
 // store apply on the ingest path, snapshot cut/publish via the OnStage
-// callback, and the wal/snapshot debug trees enabled.
+// callback, and the wal/snapshot/match-store debug trees aggregated over
+// every partition of the durable store.
 func TestMetricsDurableStages(t *testing.T) {
-	reg := obs.NewRegistry()
-	w, m := trainedModel(t, 7)
-	srv := New(m, Config{Obs: reg})
-	d, err := m.OpenDurableMatchStore(t.TempDir(), learnrisk.MatchConfig{}, match.DurableOptions{
-		Sync: wal.SyncAlways, SnapshotEvery: -1,
-		OnStage: srv.ObserveStage,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.InstallDurableStore(d); err != nil {
-		t.Fatal(err)
-	}
-	ts := newHTTPServer(t, srv)
-	t.Cleanup(func() { d.Close() })
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			w, m := trainedModel(t, 7)
+			srv := New(m, Config{Partitions: parts, Obs: reg})
+			ps, err := m.OpenDurablePartitionedMatchStore(t.TempDir(), parts, learnrisk.MatchConfig{}, match.DurableOptions{
+				Sync: wal.SyncAlways, SnapshotEvery: -1,
+				OnStage: srv.ObserveStage,
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.InstallStore(ps); err != nil {
+				t.Fatal(err)
+			}
+			ts := newHTTPServer(t, srv)
+			t.Cleanup(func() { ps.Close() })
 
-	vals, _ := w.RightRecordAt(0)
-	id := addRecord(t, ts.URL, vals)
-	if code := deleteRecord(t, ts.URL, id); code != http.StatusOK {
-		t.Fatalf("delete = %d", code)
-	}
-	if code := postJSON(t, ts.URL+"/v1/snapshot", struct{}{}, nil); code != http.StatusOK {
-		t.Fatalf("snapshot = %d", code)
-	}
+			const adds = 6
+			ids := make([]uint64, adds)
+			for i := range ids {
+				vals, _ := w.RightRecordAt(i)
+				ids[i] = addRecord(t, ts.URL, vals)
+			}
+			if code := deleteRecord(t, ts.URL, ids[0]); code != http.StatusOK {
+				t.Fatalf("delete = %d", code)
+			}
+			if code := postJSON(t, ts.URL+"/v1/snapshot", struct{}{}, nil); code != http.StatusOK {
+				t.Fatalf("snapshot = %d", code)
+			}
 
-	out := scrapeMetrics(t, ts.URL)
-	for _, want := range []string{
-		"stage_wal_append_ns_count 2",
-		"stage_wal_fsync_ns_count 2",
-		"stage_store_apply_ns_count 2",
-		"stage_snapshot_cut_ns_count 1",
-		"stage_snapshot_publish_ns_count 1",
-		"wal_stats_enabled 1",
-		"wal_stats_appends 2",
-		"snapshot_stats_enabled 1",
-		"snapshot_stats_snapshots 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %q", want)
-		}
+			const writes, live = adds + 1, adds - 1
+			out := scrapeMetrics(t, ts.URL)
+			for _, want := range []string{
+				fmt.Sprintf("stage_wal_append_ns_count %d", writes),
+				fmt.Sprintf("stage_wal_fsync_ns_count %d", writes),
+				fmt.Sprintf("stage_store_apply_ns_count %d", writes),
+				fmt.Sprintf("stage_snapshot_cut_ns_count %d", parts),
+				fmt.Sprintf("stage_snapshot_publish_ns_count %d", parts),
+				"wal_stats_enabled 1",
+				fmt.Sprintf("wal_stats_appends %d", writes),
+				"snapshot_stats_enabled 1",
+				fmt.Sprintf("snapshot_stats_snapshots %d", parts),
+				fmt.Sprintf("snapshot_stats_last_records %d", live),
+				fmt.Sprintf("match_store_records_live %d", live),
+				fmt.Sprintf("partition_stats_partitions %d", parts),
+			} {
+				if !strings.Contains(out, want+"\n") {
+					t.Errorf("scrape missing %q", want)
+				}
+			}
+		})
 	}
 }
 

@@ -5,23 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
-
-	learnrisk "repro"
-	"repro/internal/match"
-	"repro/internal/wal"
 )
 
 // TestPartitionedServerMatchesFlat drives the same ingest + delete +
-// resolve traffic through a flat server and a 4-partition server and
-// demands byte-identical resolve responses: partitioning is a deployment
-// knob, not a semantics change.
+// resolve traffic through a 1-partition server (the flat store) and a
+// 4-partition server and demands identical resolve responses: the
+// partition count is a deployment knob, not a semantics change.
 func TestPartitionedServerMatchesFlat(t *testing.T) {
-	w, _, flatSrv, flatTS := newTestServer(t, Config{})
-	_, _, partSrv, partTS := newTestServer(t, Config{Partitions: 4, Replicas: 2})
+	w, _, flatSrv, flatTS := newTestServer(t, Config{Partitions: 1})
+	_, _, partSrv, partTS := newTestServer(t, Config{Partitions: 4})
 
 	n := w.NumRightRecords()
 	if n > 60 {
@@ -55,12 +50,12 @@ func TestPartitionedServerMatchesFlat(t *testing.T) {
 		if code := postJSON(t, partTS.URL+"/v1/resolve", ResolveRequest{Values: probe, K: 5}, &part); code != http.StatusOK {
 			t.Fatalf("partitioned resolve %d = %d", i, code)
 		}
-		if !reflect.DeepEqual(flat.Matches, part.Matches) {
-			t.Fatalf("probe %d diverged\nflat:        %+v\npartitioned: %+v", i, flat.Matches, part.Matches)
+		if !reflect.DeepEqual(flat, part) {
+			t.Fatalf("probe %d diverged\n1 partition:  %+v\n4 partitions: %+v", i, flat, part)
 		}
 	}
-	if st := partSrv.Partitioned().Stats(); st.Probes == 0 {
-		t.Error("partitioned store served no scatter-gather probes")
+	if st := partSrv.Store().Stats(); st.Probes == 0 || st.Partitions != 4 {
+		t.Errorf("4-partition store served %d scatter-gather probes over %d partitions", st.Probes, st.Partitions)
 	}
 }
 
@@ -155,38 +150,13 @@ func TestPartitionReadyzAggregation(t *testing.T) {
 	}
 }
 
-// newPartitionedDurableServer stands the stack up the way cmd/serve
-// -data-dir -partitions does: New in partitioned mode, the pending gate
-// closed, the durable partitioned store opened and installed.
-func newPartitionedDurableServer(t *testing.T, dir string, parts int) (*learnrisk.Workload, *Server, *httptest.Server, *learnrisk.PartitionedMatchStore) {
-	t.Helper()
-	w, m := trainedModel(t, 7)
-	srv := New(m, Config{Partitions: parts})
-	srv.SetDurablePending()
-	ps, err := m.OpenDurablePartitionedMatchStore(dir, parts, 1, learnrisk.MatchConfig{},
-		match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.InstallPartitionedStore(ps); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		ps.Close()
-	})
-	return w, srv, ts, ps
-}
-
 // TestPartitionedDurableServer covers the durable partitioned loop: the
 // pending gate refuses mutations, an installed store serves them, a
 // mid-load snapshot drops zero in-flight resolves, and a restart on the
 // same dir serves identical answers.
 func TestPartitionedDurableServer(t *testing.T) {
 	dir := t.TempDir()
-	w, srv, ts, _ := newPartitionedDurableServer(t, dir, 3)
+	w, srv, ts, _ := newDurableServer(t, dir, 3)
 
 	// Before install the pending gate refuses; pin it via a second server.
 	{
@@ -275,7 +245,7 @@ func TestPartitionedDurableServer(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	_, srv2, ts2, _ := newPartitionedDurableServer(t, dir, 3)
+	_, srv2, ts2, _ := newDurableServer(t, dir, 3)
 	if srv2.Live() != liveBefore {
 		t.Fatalf("restart serves %d live records, want %d", srv2.Live(), liveBefore)
 	}
@@ -299,7 +269,7 @@ func TestPartitionedSchemaSwap(t *testing.T) {
 		vals, _ := w.RightRecordAt(i)
 		addRecord(t, ts.URL, vals)
 	}
-	before := srv.Partitioned()
+	before := srv.Store()
 	_, ab := trainedModelAB(t)
 	if err := srv.Swap(ab, false); err == nil {
 		t.Fatal("cross-schema swap accepted without force")
@@ -307,17 +277,17 @@ func TestPartitionedSchemaSwap(t *testing.T) {
 	if err := srv.Swap(ab, true); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Partitioned() == before {
+	if srv.Store() == before {
 		t.Fatal("forced schema-changing swap kept the old partitioned store")
 	}
-	if got := srv.Partitioned().Arity(); got != len(ab.Schema()) {
+	if got := srv.Store().Arity(); got != len(ab.Schema()) {
 		t.Errorf("rebuilt partitioned store arity = %d, want %d", got, len(ab.Schema()))
 	}
 	if srv.Live() != 0 {
 		t.Errorf("rebuilt partitioned store live = %d, want 0", srv.Live())
 	}
 
-	_, durSrv, _, _ := newPartitionedDurableServer(t, t.TempDir(), 2)
+	_, durSrv, _, _ := newDurableServer(t, t.TempDir(), 2)
 	if err := durSrv.Swap(ab, true); !errors.Is(err, ErrDurableSchemaSwap) {
 		t.Errorf("forced cross-schema swap on durable partitions = %v, want ErrDurableSchemaSwap", err)
 	}

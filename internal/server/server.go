@@ -66,20 +66,16 @@ type Config struct {
 	// /v1/resolve (blocking semantics and maintenance thresholds). The
 	// zero value takes the match package defaults.
 	Match match.Config
-	// Partitions, when > 0, partitions the record store: records
-	// consistent-hash across this many independent match partitions and
-	// every resolve scatter-gathers across all of them, merging the
-	// per-partition top-k heaps into one order-stable result identical to a
-	// single flat store's. 0 (the default) keeps the flat store.
+	// Partitions is the record store's partition count (0 means 1):
+	// records consistent-hash across this many independent match
+	// partitions and every resolve scatter-gathers across all of them,
+	// merging the per-partition top-k lists into one order-stable result
+	// identical to a single flat store's.
 	Partitions int
-	// Replicas is the per-partition read fan-out in partitioned mode
-	// (default 1): resolves pick the less-loaded of two random replicas.
-	Replicas int
 	// MaxPending bounds how many record mutations (adds + deletes) may be
 	// in flight at once; one more is refused with ErrBackpressure (HTTP
 	// 429 + Retry-After) instead of queueing without bound. Defaults to
-	// 256 in partitioned mode; < 0 disables the gate. In flat mode 0 keeps
-	// the gate off (the single store's shard locks are the only queue).
+	// 256; < 0 disables the gate.
 	MaxPending int
 	// Obs, when set, turns on the observability layer: per-stage and
 	// per-request latency histograms and the serving debug vars register
@@ -103,13 +99,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxLinger == 0 {
 		c.MaxLinger = 2 * time.Millisecond
 	}
-	if c.Partitions > 0 {
-		if c.Replicas <= 0 {
-			c.Replicas = 1
-		}
-		if c.MaxPending == 0 {
-			c.MaxPending = 256
-		}
+	if c.Partitions <= 0 {
+		c.Partitions = 1
+	}
+	if c.MaxPending == 0 {
+		c.MaxPending = 256
 	}
 	if c.MaxPending < 0 {
 		c.MaxPending = 0
@@ -127,31 +121,23 @@ type Server struct {
 	model   atomic.Pointer[learnrisk.Model]
 	batcher *Batcher
 
-	// store is the online record store + incremental blocking index behind
-	// /v1/records and /v1/resolve. It lives behind its own atomic.Pointer
-	// with the same snapshot discipline as the model: it survives hot-swaps
-	// that keep the schema fingerprint, and is replaced by a fresh empty
-	// store when a forced swap changes the schema (the stored records'
-	// layout would no longer match the served model).
-	store atomic.Pointer[match.Store]
+	// store is the online record store behind /v1/records and /v1/resolve:
+	// Config.Partitions match partitions, record mutations routed by
+	// consistent-hashed global ID, resolves scatter-gathered across every
+	// partition on the model snapshot the request loaded. It lives behind
+	// its own atomic.Pointer with the same snapshot discipline as the
+	// model: it survives hot-swaps that keep the schema fingerprint, and is
+	// replaced by a fresh empty store when a forced swap changes the schema
+	// (the stored records' layout would no longer match the served model).
+	// With a data dir, cmd/serve replays in the background and installs the
+	// replayed durable store over the in-memory one New built.
+	store atomic.Pointer[partition.Store]
 
-	// durable, when set, is the durability layer wrapped around the served
-	// store: mutations route through it (WAL-before-apply), reads keep
-	// hitting the embedded Store via the pointer above. durablePending is
-	// the startup window where cmd/serve is still replaying the data dir in
-	// the background: mutations are refused with ErrStoreLoading rather
-	// than silently landing in the in-memory store the replay will replace.
-	durable        atomic.Pointer[match.DurableStore]
+	// durablePending is the startup window where cmd/serve is still
+	// replaying the data dir in the background: mutations are refused with
+	// ErrStoreLoading rather than silently landing in the in-memory store
+	// the replay will replace.
 	durablePending atomic.Bool
-
-	// parts, when non-nil, is the partitioned record store (Config.
-	// Partitions > 0): record mutations route by consistent-hashed global
-	// ID, resolves scatter-gather across every partition. It scores
-	// through modelScorer, so it follows model hot-swaps without being
-	// rebuilt. In durable partitioned mode cmd/serve replays in the
-	// background and installs the replayed store over the in-memory one,
-	// with durablePending gating mutations exactly like flat mode.
-	parts atomic.Pointer[partition.Store]
 
 	// partReasons is the per-partition readiness board (index-aligned with
 	// the partitions): nil means ready, otherwise the replay phase that
@@ -193,24 +179,12 @@ func New(m *learnrisk.Model, cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg.withDefaults()}
 	s.model.Store(m)
-	st, err := m.NewMatchStore(s.cfg.Match)
+	ps, err := m.NewPartitionedMatchStore(s.cfg.Partitions, s.cfg.Match)
 	if err != nil {
 		panic("server: invalid match config: " + err.Error())
 	}
-	s.store.Store(st)
-	if s.cfg.Partitions > 0 {
-		ps, err := partition.New(st.Arity(), partition.Options{
-			Partitions: s.cfg.Partitions,
-			Replicas:   s.cfg.Replicas,
-			Match:      s.cfg.Match,
-			Scorer:     modelScorer{model: &s.model},
-		})
-		if err != nil {
-			panic("server: invalid partition config: " + err.Error())
-		}
-		s.parts.Store(ps)
-		s.partReasons = make([]atomic.Pointer[string], s.cfg.Partitions)
-	}
+	s.store.Store(ps)
+	s.partReasons = make([]atomic.Pointer[string], s.cfg.Partitions)
 	if s.cfg.MaxPending > 0 {
 		s.ingestSem = make(chan struct{}, s.cfg.MaxPending)
 	}
@@ -241,19 +215,6 @@ func (s *Server) Registry() *obs.Registry {
 // it for snapshot cut/publish). A no-op without Config.Obs.
 func (s *Server) ObserveStage(stage obs.Stage, d time.Duration) {
 	s.metrics.observeStage(stage, d)
-}
-
-// modelScorer adapts the server's hot-swappable model pointer to
-// partition.Scorer: every per-partition resolve leg snapshots the model at
-// call time, so a scatter-gather in flight during a swap scores all its
-// partitions on whichever snapshots its legs loaded — each leg internally
-// consistent, exactly like flat-mode requests racing a swap.
-type modelScorer struct {
-	model *atomic.Pointer[learnrisk.Model]
-}
-
-func (ms modelScorer) ResolveShard(st *match.Store, probe []string, k int, skip []string) ([]match.Scored, error) {
-	return ms.model.Load().ResolveShard(st, probe, k, skip)
 }
 
 // acquireIngest claims one bounded-queue slot for a record mutation, or
@@ -367,48 +328,31 @@ func (s *Server) Swap(next *learnrisk.Model, force bool) error {
 			ErrFingerprintConflict, next.Fingerprint(), cur.Fingerprint())
 	}
 	if next.Fingerprint() != cur.Fingerprint() {
-		if s.durable.Load() != nil || s.durablePending.Load() {
+		if s.store.Load().Durable() || s.durablePending.Load() {
 			// The data dir holds records shaped for the served schema;
 			// replacing them with a fresh empty in-memory store would orphan
 			// the durable state while leaving it on disk to replay — and
 			// conflict — at the next restart.
 			return fmt.Errorf("%w: the data dir's records are shaped for fingerprint %.12s", ErrDurableSchemaSwap, cur.Fingerprint())
 		}
-		if ps := s.parts.Load(); ps != nil && ps.Durable() {
-			// Same refusal, partitioned: every part-NNN dir is shaped for
-			// the served schema.
-			return fmt.Errorf("%w: the partitioned data dir's records are shaped for fingerprint %.12s", ErrDurableSchemaSwap, cur.Fingerprint())
-		}
-		st, err := next.NewMatchStore(s.cfg.Match)
+		ps, err := next.NewPartitionedMatchStore(s.cfg.Partitions, s.cfg.Match)
 		if err != nil {
 			return fmt.Errorf("server: rebuilding the match store for the new schema: %w", err)
-		}
-		if s.parts.Load() != nil {
-			nps, err := partition.New(st.Arity(), partition.Options{
-				Partitions: s.cfg.Partitions,
-				Replicas:   s.cfg.Replicas,
-				Match:      s.cfg.Match,
-				Scorer:     modelScorer{model: &s.model},
-			})
-			if err != nil {
-				return fmt.Errorf("server: rebuilding the partitioned store for the new schema: %w", err)
-			}
-			s.parts.Store(nps)
 		}
 		// Store first, model second: a Resolve racing the swap then pairs
 		// the old model with the fresh empty store (an arity error or an
 		// empty result) instead of scoring the new model against records
 		// laid out for the old schema.
-		s.store.Store(st)
+		s.store.Store(ps)
 	}
 	s.model.Store(next)
 	s.swaps.Add(1)
 	return nil
 }
 
-// MatchStore returns the current online record store snapshot (replaced
-// only by a forced schema-changing swap).
-func (s *Server) MatchStore() *match.Store { return s.store.Load() }
+// Store returns the current record store snapshot (replaced only by a
+// forced schema-changing swap or a durable install).
+func (s *Server) Store() *partition.Store { return s.store.Load() }
 
 // SetDurablePending opens the startup window where the durable store is
 // still replaying in the background: record mutations are refused with
@@ -421,48 +365,21 @@ func (s *Server) SetDurablePending() { s.durablePending.Store(true) }
 // in-memory store.
 func (s *Server) AbandonDurablePending() { s.durablePending.Store(false) }
 
-// InstallDurableStore publishes a replayed durable store: reads and
-// resolves serve its records immediately, and every later mutation goes
-// through its log. The store must match the served schema's arity.
-func (s *Server) InstallDurableStore(d *match.DurableStore) error {
-	if d == nil {
-		return fmt.Errorf("server: refusing to install a nil durable store")
-	}
-	if want := s.store.Load().Arity(); d.Arity() != want {
-		return fmt.Errorf("server: durable store arity %d does not match the served schema's %d", d.Arity(), want)
-	}
-	// Store first, durable second: a mutation racing the install either
-	// sees durable==nil and is refused by the pending gate, or sees the
-	// durable layer — never the bare replayed store.
-	s.store.Store(d.Store)
-	s.durable.Store(d)
-	s.durablePending.Store(false)
-	return nil
-}
-
-// Durable returns the durability layer, or nil on an in-memory server.
-func (s *Server) Durable() *match.DurableStore { return s.durable.Load() }
-
-// Partitioned returns the partitioned record store, or nil on a flat
-// server.
-func (s *Server) Partitioned() *partition.Store { return s.parts.Load() }
-
-// InstallPartitionedStore publishes a replayed durable partitioned store
-// over the in-memory one New built: resolves serve its records
-// immediately, and every later mutation goes through the owning
-// partition's log. The store must match the served schema's arity and the
-// configured partition count.
-func (s *Server) InstallPartitionedStore(ps *partition.Store) error {
+// InstallStore publishes a replayed durable store over the in-memory one
+// New built: resolves serve its records immediately, and every later
+// mutation goes through the owning partition's log. The store must match
+// the served schema's arity and the configured partition count.
+func (s *Server) InstallStore(ps *partition.Store) error {
 	if ps == nil {
-		return fmt.Errorf("server: refusing to install a nil partitioned store")
+		return fmt.Errorf("server: refusing to install a nil record store")
 	}
 	if want := s.store.Load().Arity(); ps.Arity() != want {
-		return fmt.Errorf("server: partitioned store arity %d does not match the served schema's %d", ps.Arity(), want)
+		return fmt.Errorf("server: record store arity %d does not match the served schema's %d", ps.Arity(), want)
 	}
 	if ps.Partitions() != s.cfg.Partitions {
-		return fmt.Errorf("server: partitioned store has %d partitions, the server was configured with %d", ps.Partitions(), s.cfg.Partitions)
+		return fmt.Errorf("server: record store has %d partitions, the server was configured with %d", ps.Partitions(), s.cfg.Partitions)
 	}
-	s.parts.Store(ps)
+	s.store.Store(ps)
 	s.durablePending.Store(false)
 	return nil
 }
@@ -480,19 +397,10 @@ func (s *Server) addRecordTraced(values []string, tr *obs.Trace) (uint64, error)
 		return 0, err
 	}
 	defer s.releaseIngest()
-	if ps := s.parts.Load(); ps != nil {
-		if s.durablePending.Load() {
-			return 0, fmt.Errorf("%w: the durable store is still replaying", ErrStoreLoading)
-		}
-		return ps.AddTraced(values, tr)
-	}
-	if d := s.durable.Load(); d != nil {
-		return d.AddTraced(values, tr)
-	}
 	if s.durablePending.Load() {
 		return 0, fmt.Errorf("%w: the durable store is still replaying", ErrStoreLoading)
 	}
-	return s.store.Load().Add(values)
+	return s.store.Load().AddTraced(values, tr)
 }
 
 // DeleteRecord tombstones one record; false means the ID was unknown or
@@ -507,96 +415,51 @@ func (s *Server) deleteRecordTraced(id uint64, tr *obs.Trace) (bool, error) {
 		return false, err
 	}
 	defer s.releaseIngest()
-	if ps := s.parts.Load(); ps != nil {
-		if s.durablePending.Load() {
-			return false, fmt.Errorf("%w: the durable store is still replaying", ErrStoreLoading)
-		}
-		return ps.DeleteTraced(id, tr)
-	}
-	if d := s.durable.Load(); d != nil {
-		return d.DeleteTraced(id, tr)
-	}
 	if s.durablePending.Load() {
 		return false, fmt.Errorf("%w: the durable store is still replaying", ErrStoreLoading)
 	}
-	return s.store.Load().Delete(id), nil
+	return s.store.Load().DeleteTraced(id, tr)
 }
 
 // TriggerSnapshot cuts a durable-store snapshot now (the POST /v1/snapshot
-// admin endpoint): the live record set is written and fsynced, and the log
-// history it covers is truncated. A partitioned server snapshots every
-// partition concurrently and returns one info per partition; a flat server
-// returns a single-element slice.
+// admin endpoint): every partition's live record set is written and
+// fsynced concurrently, and the log history it covers is truncated. It
+// returns one info per partition.
 func (s *Server) TriggerSnapshot() ([]match.SnapshotInfo, error) {
-	if ps := s.parts.Load(); ps != nil {
-		if s.durablePending.Load() {
-			return nil, fmt.Errorf("%w: the durable store is still replaying", ErrStoreLoading)
-		}
-		if !ps.Durable() {
-			return nil, ErrNoDurableStore
-		}
-		return ps.Snapshot()
-	}
-	if d := s.durable.Load(); d != nil {
-		info, err := d.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return []match.SnapshotInfo{info}, nil
-	}
 	if s.durablePending.Load() {
 		return nil, fmt.Errorf("%w: the durable store is still replaying", ErrStoreLoading)
 	}
-	return nil, ErrNoDurableStore
-}
-
-// RecordSource is the read view a resolve ran against: enough to render
-// the matched records' values and the live count. Both the flat
-// match.Store and the partitioned store implement it.
-type RecordSource interface {
-	Get(id uint64) ([]string, bool)
-	Len() int
-}
-
-// Live reports the number of live records in whichever store is serving
-// (the partitioned store when configured, the flat store otherwise).
-func (s *Server) Live() int {
-	if ps := s.parts.Load(); ps != nil {
-		return ps.Len()
+	ps := s.store.Load()
+	if !ps.Durable() {
+		return nil, ErrNoDurableStore
 	}
-	return s.store.Load().Len()
+	return ps.Snapshot()
 }
+
+// Live reports the number of live records in the serving store.
+func (s *Server) Live() int { return s.store.Load().Len() }
 
 // Resolve finds the k best matches for a probe record among the store's
-// live records on the current model snapshot — scatter-gathered across
-// every partition on a partitioned server, with the per-partition top-k
-// heaps merged into the same ranked slice a flat store would return. It
-// returns the store snapshot the resolve ran against next to the results:
-// record IDs are only meaningful relative to that snapshot (a forced
-// schema swap replaces the store and restarts IDs at zero), so callers
-// rendering record values must fetch them from it, not from a fresh
-// MatchStore() load.
-func (s *Server) Resolve(probe []string, k int) ([]learnrisk.MatchResult, RecordSource, string, error) {
+// live records on the current model snapshot, scatter-gathered across
+// every partition into the same ranked slice a flat store would return.
+// It returns the store snapshot the resolve ran against next to the
+// results: record IDs are only meaningful relative to that snapshot (a
+// forced schema swap replaces the store and restarts IDs at zero), so
+// callers rendering record values must fetch them from it, not from a
+// fresh Store() load.
+func (s *Server) Resolve(probe []string, k int) ([]learnrisk.MatchResult, *partition.Store, string, error) {
 	return s.resolveTraced(probe, k, nil)
 }
 
-func (s *Server) resolveTraced(probe []string, k int, tr *obs.Trace) ([]learnrisk.MatchResult, RecordSource, string, error) {
+func (s *Server) resolveTraced(probe []string, k int, tr *obs.Trace) ([]learnrisk.MatchResult, *partition.Store, string, error) {
 	m := s.model.Load()
-	if ps := s.parts.Load(); ps != nil {
-		res, err := m.ResolvePartitionedTraced(ps, probe, k, tr)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		s.resolves.Add(1)
-		return res, ps, m.Fingerprint(), nil
-	}
-	st := s.store.Load()
-	res, err := m.ResolveTraced(st, probe, k, tr)
+	ps := s.store.Load()
+	res, err := m.ResolvePartitionedTraced(ps, probe, k, tr)
 	if err != nil {
 		return nil, nil, "", err
 	}
 	s.resolves.Add(1)
-	return res, st, m.Fingerprint(), nil
+	return res, ps, m.Fingerprint(), nil
 }
 
 // Resolves returns how many resolve calls the server has answered.
@@ -609,9 +472,9 @@ func (s *Server) SetNotReady(reason string) { s.notReady.Store(&reason) }
 // SetReady clears the readiness gate.
 func (s *Server) SetReady() { s.notReady.Store(nil) }
 
-// Ready reports the readiness gate and, when not ready, its reason. On a
-// partitioned server a single replaying partition keeps the whole server
-// not ready (its probes would silently miss that partition's records).
+// Ready reports the readiness gate and, when not ready, its reason. A
+// single replaying partition keeps the whole server not ready (its probes
+// would silently miss that partition's records).
 func (s *Server) Ready() (bool, string) {
 	if r := s.notReady.Load(); r != nil {
 		return false, *r
@@ -641,14 +504,15 @@ func (s *Server) SetPartitionReady(part int) {
 }
 
 // PartitionReasons snapshots the per-partition readiness board,
-// index-aligned with the partitions; "" means ready. Nil on a flat server.
+// index-aligned with the partitions; "" means ready. Nil when every
+// partition is ready.
 func (s *Server) PartitionReasons() []string {
-	if s.partReasons == nil {
-		return nil
-	}
-	out := make([]string, len(s.partReasons))
+	var out []string
 	for i := range s.partReasons {
 		if r := s.partReasons[i].Load(); r != nil {
+			if out == nil {
+				out = make([]string, len(s.partReasons))
+			}
 			out[i] = *r
 		}
 	}

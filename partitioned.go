@@ -2,17 +2,15 @@ package learnrisk
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
 // The partitioned resolve path: a PartitionedMatchStore consistent-hashes
-// records across N independent match partitions and answers Resolve by
+// records across N ≥ 1 independent match partitions and answers Resolve by
 // scatter-gather — every partition ranks the probe concurrently on the
-// pooled zero-allocation scoring path, and the per-partition top-k heaps
+// pooled zero-allocation scoring path, and the per-partition top-k lists
 // merge into one order-stable result that is bit-identical (order
 // included) to Model.Resolve against a single flat store over the same
 // records. See internal/partition for the routing design (global ID
@@ -23,79 +21,57 @@ import (
 // see MatchConfig for why). Safe for concurrent use.
 type PartitionedMatchStore = partition.Store
 
-// ScoredMatch is one ranked resolve entry: the record ID and its rank (the
-// classifier probability on the model's scoring path). An alias of the
-// internal heap's element so partition scorers and the facade share it.
-type ScoredMatch = match.Scored
-
 // NewPartitionedMatchStore builds an empty in-memory partitioned store
 // bound to the model's schema: partitions independent match stores behind
 // one router, records routed by consistent-hashed global IDs, probes
 // scattered to all partitions and gathered through an order-stable top-k
 // merge, with cfg.MaxBlockSize enforced globally by the router's token
-// census. replicas > 1 adds read-replica fan-out per partition
-// (power-of-two-choices on in-flight counts).
-func (m *Model) NewPartitionedMatchStore(partitions, replicas int, cfg MatchConfig) (*PartitionedMatchStore, error) {
+// census.
+func (m *Model) NewPartitionedMatchStore(partitions int, cfg MatchConfig) (*PartitionedMatchStore, error) {
 	return partition.New(len(m.attrs), partition.Options{
 		Partitions: partitions,
-		Replicas:   replicas,
 		Match:      cfg,
-		Scorer:     m,
 	})
 }
 
 // OpenDurablePartitionedMatchStore opens (creating if needed) a durable
 // partitioned store rooted at dir: each partition persists into its own
 // part-NNN subdirectory (WAL + snapshots), partitions replay concurrently
-// at open, and the partition count is fixed at the dir's creation.
+// at open, and the partition count is fixed at the dir's creation. A dir
+// written by OpenDurableMatchStore opens in place as one partition.
 // progress, when non-nil, receives per-partition replay progress.
-func (m *Model) OpenDurablePartitionedMatchStore(dir string, partitions, replicas int, cfg MatchConfig, opts DurableMatchOptions, progress func(part int, phase string, done, total int)) (*PartitionedMatchStore, error) {
+func (m *Model) OpenDurablePartitionedMatchStore(dir string, partitions int, cfg MatchConfig, opts DurableMatchOptions, progress func(part int, phase string, done, total int)) (*PartitionedMatchStore, error) {
 	return partition.OpenDurable(dir, len(m.attrs), partition.Options{
 		Partitions: partitions,
-		Replicas:   replicas,
 		Match:      cfg,
-		Scorer:     m,
 		Durable:    opts,
 		Progress:   progress,
 	})
 }
 
-// ResolveShard ranks one probe against a single partition's store,
-// honoring the router's skip list (globally pruned stop tokens, sorted
-// ascending): up to k entries, Prob descending, ties toward the lower
-// record ID. It is the per-partition leg of the scatter-gather resolve —
-// Model implements partition.Scorer through it — and reuses the pooled
-// resolve scratch, so the scoring path stays allocation-free in steady
-// state.
-func (m *Model) ResolveShard(st *MatchStore, probe []string, k int, skip []string) ([]ScoredMatch, error) {
-	if err := m.checkResolve(st, probe, k); err != nil {
-		return nil, err
-	}
-	s := m.acquireResolveScratch()
-	m.rankInto(st, probe, k, skip, s, nil)
-	out := make([]ScoredMatch, len(s.sorted))
-	for i, e := range s.sorted {
-		out[i] = ScoredMatch{ID: s.kept[e.ID], Rank: s.scores[e.ID].Prob}
-	}
-	m.resolvePool.Put(s)
-	return out, nil
-}
-
 // ResolvePartitioned finds the k best-scoring matches for one probe among
 // a partitioned store's live records: the router prunes stop tokens from
-// its global census, every partition ranks the probe concurrently through
-// ResolveShard, and the merged top k is re-scored into full verdicts.
-// The ranked slice is bit-identical to Model.Resolve against one flat
-// store holding the same records (the cross-layer equivalence test pins
-// this). Safe for concurrent use, including with Add/Delete on the store.
+// its global census, every partition ranks the probe concurrently into
+// full verdicts, and the per-partition lists merge into the k best. The
+// ranked slice is bit-identical to Model.Resolve against one flat store
+// holding the same records (the cross-layer equivalence test pins this).
+// Safe for concurrent use, including with Add/Delete on the store: a
+// record deleted after its partition ranked it keeps its verdict, exactly
+// as a flat resolve racing the same delete would.
 func (m *Model) ResolvePartitioned(ps *PartitionedMatchStore, probe []string, k int) ([]MatchResult, error) {
 	return m.ResolvePartitionedTraced(ps, probe, k, nil)
 }
 
+// resolveLegHook, when a test sets it, sees each partition leg's results
+// right after the leg ranked them: the window in which a racing delete can
+// remove a winner before the merge.
+var resolveLegHook func(res []MatchResult)
+
 // ResolvePartitionedTraced is ResolvePartitioned with request-scoped
 // stage timing: the router records census pruning, the scatter (with
-// slowest-partition attribution) and the merge; the winner re-scoring
-// here lands on StageScore. A nil trace records nothing.
+// slowest-partition attribution) and the merge; every leg adds its
+// candidate generation, scoring and local ranking to the same stages. A
+// nil trace records nothing.
 func (m *Model) ResolvePartitionedTraced(ps *PartitionedMatchStore, probe []string, k int, tr *Trace) ([]MatchResult, error) {
 	if ps == nil {
 		return nil, fmt.Errorf("learnrisk: ResolvePartitioned needs a partitioned store (build one with NewPartitionedMatchStore)")
@@ -103,29 +79,19 @@ func (m *Model) ResolvePartitionedTraced(ps *PartitionedMatchStore, probe []stri
 	if ps.Arity() != len(m.attrs) {
 		return nil, fmt.Errorf("learnrisk: partitioned store arity %d does not match the model schema's %d", ps.Arity(), len(m.attrs))
 	}
-	ranked, err := ps.ResolveTraced(probe, k, tr)
-	if err != nil {
-		return nil, err
-	}
-	// Re-score the winners into full verdicts: k is small and scorePair is
-	// deterministic, so the Prob of each re-scored pair is bit-identical to
-	// the rank the merge ordered it by.
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	s := m.acquireScratch()
-	out := make([]MatchResult, 0, len(ranked))
-	for _, e := range ranked {
-		vals, ok := ps.Get(e.ID)
-		if !ok {
-			continue // deleted between merge and fetch; the verdict is gone with it
+	return partition.Resolve(ps, probe, k, tr, func(st *MatchStore, skip []string) []MatchResult {
+		s := m.acquireResolveScratch()
+		res := m.resolveTracedInto(st, probe, k, skip, s, tr)
+		m.resolvePool.Put(s)
+		if resolveLegHook != nil {
+			resolveLegHook(res)
 		}
-		out = append(out, MatchResult{ID: e.ID, Score: m.scorePair(Pair{Left: probe, Right: vals}, s)})
-	}
-	m.pool.Put(s)
-	if tr != nil {
-		tr.Observe(obs.StageScore, t0)
-	}
-	return out, nil
+		return res
+	}, rankKey)
+}
+
+// rankKey is a result's key in the resolve order: classifier probability
+// descending, ties toward the lower record ID.
+func rankKey(r MatchResult) match.Scored {
+	return match.Scored{ID: r.ID, Rank: r.Score.Prob}
 }

@@ -2,9 +2,12 @@ package learnrisk
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/match"
+	"repro/internal/partition"
 )
 
 // TestResolvePartitionedMatchesFlat is the cross-layer equivalence proof
@@ -27,7 +30,7 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := m.NewPartitionedMatchStore(tc.parts, 2, tc.cfg)
+		ps, err := m.NewPartitionedMatchStore(tc.parts, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,32 +81,103 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestResolveShardHonorsSkip pins the scorer leg the router calls: a skip
-// list must remove exactly the skipped tokens' contribution, like local
-// stop-token pruning would.
+// TestResolveShardHonorsSkip pins the per-partition leg the router calls
+// (resolveTracedInto with the router's skip list): no skip list is the flat
+// resolve, and skipping every probe token removes every candidate, like
+// local stop-token pruning would.
 func TestResolveShardHonorsSkip(t *testing.T) {
-	_, m, st, _ := resolveFixture(t)
-	probe := make([]string, st.Arity())
-	for i := range probe {
-		probe[i] = "zz-unindexed"
-	}
-	// Build a skip list of every token the probe would use by pruning
-	// everything: with all probe tokens skipped, no candidates survive.
+	w, m, st, _ := resolveFixture(t)
+	probe := w.inner.Right.Records[0].Values
 	var skip []string
 	if err := st.DistinctTokens(probe, func(tok string) { skip = append(skip, tok) }); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ResolveShard(st, probe, 5, nil)
+	slices.Sort(skip) // the router passes the skip list sorted ascending
+	want, err := m.Resolve(st, probe, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = got
-	pruned, err := m.ResolveShard(st, probe, 5, skip)
-	if err != nil {
-		t.Fatal(err)
+	if len(want) == 0 {
+		t.Fatal("self-probe resolved to nothing")
 	}
-	if len(pruned) != 0 {
+	s := m.acquireResolveScratch()
+	defer m.resolvePool.Put(s)
+	if got := m.resolveTracedInto(st, probe, 5, nil, s, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("leg without a skip list diverged from Resolve\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if pruned := m.resolveTracedInto(st, probe, 5, skip, s, nil); len(pruned) != 0 {
 		t.Fatalf("fully skipped probe still returned %v", pruned)
+	}
+}
+
+// TestResolvePartitionedDeleteRace pins the delete race of the
+// scatter-gather resolve: a record deleted after its partition ranked it —
+// here every leg's own winner, deleted through the store from the leg hook
+// — keeps its verdict, so the resolve answers exactly what the flat store
+// answered before the deletes: as many results, the same verdicts.
+func TestResolvePartitionedDeleteRace(t *testing.T) {
+	w, m := trainedModel(t)
+	t.Cleanup(func() { resolveLegHook = nil })
+	const k = 5
+	for _, parts := range []int{1, 4} {
+		flat, err := m.NewMatchStore(MatchConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := m.NewPartitionedMatchStore(parts, MatchConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range w.inner.Right.Records {
+			if _, err := flat.Add(r.Values); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ps.Add(r.Values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A probe with a full top k, so a dropped winner would show.
+		var probe []string
+		var want []MatchResult
+		for _, r := range w.inner.Left.Records {
+			if want, err = m.Resolve(flat, r.Values, k); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == k {
+				probe = r.Values
+				break
+			}
+		}
+		if probe == nil {
+			t.Fatalf("no probe resolves to %d matches", k)
+		}
+
+		var deleted atomic.Int64
+		resolveLegHook = func(res []MatchResult) {
+			if len(res) == 0 {
+				return
+			}
+			if ok, err := ps.Delete(res[0].ID); !ok || err != nil {
+				t.Errorf("parts=%d: deleting leg winner %d = (%v, %v)", parts, res[0].ID, ok, err)
+				return
+			}
+			deleted.Add(1)
+		}
+		got, err := m.ResolvePartitioned(ps, probe, k)
+		resolveLegHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if deleted.Load() == 0 {
+			t.Fatalf("parts=%d: the hook deleted no winner; the race was not exercised", parts)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parts=%d: resolve racing %d winner deletes diverged from the flat store\ngot:  %+v\nwant: %+v",
+				parts, deleted.Load(), got, want)
+		}
+		if live := ps.Len(); live != flat.Len()-int(deleted.Load()) {
+			t.Errorf("parts=%d: live = %d after %d deletes of %d records", parts, live, deleted.Load(), flat.Len())
+		}
 	}
 }
 
@@ -114,7 +188,7 @@ func TestResolvePartitionedValidation(t *testing.T) {
 	if _, err := m.ResolvePartitioned(nil, []string{"x"}, 5); err == nil {
 		t.Error("nil store accepted")
 	}
-	ps, err := m.NewPartitionedMatchStore(2, 1, MatchConfig{})
+	ps, err := m.NewPartitionedMatchStore(2, MatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +196,14 @@ func TestResolvePartitionedValidation(t *testing.T) {
 	if _, err := m.ResolvePartitioned(ps, bad, 5); err == nil {
 		t.Error("arity-mismatched probe accepted")
 	}
-	wrongStore, err := match.New(ps.Arity()+1, match.Config{})
+	if _, err := m.ResolvePartitioned(ps, make([]string, ps.Arity()), 0); err == nil {
+		t.Error("k=0 accepted")
+	}
+	wrongStore, err := partition.New(ps.Arity()+1, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ResolveShard(wrongStore, bad, 5, nil); err == nil {
-		t.Error("arity-mismatched shard store accepted")
+	if _, err := m.ResolvePartitioned(wrongStore, bad, 5); err == nil {
+		t.Error("arity-mismatched store accepted")
 	}
 }

@@ -125,7 +125,7 @@ func (m *Model) ResolveTraced(st *MatchStore, probe []string, k int, tr *Trace) 
 		return nil, err
 	}
 	s := m.acquireResolveScratch()
-	out := m.resolveTracedInto(st, probe, k, s, tr)
+	out := m.resolveTracedInto(st, probe, k, nil, s, tr)
 	m.resolvePool.Put(s)
 	return out, nil
 }
@@ -157,11 +157,14 @@ const resolveBatchChunk = 4
 
 // resolveInto runs one (already-validated) probe inside a scratch.
 func (m *Model) resolveInto(st *MatchStore, probe []string, k int, s *resolveScratch) []MatchResult {
-	return m.resolveTracedInto(st, probe, k, s, nil)
+	return m.resolveTracedInto(st, probe, k, nil, s, nil)
 }
 
-func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, s *resolveScratch, tr *Trace) []MatchResult {
-	m.rankInto(st, probe, k, nil, s, tr)
+// resolveTracedInto ranks one (already-validated) probe, minus the skip
+// list's globally pruned tokens, into full verdicts: the flat resolve, and
+// one partition's leg of a partitioned resolve.
+func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) []MatchResult {
+	m.rankInto(st, probe, k, skip, s, tr)
 	out := make([]MatchResult, len(s.sorted))
 	for i, e := range s.sorted {
 		out[i] = MatchResult{ID: s.kept[e.ID], Score: s.scores[e.ID]}
