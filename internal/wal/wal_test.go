@@ -140,6 +140,27 @@ func TestCloseIdempotentAndRefusesAppends(t *testing.T) {
 	}
 }
 
+// TestIntervalSyncFlushesDirtyWriter: under SyncInterval the background
+// ticker fsyncs a writer left dirty by an append, with no Sync call.
+func TestIntervalSyncFlushesDirtyWriter(t *testing.T) {
+	w, err := OpenFileWriter(filepath.Join(t.TempDir(), "w.log"), 0, Options{Policy: SyncInterval, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, syncs := w.Stats(); syncs > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no background fsync within 5s of a 1ms interval")
+		}
+	}
+}
+
 func TestScanMissingFileIsEmpty(t *testing.T) {
 	res, err := ScanFile(filepath.Join(t.TempDir(), "absent.log"), func([]byte) error {
 		t.Fatal("frame from a missing file")
