@@ -115,7 +115,7 @@ func BenchmarkFig13RiskTraining(b *testing.B) {
 		b.Fatal(err)
 	}
 	rs, sts := lab.GenerateFeatures()
-	insts, bad := core.BuildInstances(rules.Apply(rs, lab.ValidX), lab.ValidLab)
+	insts, bad := core.BuildInstances(compileRules(b, lab, rs).Apply(lab.ValidX), lab.ValidLab)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model, err := core.New(core.BuildFeatures(rs, sts), core.Config{
@@ -171,12 +171,24 @@ func runRiskVariant(b *testing.B, lab *experiments.Lab, rs []rules.Rule, sts []r
 	if err != nil {
 		b.Fatal(err)
 	}
-	validInsts, validBad := core.BuildInstances(rules.Apply(rs, lab.ValidX), lab.ValidLab)
+	rset := compileRules(b, lab, rs)
+	validInsts, validBad := core.BuildInstances(rset.Apply(lab.ValidX), lab.ValidLab)
 	if err := model.Fit(validInsts, validBad); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
 		b.Fatal(err)
 	}
-	testInsts, testBad := core.BuildInstances(rules.Apply(rs, lab.TestX), lab.TestLab)
+	testInsts, testBad := core.BuildInstances(rset.Apply(lab.TestX), lab.TestLab)
 	return eval.AUROC(model.RiskAll(testInsts), testBad)
+}
+
+// compileRules compiles rs over the lab's metric width, failing the
+// benchmark on a schema/rule mismatch.
+func compileRules(b *testing.B, lab *experiments.Lab, rs []rules.Rule) *rules.RuleSet {
+	b.Helper()
+	rset, err := rules.Compile(rs, len(lab.Cat.Metrics))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rset
 }
 
 // BenchmarkAblationNoVariance drops the sigma term (risk = expectation
@@ -219,7 +231,7 @@ func BenchmarkAblationTwoSidedRules(b *testing.B) {
 	forest := dtree.BuildForest(lab.TrainX, lab.TrainY, rows, lab.Cat.Names(), 10,
 		dtree.CARTConfig{MaxDepth: 3, Seed: 9})
 	twoSided := forest.Rules()
-	twoStats := rules.Stats(twoSided, lab.TrainX, lab.TrainY)
+	twoStats := compileRules(b, lab, twoSided).Stats(lab.TrainX, lab.TrainY)
 	var one, two float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -267,11 +279,12 @@ func BenchmarkRiskScoring(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	validInsts, validBad := core.BuildInstances(rules.Apply(rs, lab.ValidX), lab.ValidLab)
+	rset := compileRules(b, lab, rs)
+	validInsts, validBad := core.BuildInstances(rset.Apply(lab.ValidX), lab.ValidLab)
 	if err := model.Fit(validInsts, validBad); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
 		b.Fatal(err)
 	}
-	testInsts, _ := core.BuildInstances(rules.Apply(rs, lab.TestX), lab.TestLab)
+	testInsts, _ := core.BuildInstances(rset.Apply(lab.TestX), lab.TestLab)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Risk(testInsts[i%len(testInsts)])

@@ -109,9 +109,8 @@ func main() {
 	}
 }
 
-// obtainReport trains a fresh model and evaluates its test split (RunCtx,
-// which shares the train-time feature store), or loads a saved artifact and
-// evaluates the whole workload against it.
+// obtainReport trains a fresh model and evaluates its test split (RunCtx),
+// or loads a saved artifact and evaluates the whole workload against it.
 func obtainReport(ctx context.Context, w *learnrisk.Workload, loadPath, ratio string, seed uint64, progress bool) (*learnrisk.Report, error) {
 	if loadPath != "" {
 		f, err := os.Open(loadPath)

@@ -15,7 +15,7 @@ import (
 // ever materializing the pair list. A million-pair workload costs the
 // inverted index plus a bounded number of in-flight scan chunks, not a
 // pair slice — the bounded-memory batch path the feature-store streamer
-// and the facade's TrainStream/RunStream build on.
+// and the facade's Train/Run/Evaluate build on.
 //
 // The scan is pipelined: worker goroutines claim fixed-size left-table
 // chunks from an atomic counter and scan them against the shared index

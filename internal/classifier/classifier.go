@@ -273,9 +273,9 @@ func TrainRowsCtx(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog
 
 // TrainRowsFlagsCtx is the core of TrainRowsCtx over bare ground-truth
 // flags (match[k] for rows[k]) instead of a workload and index list — the
-// entry point for the streaming batch path, whose training rows arrive
-// without a materialized pair list. With flags gathered from w.Pairs it is
-// exactly TrainRowsCtx.
+// entry point for the facade's batch pipeline, whose training rows arrive
+// from a pair stream. With flags gathered from w.Pairs it is exactly
+// TrainRowsCtx.
 func TrainRowsFlagsCtx(ctx context.Context, cat *metrics.Catalog, rows [][]float64, match []bool, cfg Config, progress func(done, total int)) (*Matcher, error) {
 	cfg = cfg.withDefaults()
 	if len(rows) == 0 {
@@ -398,9 +398,9 @@ func (m *Matcher) LabelRows(w *dataset.Workload, idx []int, rows [][]float64) La
 }
 
 // LabelRowsTruth is LabelRows over bare ground-truth flags (truth[k] for
-// idx[k]/rows[k]) instead of a workload — the streaming batch path's form,
-// where flags came from the one blocking pass. With truth gathered from
-// w.Pairs it is exactly LabelRows.
+// idx[k]/rows[k]) instead of a workload — the facade batch pipeline's
+// form, where flags came from one pass over the pair stream. With truth
+// gathered from w.Pairs it is exactly LabelRows.
 func (m *Matcher) LabelRowsTruth(idx []int, rows [][]float64, truth []bool) Labeled {
 	l := Labeled{
 		Idx:   append([]int(nil), idx...),

@@ -173,8 +173,8 @@ func (w *Workload) SplitPairs(ratio string, seed uint64) (Split, error) {
 // SplitFlags is SplitPairs over bare ground-truth flags: it partitions the
 // indices 0..len(match)-1 by the ratio string, stratified by flag, with the
 // same RNG consumption order as SplitPairs — a workload whose pair i has
-// Match == match[i] splits identically. The streaming batch path uses it to
-// split from a one-pass flag scan without materializing the pair list.
+// Match == match[i] splits identically. The facade's batch pipeline uses it
+// to split from a one-pass flag scan over the pair stream.
 func SplitFlags(match []bool, ratio string, seed uint64) (Split, error) {
 	ft, fv, _, err := ParseRatio(ratio)
 	if err != nil {

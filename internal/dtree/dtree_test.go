@@ -240,7 +240,11 @@ func TestOneSidedOnGeneratedWorkload(t *testing.T) {
 	if len(rs) < 5 {
 		t.Fatalf("only %d risk features on DS-like data", len(rs))
 	}
-	cov := rules.Coverage(rs, X)
+	rset, err := rules.Compile(rs, len(cat.Metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := rset.Coverage(X)
 	if cov < 0.5 {
 		t.Errorf("rule coverage %.2f < 0.5; high-coverage requirement violated", cov)
 	}

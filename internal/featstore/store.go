@@ -1,19 +1,20 @@
-// Package featstore provides the workload-level columnar metric store: the
-// basic-metric vectors of all candidate pairs of one workload, computed
-// lazily (each pair exactly once) into chunked row-major backing, with
-// every downstream consumer — classifier feature extraction, rule
-// generation and evaluation, risk training, the experiment figures — taking
-// index views into it instead of recomputing metrics.
+// Package featstore computes basic-metric rows — one value per catalog
+// metric for a candidate pair — in three shapes:
 //
-// Before the store, one pipeline run computed a pair's metrics several
-// times over: the classifier computed its similarity view for training and
-// again for every labeling, the rule layer computed the full catalog for
-// the same splits, and the bootstrap ensemble recomputed the same test
-// pair's features once per member. The store computes each pair's full
-// catalog row once and serves projections of it everywhere, and it memoizes
-// the per-record value preparation (normalization, tokenization, entity
-// splits) that dominates metric cost, so a record shared by many candidate
-// pairs is prepared once.
+//   - Streamer folds a lazy candidate-pair stream in bounded windows. The
+//     facade's batch pipeline (Train, Run, Evaluate) runs on it.
+//   - ComputeRow, ComputeRows and ComputeRowAppend compute the rows of raw
+//     pairs, for the serving path.
+//   - Store is the columnar metric store of a materialized workload:
+//     every pair's row computed lazily, at most once, into chunked
+//     row-major backing that callers take index views of. The experiment
+//     lab (internal/experiments) and active learning (internal/active)
+//     reuse its rows across overlapping subsamples and retraining rounds.
+//
+// Store and Streamer memoize the per-record value preparation
+// (normalization, tokenization, entity splits) that dominates metric cost,
+// so a record shared by many candidate pairs is prepared once per workload
+// or once per window. All three shapes produce bit-identical rows.
 package featstore
 
 import (
@@ -27,7 +28,9 @@ import (
 // Store is the columnar metric store of one workload under one catalog.
 // Rows are computed lazily and cached; the zero cost of a repeated request
 // is what turns the repeated-evaluation experiment loops (Figure 11/12/13
-// sweeps, ensemble training) from quadratic recomputation into array reads.
+// sweeps, ensemble training, active-learning rounds) from quadratic
+// recomputation into array reads. It holds a row for every requested pair,
+// so a one-shot pass over a large workload should use a Streamer instead.
 //
 // A Store is safe for use from one goroutine at a time; the internal row
 // fill parallelizes across pairs with disjoint writes.

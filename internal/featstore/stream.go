@@ -20,12 +20,12 @@ const DefaultStreamWindow = 1024
 const streamFillChunk = 64
 
 // Streamer computes metric rows over a lazy candidate-pair stream
-// (blocking.CandidateSeq) in bounded windows — the streaming counterpart of
-// Store for workloads whose pair list must never be materialized. Memory is
-// bounded by one window: the row backing, the window's distinct prepared
-// records (reusable metrics.Prepared rows, reset in place — the serving
-// path's pooled scratch), and the per-worker metric DP buffers. Nothing
-// grows with the stream length.
+// (blocking.CandidateSeq, or a replayed pair list) in bounded windows. It
+// is the row source of the facade's batch pipeline and the streaming
+// counterpart of Store. Memory is bounded by one window: the row backing,
+// the window's distinct prepared records (reusable metrics.Prepared rows,
+// reset in place — the serving path's pooled scratch), and the per-worker
+// metric DP buffers. Nothing grows with the stream length.
 //
 // Row values are bit-identical to Store's (and so to ComputeRow's): the
 // same catalog evaluation over the same prepared forms, with per-window

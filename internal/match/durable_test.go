@@ -457,7 +457,12 @@ func TestConcurrentDurableAddDeleteSnapshotProbe(t *testing.T) {
 			oracle[id] = vals
 		}
 	}
+	// A background snapshot triggered by the storm may still be renaming
+	// or pruning files; holding snapMu makes the copy see a settled
+	// directory.
+	d.snapMu.Lock()
 	crashed := copyDir(t, dir)
+	d.snapMu.Unlock()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -51,25 +51,20 @@ func (k Kind) String() string {
 	return "sim"
 }
 
-// Metric is a named basic metric bound to one attribute of a schema. Fn
-// computes the metric on the two attribute values; the Corpus (possibly nil)
-// carries corpus statistics for TF-IDF and key-token decisions. PFn, when
-// non-nil, is the equivalent computation over Prepared values — the fast
-// path used by Catalog.Compute and the feature store; it must return
-// bit-identical results to Fn. The *Scratch passed to PFn provides the
-// DP/flag buffers of the string cores; metrics that need none ignore it.
+// Metric is a named basic metric bound to one attribute of a schema. PFn
+// computes the metric on the two attribute values' Prepared forms — the
+// one kernel Catalog.Compute, the feature store and the serving path all
+// run; the Corpus (possibly nil) carries corpus statistics for TF-IDF and
+// key-token decisions. The *Scratch provides the DP/flag buffers of the
+// string cores; metrics that need none ignore it. The exported string
+// functions (JaroWinkler, CosineTFIDF, ...) are the reference forms the
+// package's tests pin each kernel against.
 type Metric struct {
 	Name  string // e.g. "title.cosine_tfidf" or "year.diff"
 	Attr  int    // attribute index in the schema
 	Kind  Kind   // similarity or difference
-	Fn    func(a, b string, c *Corpus) float64
 	PFn   func(a, b *Prepared, c *Corpus, s *Scratch) float64
-	Needs Need // derived forms PFn reads (NeedAll when unset and PFn != nil)
-}
-
-// lift adapts a corpus-free binary metric to the catalog signature.
-func lift(f func(a, b string) float64) func(string, string, *Corpus) float64 {
-	return func(a, b string, _ *Corpus) float64 { return f(a, b) }
+	Needs Need // derived forms PFn reads (NeedAll when unset)
 }
 
 // pliftP adapts a corpus-free prepared metric to the catalog signature.
@@ -83,56 +78,50 @@ func pliftP(f func(a, b *Prepared, s *Scratch) float64) func(*Prepared, *Prepare
 // non-substring family, entity sets get diff-cardinality/distinct-entity,
 // text gets diff-key-token, numerics get the year/number difference.
 func ForAttribute(name string, idx int, t AttrType) []Metric {
-	mk := func(suffix string, k Kind, f func(string, string, *Corpus) float64,
-		pf func(*Prepared, *Prepared, *Corpus, *Scratch) float64, needs Need) Metric {
-		return Metric{Name: name + "." + suffix, Attr: idx, Kind: k, Fn: f, PFn: pf, Needs: needs}
+	mk := func(suffix string, k Kind, pf func(*Prepared, *Prepared, *Corpus, *Scratch) float64, needs Need) Metric {
+		return Metric{Name: name + "." + suffix, Attr: idx, Kind: k, PFn: pf, Needs: needs}
 	}
 	switch t {
 	case EntityName:
 		return []Metric{
-			mk("jaro_winkler", Similarity, lift(JaroWinkler), pliftP(jaroWinklerP), NeedRunes),
-			mk("edit_sim", Similarity, lift(EditSimilarity), pliftP(editSimilarityP), NeedRunes),
-			mk("jaccard", Similarity, lift(JaccardTokens), pliftP(jaccardTokensP), NeedTokenSet),
-			mk("non_substring", Difference, lift(NonSubstring), pliftP(nonSubstringP), NeedNorm),
-			mk("non_prefix", Difference, lift(NonPrefix), pliftP(nonPrefixP), NeedNorm),
-			mk("non_suffix", Difference, lift(NonSuffix), pliftP(nonSuffixP), NeedNorm),
-			mk("abbr_non_substring", Difference, lift(AbbrNonSubstring), pliftP(abbrNonSubstringP), NeedAbbr|NeedCompact),
+			mk("jaro_winkler", Similarity, pliftP(jaroWinklerP), NeedRunes),
+			mk("edit_sim", Similarity, pliftP(editSimilarityP), NeedRunes),
+			mk("jaccard", Similarity, pliftP(jaccardTokensP), NeedTokenSet),
+			mk("non_substring", Difference, pliftP(nonSubstringP), NeedNorm),
+			mk("non_prefix", Difference, pliftP(nonPrefixP), NeedNorm),
+			mk("non_suffix", Difference, pliftP(nonSuffixP), NeedNorm),
+			mk("abbr_non_substring", Difference, pliftP(abbrNonSubstringP), NeedAbbr|NeedCompact),
 		}
 	case EntitySet:
 		return []Metric{
-			mk("jaccard_entities", Similarity, lift(JaccardEntities), pliftP(jaccardEntitiesP), NeedEntities),
-			mk("monge_elkan", Similarity, lift(SymMongeElkan), pliftP(symMongeElkanP), NeedTokenRunes),
-			mk("diff_cardinality", Difference, lift(DiffCardinality), pliftP(diffCardinalityP), NeedEntities),
-			mk("distinct_entity", Difference, lift(DistinctEntity), pliftP(distinctEntityP), NeedEntities),
+			mk("jaccard_entities", Similarity, pliftP(jaccardEntitiesP), NeedEntities),
+			mk("monge_elkan", Similarity, pliftP(symMongeElkanP), NeedTokenRunes),
+			mk("diff_cardinality", Difference, pliftP(diffCardinalityP), NeedEntities),
+			mk("distinct_entity", Difference, pliftP(distinctEntityP), NeedEntities),
 		}
 	case Text:
 		return []Metric{
-			mk("cosine_tfidf", Similarity, CosineTFIDF, cosineTFIDFP, NeedTokenCounts),
-			mk("jaccard", Similarity, lift(JaccardTokens), pliftP(jaccardTokensP), NeedTokenSet),
-			mk("lcs", Similarity, lift(LCS), pliftP(lcsP), NeedRunes),
-			mk("overlap", Similarity, lift(OverlapTokens), pliftP(overlapTokensP), NeedTokenSet),
-			mk("diff_key_token", Difference, DiffKeyToken, diffKeyTokenP, NeedTokenSet),
+			mk("cosine_tfidf", Similarity, cosineTFIDFP, NeedTokenCounts),
+			mk("jaccard", Similarity, pliftP(jaccardTokensP), NeedTokenSet),
+			mk("lcs", Similarity, pliftP(lcsP), NeedRunes),
+			mk("overlap", Similarity, pliftP(overlapTokensP), NeedTokenSet),
+			mk("diff_key_token", Difference, diffKeyTokenP, NeedTokenSet),
 		}
 	case Numeric:
 		return []Metric{
-			mk("num_sim", Similarity, lift(NumericSimilarity), pliftP(numericSimilarityP), NeedNum),
-			mk("num_diff", Difference, lift(YearDiff), pliftP(yearDiffP), NeedNum),
-			mk("num_gap", Difference, lift(NumericGap), pliftP(numericGapP), NeedNum),
+			mk("num_sim", Similarity, pliftP(numericSimilarityP), NeedNum),
+			mk("num_diff", Difference, pliftP(yearDiffP), NeedNum),
+			mk("num_gap", Difference, pliftP(numericGapP), NeedNum),
 		}
 	case Categorical:
 		return []Metric{
-			mk("exact", Similarity, lift(func(a, b string) float64 {
-				if NonSubstring(a, b) == 0 {
-					return 1
-				}
-				return 0
-			}), pliftP(func(a, b *Prepared, s *Scratch) float64 {
+			mk("exact", Similarity, pliftP(func(a, b *Prepared, s *Scratch) float64 {
 				if nonSubstringP(a, b, s) == 0 {
 					return 1
 				}
 				return 0
 			}), NeedNorm),
-			mk("diff", Difference, lift(YearDiffOrExact), pliftP(yearDiffOrExactP), NeedNum|NeedRunes),
+			mk("diff", Difference, pliftP(yearDiffOrExactP), NeedNum|NeedRunes),
 		}
 	default:
 		return nil
@@ -181,9 +170,6 @@ func (c *Catalog) NumAttrs() int {
 func (c *Catalog) AttrNeeds() []Need {
 	out := make([]Need, c.NumAttrs())
 	for _, m := range c.Metrics {
-		if m.PFn == nil {
-			continue
-		}
 		n := m.Needs
 		if n == 0 {
 			n = NeedAll
@@ -228,18 +214,7 @@ func (c *Catalog) Compute(a, b []string) []float64 {
 		if m.Attr < len(c.Corpora) {
 			corpus = c.Corpora[m.Attr]
 		}
-		if m.PFn != nil {
-			out[i] = m.PFn(rowPrepared(pa, a, m.Attr), rowPrepared(pb, b, m.Attr), corpus, &s)
-			continue
-		}
-		var va, vb string
-		if m.Attr < len(a) {
-			va = a[m.Attr]
-		}
-		if m.Attr < len(b) {
-			vb = b[m.Attr]
-		}
-		out[i] = m.Fn(va, vb, corpus)
+		out[i] = m.PFn(rowPrepared(pa, a, m.Attr), rowPrepared(pb, b, m.Attr), corpus, &s)
 	}
 	return out
 }
@@ -271,11 +246,7 @@ func (c *Catalog) ComputePreparedInto(dst []float64, pa, pb []*Prepared, s *Scra
 		if m.Attr < len(c.Corpora) {
 			corpus = c.Corpora[m.Attr]
 		}
-		if m.PFn != nil {
-			dst[i] = m.PFn(pa[m.Attr], pb[m.Attr], corpus, s) //vetkit:allow hotpath metric kernels are alloc-free by contract (reuse tests pin them)
-			continue
-		}
-		dst[i] = m.Fn(pa[m.Attr].Raw(), pb[m.Attr].Raw(), corpus) //vetkit:allow hotpath metric kernels are alloc-free by contract
+		dst[i] = m.PFn(pa[m.Attr], pb[m.Attr], corpus, s) //vetkit:allow hotpath metric kernels are alloc-free by contract (reuse tests pin them)
 	}
 }
 

@@ -64,14 +64,6 @@ func nonSuffixP(pa, pb *Prepared, _ *Scratch) float64 {
 	return 1
 }
 
-// abbrPair returns the first-letter abbreviation of each value and whether
-// both are non-empty.
-func abbrPair(a, b string) (string, string, bool) {
-	aa := strutil.Abbreviation(a)
-	ab := strutil.Abbreviation(b)
-	return aa, ab, aa != "" && ab != ""
-}
-
 // AbbrNonSubstring is 1 if the first-letter abbreviation of one value is not
 // a substring of the other value's abbreviation, and the abbreviation of one
 // value is also not a substring of the other full value (covers
@@ -91,30 +83,6 @@ func abbrNonSubstringP(pa, pb *Prepared, _ *Scratch) float64 {
 	// Abbreviation of one side may match the raw text of the other
 	// (e.g. a = "vldb", b = "very large data bases": abbr(b) == "vldb").
 	if strings.Contains(pa.Compact(), ab) || strings.Contains(pb.Compact(), aa) {
-		return 0
-	}
-	return 1
-}
-
-// AbbrNonPrefix is 1 if neither abbreviation is a prefix of the other.
-func AbbrNonPrefix(a, b string) float64 {
-	aa, ab, ok := abbrPair(a, b)
-	if !ok {
-		return 0
-	}
-	if strings.HasPrefix(aa, ab) || strings.HasPrefix(ab, aa) {
-		return 0
-	}
-	return 1
-}
-
-// AbbrNonSuffix is 1 if neither abbreviation is a suffix of the other.
-func AbbrNonSuffix(a, b string) float64 {
-	aa, ab, ok := abbrPair(a, b)
-	if !ok {
-		return 0
-	}
-	if strings.HasSuffix(aa, ab) || strings.HasSuffix(ab, aa) {
 		return 0
 	}
 	return 1

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -25,6 +26,52 @@ var messyValues = []string{
 	"smith j",
 }
 
+// stringRef maps each catalog metric, by the name suffix after the
+// attribute prefix, to its exported string reference form: the oracle each
+// prepared kernel must match bit for bit.
+var stringRef = map[string]func(a, b string, c *Corpus) float64{
+	"jaro_winkler":       lift(JaroWinkler),
+	"edit_sim":           lift(EditSimilarity),
+	"jaccard":            lift(JaccardTokens),
+	"non_substring":      lift(NonSubstring),
+	"non_prefix":         lift(NonPrefix),
+	"non_suffix":         lift(NonSuffix),
+	"abbr_non_substring": lift(AbbrNonSubstring),
+	"jaccard_entities":   lift(JaccardEntities),
+	"monge_elkan":        lift(SymMongeElkan),
+	"diff_cardinality":   lift(DiffCardinality),
+	"distinct_entity":    lift(DistinctEntity),
+	"cosine_tfidf":       CosineTFIDF,
+	"lcs":                lift(LCS),
+	"overlap":            lift(OverlapTokens),
+	"diff_key_token":     DiffKeyToken,
+	"num_sim":            lift(NumericSimilarity),
+	"num_diff":           lift(YearDiff),
+	"num_gap":            lift(NumericGap),
+	"exact": lift(func(a, b string) float64 {
+		if NonSubstring(a, b) == 0 {
+			return 1
+		}
+		return 0
+	}),
+	"diff": lift(YearDiffOrExact),
+}
+
+// lift adapts a corpus-free string metric to the reference signature.
+func lift(f func(a, b string) float64) func(string, string, *Corpus) float64 {
+	return func(a, b string, _ *Corpus) float64 { return f(a, b) }
+}
+
+// refOf returns the string reference form of a catalog metric.
+func refOf(t testing.TB, m Metric) func(a, b string, c *Corpus) float64 {
+	t.Helper()
+	fn, ok := stringRef[m.Name[strings.LastIndexByte(m.Name, '.')+1:]]
+	if !ok {
+		t.Fatalf("metric %s has no string reference", m.Name)
+	}
+	return fn
+}
+
 // allCatalogMetrics instantiates every metric family once.
 func allCatalogMetrics() []Metric {
 	var out []Metric
@@ -40,13 +87,11 @@ func allCatalogMetrics() []Metric {
 func TestPreparedMatchesStringPath(t *testing.T) {
 	corpus := NewCorpus(messyValues, 0.5)
 	for _, m := range allCatalogMetrics() {
-		if m.PFn == nil {
-			t.Fatalf("metric %s has no prepared fast path", m.Name)
-		}
+		ref := refOf(t, m)
 		for _, c := range []*Corpus{nil, corpus} {
 			for _, a := range messyValues {
 				for _, b := range messyValues {
-					want := m.Fn(a, b, c)
+					want := ref(a, b, c)
 					got := m.PFn(Prepare(a), Prepare(b), c, &Scratch{})
 					if want != got {
 						t.Fatalf("%s(%q, %q) prepared=%v reference=%v", m.Name, a, b, got, want)
@@ -66,10 +111,14 @@ func TestPreparedMatchesStringPath(t *testing.T) {
 // arbitrary strings.
 func TestPreparedMatchesStringPathQuick(t *testing.T) {
 	ms := allCatalogMetrics()
+	refs := make([]func(a, b string, c *Corpus) float64, len(ms))
+	for i, m := range ms {
+		refs[i] = refOf(t, m)
+	}
 	f := func(a, b string) bool {
 		pa, pb := Prepare(a), Prepare(b)
-		for _, m := range ms {
-			if m.Fn(a, b, nil) != m.PFn(pa, pb, nil, &Scratch{}) {
+		for i, m := range ms {
+			if refs[i](a, b, nil) != m.PFn(pa, pb, nil, &Scratch{}) {
 				return false
 			}
 		}
@@ -96,7 +145,7 @@ func TestComputeUsesSharedPreparation(t *testing.T) {
 		if m.Attr < len(cat.Corpora) {
 			c = cat.Corpora[m.Attr]
 		}
-		if want := m.Fn(a[m.Attr], b[m.Attr], c); got[i] != want {
+		if want := refOf(t, m)(a[m.Attr], b[m.Attr], c); got[i] != want {
 			t.Errorf("Compute[%d] (%s) = %v, want %v", i, m.Name, got[i], want)
 		}
 	}

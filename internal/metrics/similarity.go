@@ -209,19 +209,6 @@ func overlapTokensP(pa, pb *Prepared, _ *Scratch) float64 {
 	return float64(inter) / float64(m)
 }
 
-// QGramJaccard returns the Jaccard index of the q-gram (q=2) sets of a and b.
-func QGramJaccard(a, b string) float64 {
-	sa := make(map[string]struct{})
-	for _, g := range strutil.QGrams(a, 2) {
-		sa[g] = struct{}{}
-	}
-	sb := make(map[string]struct{})
-	for _, g := range strutil.QGrams(b, 2) {
-		sb[g] = struct{}{}
-	}
-	return jaccardSets(sa, sb)
-}
-
 // LCS returns the length of the longest common subsequence of the normalized
 // values, normalized by the length of the longer value, yielding [0,1].
 func LCS(a, b string) float64 {

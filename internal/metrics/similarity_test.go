@@ -186,7 +186,6 @@ func TestSimilaritySymmetryAndRange(t *testing.T) {
 		"jw":      JaroWinkler,
 		"jaccard": JaccardTokens,
 		"overlap": OverlapTokens,
-		"qgram":   QGramJaccard,
 		"lcs":     LCS,
 	}
 	for name, fn := range sims {

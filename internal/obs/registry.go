@@ -180,7 +180,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(bw, "%s_count %d\n", m.name, s.Count)
 			fmt.Fprintf(bw, "# TYPE %s_max gauge\n%s_max %d\n", m.name, m.name, s.Max)
 		case kindFunc:
-			flattenPrometheus(bw, m.name, "", reflect.ValueOf(m.fn()))
+			flattenPrometheus(bw, m.name, "", 0, reflect.ValueOf(m.fn()))
 		}
 	}
 }
@@ -203,7 +203,10 @@ func toLower(s string) string {
 
 // flattenPrometheus emits sample lines for an arbitrary scraped value.
 // Strings are skipped (Prometheus samples are numeric); bools become 0/1.
-func flattenPrometheus(w io.Writer, name, labels string, v reflect.Value) {
+// Slice elements get one index label per nesting level — i for the
+// outermost, then j, k, ... — so nested slices render distinct samples;
+// depth counts the slice levels already labeled.
+func flattenPrometheus(w io.Writer, name, labels string, depth int, v reflect.Value) {
 	for v.Kind() == reflect.Interface || v.Kind() == reflect.Pointer {
 		if v.IsNil() {
 			return
@@ -233,7 +236,7 @@ func flattenPrometheus(w io.Writer, name, labels string, v reflect.Value) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			flattenPrometheus(w, name+"_"+sanitizeKey(k), labels, v.MapIndex(reflect.ValueOf(k)))
+			flattenPrometheus(w, name+"_"+sanitizeKey(k), labels, depth, v.MapIndex(reflect.ValueOf(k)))
 		}
 	case reflect.Struct:
 		t := v.Type()
@@ -242,11 +245,16 @@ func flattenPrometheus(w io.Writer, name, labels string, v reflect.Value) {
 			if !f.IsExported() {
 				continue
 			}
-			flattenPrometheus(w, name+"_"+sanitizeKey(f.Name), labels, v.Field(i))
+			flattenPrometheus(w, name+"_"+sanitizeKey(f.Name), labels, depth, v.Field(i))
 		}
 	case reflect.Slice, reflect.Array:
+		sep := ""
+		if labels != "" {
+			sep = ","
+		}
 		for i := 0; i < v.Len(); i++ {
-			flattenPrometheus(w, name, fmt.Sprintf("i=\"%d\"", i), v.Index(i))
+			l := fmt.Sprintf("%s%s%c=\"%d\"", labels, sep, 'i'+depth, i)
+			flattenPrometheus(w, name, l, depth+1, v.Index(i))
 		}
 	}
 }

@@ -27,6 +27,8 @@ func TestRegistryPrometheusRender(t *testing.T) {
 			"ratio":   0.25,
 			"nested":  map[string]any{"Deep": uint64(9)},
 			"per":     []int{10, 20},
+			// Nested slices get one index label per level.
+			"grid": [][]struct{ N int }{{{1}, {2}}, {{3}}},
 		}
 	})
 
@@ -50,6 +52,9 @@ func TestRegistryPrometheusRender(t *testing.T) {
 		"stats_nested_deep 9\n",
 		"stats_per{i=\"0\"} 10\n",
 		"stats_per{i=\"1\"} 20\n",
+		"stats_grid_n{i=\"0\",j=\"0\"} 1\n",
+		"stats_grid_n{i=\"0\",j=\"1\"} 2\n",
+		"stats_grid_n{i=\"1\",j=\"0\"} 3\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in render:\n%s", want, out)

@@ -26,7 +26,7 @@ import (
 type RuleSet struct {
 	rules []Rule
 	width int
-	npred []int32    // predicates per rule; -1 marks a lenient-dead rule
+	npred []int32    // predicates per rule
 	grps  []colGroup // one per referenced column
 }
 
@@ -47,20 +47,8 @@ type colGroup struct {
 
 // Compile builds a RuleSet over metric matrices of the given width. It
 // returns an error when any predicate references a column outside
-// [0, width) — the width invariant of the satellite task.
+// [0, width) — a schema/rule mismatch.
 func Compile(rs []Rule, width int) (*RuleSet, error) {
-	return compile(rs, width, false)
-}
-
-// compileLenient preserves the legacy silent semantics for the package-level
-// Apply/Stats/Coverage helpers: rules with out-of-range predicates never
-// fire instead of failing.
-func compileLenient(rs []Rule, width int) *RuleSet {
-	c, _ := compile(rs, width, true)
-	return c
-}
-
-func compile(rs []Rule, width int, lenient bool) (*RuleSet, error) {
 	c := &RuleSet{rules: rs, width: width, npred: make([]int32, len(rs))}
 
 	type predID struct {
@@ -73,10 +61,6 @@ func compile(rs []Rule, width int, lenient bool) (*RuleSet, error) {
 		c.npred[j] = int32(len(rs[j].Predicates))
 		for _, p := range rs[j].Predicates {
 			if p.Metric < 0 || p.Metric >= width {
-				if lenient {
-					c.npred[j] = -1 // never fires, like the legacy guard
-					continue
-				}
 				return nil, fmt.Errorf("rules: predicate %q references metric column %d outside matrix width %d (schema/rule mismatch)",
 					p.String(), p.Metric, width)
 			}

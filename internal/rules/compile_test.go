@@ -130,7 +130,11 @@ func TestCompiledStatsCoverageMatchNaive(t *testing.T) {
 		for j := range wantStats {
 			wantStats[j].MatchRate = (float64(wantStats[j].Matches) + 1) / (float64(wantStats[j].Support) + 2)
 		}
-		gotStats := Stats(rs, X, y)
+		c, err := Compile(rs, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotStats := c.Stats(X, y)
 		for j := range rs {
 			if gotStats[j] != wantStats[j] {
 				t.Fatalf("trial %d rule %d: stats %+v, want %+v", trial, j, gotStats[j], wantStats[j])
@@ -147,7 +151,7 @@ func TestCompiledStatsCoverageMatchNaive(t *testing.T) {
 			}
 		}
 		want := float64(covered) / float64(len(X))
-		if got := Coverage(rs, X); got != want {
+		if got := c.Coverage(X); got != want {
 			t.Fatalf("trial %d: coverage %v, want %v", trial, got, want)
 		}
 	}
@@ -191,11 +195,6 @@ func TestCompileWidthInvariant(t *testing.T) {
 	}
 	if _, err := Compile(rs, 6); err != nil {
 		t.Fatalf("Compile rejected an in-range predicate: %v", err)
-	}
-	// The legacy package-level helpers keep the silent never-fire contract.
-	X := [][]float64{{1, 1, 1, 1, 1}}
-	if fired := Apply(rs, X); len(fired[0]) != 0 {
-		t.Errorf("legacy Apply should keep out-of-range rules silent, fired %v", fired[0])
 	}
 }
 

@@ -203,30 +203,6 @@ func Matrix(w *dataset.Workload, cat *metrics.Catalog, idx []int) [][]float64 {
 	return out
 }
 
-// Apply evaluates every rule on every metric-vector row and returns the
-// firing sets: fired[i] lists the indices of the rules that fire on row i.
-// It compiles the rules against the matrix width and evaluates
-// column-at-a-time in parallel; out-of-range predicates keep the legacy
-// never-fire semantics (new code should use Compile, which rejects them).
-func Apply(rs []Rule, X [][]float64) [][]int {
-	return compileLenient(rs, matrixWidth(X)).Apply(X)
-}
-
-// matrixWidth returns the smallest row width (all real matrices are
-// rectangular; the minimum keeps ragged input safe).
-func matrixWidth(X [][]float64) int {
-	if len(X) == 0 {
-		return 0
-	}
-	w := len(X[0])
-	for _, x := range X[1:] {
-		if len(x) < w {
-			w = len(x)
-		}
-	}
-	return w
-}
-
 // Stat summarizes a rule's behaviour on a labeled sample: how many rows it
 // fires on and the Laplace-smoothed match rate among them. The risk model
 // uses the smoothed rate as the rule's distribution expectation mu_f
@@ -235,16 +211,4 @@ type Stat struct {
 	Support   int
 	Matches   int
 	MatchRate float64 // (Matches+1)/(Support+2)
-}
-
-// Stats computes per-rule statistics over (X, y) using the compiled
-// bitmask evaluation.
-func Stats(rs []Rule, X [][]float64, y []bool) []Stat {
-	return compileLenient(rs, matrixWidth(X)).Stats(X, y)
-}
-
-// Coverage returns the fraction of rows on which at least one rule fires —
-// the "high-coverage" desideratum of Section 4.1.
-func Coverage(rs []Rule, X [][]float64) float64 {
-	return compileLenient(rs, matrixWidth(X)).Coverage(X)
 }

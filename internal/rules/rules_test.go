@@ -119,13 +119,16 @@ func TestDedupDeterministic(t *testing.T) {
 }
 
 func TestApplyAndStats(t *testing.T) {
-	rs := sampleRules()
+	rs, err := Compile(sampleRules(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	X := [][]float64{
 		{0.7, 0.2}, // fires rule 0 only
 		{0.3, 0.95},
 		{0.2, 0.1}, // fires nothing
 	}
-	fired := Apply(rs, X)
+	fired := rs.Apply(X)
 	if len(fired[0]) != 1 || fired[0][0] != 0 {
 		t.Errorf("row 0 fired %v, want [0]", fired[0])
 	}
@@ -137,7 +140,7 @@ func TestApplyAndStats(t *testing.T) {
 	}
 
 	y := []bool{false, true, false}
-	st := Stats(rs, X, y)
+	st := rs.Stats(X, y)
 	if st[0].Support != 1 || st[0].Matches != 0 {
 		t.Errorf("rule 0 stats %+v", st[0])
 	}
@@ -152,11 +155,11 @@ func TestApplyAndStats(t *testing.T) {
 		t.Errorf("rule 1 rate %f, want 2/3", got)
 	}
 
-	cov := Coverage(rs, X)
+	cov := rs.Coverage(X)
 	if cov != 2.0/3.0 {
 		t.Errorf("coverage %f, want 2/3", cov)
 	}
-	if Coverage(rs, nil) != 0 {
+	if rs.Coverage(nil) != 0 {
 		t.Error("empty coverage should be 0")
 	}
 }

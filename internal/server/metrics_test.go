@@ -176,6 +176,38 @@ func TestMetricsPartitionedScatter(t *testing.T) {
 	}
 }
 
+// TestMetricsSampleKeysUnique: on a 4-partition server every sample line
+// of GET /metrics names a distinct series — in particular the per-shard
+// stats of different partitions must not collide.
+func TestMetricsSampleKeysUnique(t *testing.T) {
+	w, m := trainedModel(t, 7)
+	srv := New(m, Config{Partitions: 4, Obs: obs.NewRegistry()})
+	ts := newHTTPServer(t, srv)
+	for i := 0; i < 8; i++ {
+		vals, _ := w.RightRecordAt(i)
+		addRecord(t, ts.URL, vals)
+	}
+
+	seen := map[string]bool{}
+	shardSamples := 0
+	for _, line := range strings.Split(scrapeMetrics(t, ts.URL), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key := line[:strings.LastIndexByte(line, ' ')]
+		if seen[key] {
+			t.Errorf("duplicate sample %s", key)
+		}
+		seen[key] = true
+		if strings.HasPrefix(key, "match_shard_stats_") {
+			shardSamples++
+		}
+	}
+	if shardSamples == 0 {
+		t.Fatal("scrape has no match_shard_stats samples")
+	}
+}
+
 // TestMetricsDurableStages pins the durability stages: WAL append, fsync,
 // store apply on the ingest path, snapshot cut/publish via the OnStage
 // callback, and the wal/snapshot/match-store debug trees aggregated over

@@ -189,27 +189,6 @@ func hasFoldPrefix(s, pattern string) bool {
 	return true
 }
 
-// QGrams returns the q-grams (length-q substrings over runes) of the
-// normalized form of s. For inputs shorter than q the whole string is the
-// single gram. The result is never nil.
-func QGrams(s string, q int) []string {
-	n := []rune(Normalize(s))
-	if q <= 0 {
-		q = 2
-	}
-	if len(n) == 0 {
-		return []string{}
-	}
-	if len(n) <= q {
-		return []string{string(n)}
-	}
-	grams := make([]string, 0, len(n)-q+1)
-	for i := 0; i+q <= len(n); i++ {
-		grams = append(grams, string(n[i:i+q]))
-	}
-	return grams
-}
-
 // CommonPrefixLen returns the length in runes of the longest common prefix
 // of a and b.
 func CommonPrefixLen(a, b string) int {

@@ -135,47 +135,6 @@ func TestSplitEntities(t *testing.T) {
 	}
 }
 
-func TestQGrams(t *testing.T) {
-	got := QGrams("abcd", 2)
-	want := []string{"ab", "bc", "cd"}
-	if len(got) != len(want) {
-		t.Fatalf("QGrams = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("gram %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-	if got := QGrams("a", 3); len(got) != 1 || got[0] != "a" {
-		t.Errorf("QGrams(short) = %v", got)
-	}
-	if got := QGrams("", 2); len(got) != 0 {
-		t.Errorf("QGrams(empty) = %v", got)
-	}
-	// Non-positive q falls back to bigrams.
-	if got := QGrams("abc", 0); len(got) != 2 {
-		t.Errorf("QGrams(q=0) = %v, want bigrams", got)
-	}
-}
-
-func TestQGramCount(t *testing.T) {
-	f := func(s string) bool {
-		n := len([]rune(Normalize(s)))
-		g := QGrams(s, 2)
-		switch {
-		case n == 0:
-			return len(g) == 0
-		case n <= 2:
-			return len(g) == 1
-		default:
-			return len(g) == n-1
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCommonPrefixLen(t *testing.T) {
 	cases := []struct {
 		a, b string

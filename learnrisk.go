@@ -52,7 +52,8 @@ type Workload struct {
 // Name returns the workload's name.
 func (w *Workload) Name() string { return w.inner.Name }
 
-// Size returns the number of candidate pairs.
+// Size returns the number of materialized candidate pairs: 0 for a
+// LoadTablesCSV workload, whose pairs are blocked lazily.
 func (w *Workload) Size() int { return len(w.inner.Pairs) }
 
 // Matches returns the number of ground-truth equivalent pairs.
@@ -195,11 +196,13 @@ func LoadCSV(name, leftPath, rightPath, pairsPath string, attrs []Attr) (*Worklo
 }
 
 // LoadTablesCSV loads a tables-only workload: the two table CSVs, no
-// materialized candidate-pair list. It is the entry point of the streaming
-// batch path (TrainStream, RunStream): candidate pairs are produced lazily
-// by token blocking — the same pairs, in the same order, LoadCSV with an
-// empty pairsPath materializes — and never held in memory at once. The
-// workload's Size reports 0; hand it to the streaming functions, not Run.
+// materialized candidate-pair list. Train, Run and Evaluate produce its
+// candidate pairs lazily by token blocking — the same pairs, in the same
+// order, LoadCSV with an empty pairsPath materializes — so the list is
+// never held in memory at once, and reports and saved models are
+// bit-identical to LoadCSV's. The workload's Size reports 0, and the
+// accessors that index the pair list (PairValues, ActiveLearn) need a
+// LoadCSV workload.
 func LoadTablesCSV(name, leftPath, rightPath string, attrs []Attr) (*Workload, error) {
 	left, right, err := loadTableCSVs(name, leftPath, rightPath, attrs)
 	if err != nil {
@@ -306,25 +309,24 @@ type Report struct {
 	insts    map[int]core.Instance // by pair index
 }
 
-// Run executes the full LearnRisk pipeline on the workload — it is a thin
-// wrapper over Train followed by Evaluate on the test part of the split,
-// and produces byte-identical output to the pre-artifact pipeline for the
-// same workload, options and seed. Use Train directly when the model should
-// be reused (served, persisted, or evaluated on several splits).
+// Run executes the full LearnRisk pipeline on the workload: Train followed
+// by Evaluate on the test part of the split. Use Train directly when the
+// model should be reused (served, persisted, or evaluated on several
+// splits).
 func Run(w *Workload, opts Options) (*Report, error) {
 	return RunCtx(context.Background(), w, opts)
 }
 
 // RunCtx is Run with cooperative cancellation and progress reporting (see
-// Train). It shares the train-time feature store with the evaluation, so
-// records appearing in both the training and test splits keep their
-// prepared forms — the prepare-once cost is paid exactly once per run.
+// Train). Memory holds the training and validation rows, a few bytes per
+// candidate pair and one window of the candidate stream: the test rows are
+// computed and scored window by window.
 func RunCtx(ctx context.Context, w *Workload, opts Options) (*Report, error) {
-	m, store, err := trainWithStore(ctx, w, opts)
+	m, err := Train(ctx, w, opts)
 	if err != nil {
 		return nil, err
 	}
-	return m.evaluateOn(w, m.TestPairs(), store)
+	return m.evaluate(w, m.TestPairs())
 }
 
 // Explain returns the interpretable decomposition of one ranked pair's

@@ -2,7 +2,6 @@ package learnrisk
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,15 +9,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"unicode/utf8"
 
 	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dtree"
-	"repro/internal/eval"
 	"repro/internal/featstore"
 	"repro/internal/metrics"
 	"repro/internal/par"
@@ -152,108 +148,6 @@ func buildCatalog(attrs []Attr) (*metrics.Catalog, error) {
 	return cat, nil
 }
 
-// Train runs the model-building half of the LearnRisk pipeline on the
-// workload: split by ratio, train the classifier on the training part,
-// generate risk features from it, and fit the risk model on the validation
-// part. The result is a reusable artifact — evaluate it with Evaluate,
-// serve it with Score/ScoreBatch, persist it with Save.
-//
-// The context is plumbed through classifier training, rule generation and
-// risk-model fitting, each of which checks it between epochs (or tree
-// nodes): a canceled context aborts Train with an error satisfying
-// errors.Is(err, ctx.Err()). opts.Progress, when set, receives coarse
-// progress per stage.
-//
-// All basic-metric computation flows through a workload-level feature store
-// (internal/featstore): each pair's metric row is computed exactly once and
-// every stage reads views of it.
-func Train(ctx context.Context, w *Workload, opts Options) (*Model, error) {
-	m, _, err := trainWithStore(ctx, w, opts)
-	return m, err
-}
-
-// trainWithStore is Train, additionally returning the feature store it
-// filled, so Run can evaluate the test split without re-preparing records
-// shared across splits (the prepare-once contract of internal/featstore).
-func trainWithStore(ctx context.Context, w *Workload, opts Options) (*Model, *featstore.Store, error) {
-	opts = opts.withDefaults()
-	if err := opts.Validate(); err != nil {
-		return nil, nil, err
-	}
-	split, err := w.inner.SplitPairs(opts.SplitRatio, opts.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	store := featstore.New(w.inner, w.cat)
-	trainX := store.Rows(split.Train)
-	matcher, err := classifier.TrainRowsCtx(ctx, w.inner, w.cat, split.Train, trainX, classifier.Config{
-		Epochs: opts.ClassifierEpochs, Seed: opts.Seed,
-	}, stageProgress(opts.Progress, "classifier"))
-	if err != nil {
-		return nil, nil, fmt.Errorf("learnrisk: classifier training: %w", err)
-	}
-
-	// Risk features from the classifier training data (Section 5).
-	trainY := make([]bool, len(split.Train))
-	for k, i := range split.Train {
-		trainY[k] = w.inner.Pairs[i].Match
-	}
-	feats, err := dtree.GenerateRiskFeaturesCtx(ctx, trainX, trainY, w.cat.Names(), dtree.OneSidedConfig{
-		MaxDepth: opts.RuleDepth,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("learnrisk: rule generation: %w", err)
-	}
-	if opts.Progress != nil {
-		opts.Progress("rules", 1, 1)
-	}
-	rset, err := rules.Compile(feats, store.Width())
-	if err != nil {
-		return nil, nil, fmt.Errorf("learnrisk: rule compilation: %w", err)
-	}
-	stats := rset.Stats(trainX, trainY)
-	riskModel, err := core.New(core.BuildFeatures(feats, stats), core.Config{
-		Theta: opts.VaRConfidence, Epochs: opts.RiskEpochs, Seed: opts.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Risk-model training on the validation part (Section 4.3).
-	validX := store.Rows(split.Valid)
-	validLab := matcher.LabelRows(w.inner, split.Valid, validX)
-	validInsts, validBad := core.BuildInstances(rset.Apply(validX), validLab)
-	err = riskModel.FitCtx(ctx, validInsts, validBad, stageProgress(opts.Progress, "risk"))
-	if err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
-		return nil, nil, fmt.Errorf("learnrisk: risk training: %w", err)
-	}
-
-	attrs := schemaAttrs(w)
-	// The artifact must not pin whatever the training-side Progress closure
-	// captured; the callback belongs to the Train call, not the model.
-	opts.Progress = nil
-	return &Model{
-		attrs:   attrs,
-		fp:      fingerprintOf(attrs, w.cat.Names()),
-		opts:    opts,
-		cat:     w.cat,
-		matcher: matcher,
-		feats:   feats,
-		rset:    rset,
-		risk:    riskModel,
-		split:   split,
-	}, store, nil
-}
-
-// stageProgress adapts the Options callback to one stage's epoch stream.
-func stageProgress(fn func(stage string, done, total int), stage string) func(done, total int) {
-	if fn == nil {
-		return nil
-	}
-	return func(done, total int) { fn(stage, done, total) }
-}
-
 // Fingerprint returns the schema fingerprint the model is bound to. Every
 // workload whose schema hashes to the same fingerprint can be evaluated and
 // served by this model.
@@ -301,91 +195,6 @@ func (m *Model) CompatibleWith(w *Workload) error {
 	return nil
 }
 
-// Evaluate labels the given workload pairs with the model's classifier,
-// risk-scores those labels, and returns the full Report — the same ranking,
-// quality metrics and explanations Run produces for its test split. The
-// workload must carry the model's schema (checked by fingerprint). Metric
-// rows are computed under the model's training catalog, so a model
-// evaluated on a second workload of the same schema sees it through the
-// corpora it was trained with — exactly the serving semantics.
-func (m *Model) Evaluate(w *Workload, idx []int) (*Report, error) {
-	if err := m.CompatibleWith(w); err != nil {
-		return nil, err
-	}
-	if len(idx) == 0 {
-		return nil, errors.New("learnrisk: Evaluate needs at least one pair index")
-	}
-	for _, i := range idx {
-		if i < 0 || i >= w.Size() {
-			return nil, fmt.Errorf("learnrisk: pair index %d outside workload of %d pairs", i, w.Size())
-		}
-	}
-	return m.evaluateOn(w, idx, featstore.New(w.inner, m.cat))
-}
-
-// evaluateOn is Evaluate over a caller-supplied store (Run passes the
-// train-time store so records shared across splits stay prepared once).
-func (m *Model) evaluateOn(w *Workload, idx []int, store *featstore.Store) (*Report, error) {
-	testX := store.Rows(idx)
-	testLab := m.matcher.LabelRows(w.inner, idx, testX)
-	fired := m.rset.Apply(testX)
-	return m.assembleReport(testLab, fired), nil
-}
-
-// coveredFraction is rules.RuleSet.Coverage over precomputed firing sets:
-// the fraction of rows on which at least one rule fires, with the same
-// zero-rows convention and the same integer-to-float division. The
-// streaming evaluation computes firings row by row and so never holds the
-// metric rows Coverage would need.
-func coveredFraction(fired [][]int) float64 {
-	if len(fired) == 0 {
-		return 0
-	}
-	covered := 0
-	for _, f := range fired {
-		if len(f) > 0 {
-			covered++
-		}
-	}
-	return float64(covered) / float64(len(fired))
-}
-
-// assembleReport builds the Report from a labeling and its firing sets —
-// the shared tail of the materialized and streaming evaluation paths. Both
-// feed it identical inputs for the same pairs, so the reports (ranking
-// order included) are byte-identical.
-func (m *Model) assembleReport(testLab classifier.Labeled, fired [][]int) *Report {
-	testInsts, testBad := core.BuildInstances(fired, testLab)
-	risks := m.risk.RiskAll(testInsts)
-
-	rep := &Report{
-		AUROC:              eval.AUROC(risks, testBad),
-		ClassifierF1:       testLab.F1(),
-		ClassifierAccuracy: testLab.Accuracy(),
-		Mislabels:          testLab.MislabelCount(),
-		NumFeatures:        len(m.feats),
-		RuleCoverage:       coveredFraction(fired),
-		model:              m.risk,
-		features:           m.feats,
-		artifact:           m,
-		insts:              make(map[int]core.Instance, len(testInsts)),
-	}
-	for k := range testInsts {
-		rep.insts[testLab.Idx[k]] = testInsts[k]
-		rep.Ranking = append(rep.Ranking, RankedPair{
-			PairIndex:  testLab.Idx[k],
-			Risk:       risks[k],
-			Prob:       testLab.Prob[k],
-			Match:      testLab.Label[k],
-			Mislabeled: testBad[k],
-		})
-	}
-	sort.SliceStable(rep.Ranking, func(a, b int) bool {
-		return rep.Ranking[a].Risk > rep.Ranking[b].Risk
-	})
-	return rep
-}
-
 // ErrPairArity marks a serving-path pair whose value count does not match
 // the model's schema. Serving layers classify it with errors.Is (a client
 // error, not a server fault); every CheckPair failure wraps it.
@@ -404,10 +213,6 @@ func (m *Model) CheckPair(p Pair) error {
 	}
 	return nil
 }
-
-// checkPair is the historical unexported spelling, kept so the scoring
-// paths read unchanged.
-func (m *Model) checkPair(p Pair) error { return m.CheckPair(p) }
 
 // Schema returns the attribute schema the model was trained on, as a fresh
 // copy (mutating it cannot corrupt the model). Serving endpoints report it
@@ -429,7 +234,7 @@ func (m *Model) EnvelopeVersion() int { return modelVersion }
 // Steady state performs zero heap allocations: every buffer the pair's
 // evaluation touches lives in a pooled scoreScratch.
 func (m *Model) Score(p Pair) (PairScore, error) {
-	if err := m.checkPair(p); err != nil {
+	if err := m.CheckPair(p); err != nil {
 		return PairScore{}, err
 	}
 	s := m.acquireScratch()
@@ -452,7 +257,7 @@ const scoreBatchChunk = 16
 // concurrent use.
 func (m *Model) ScoreBatch(pairs []Pair) ([]PairScore, error) {
 	for i, p := range pairs {
-		if err := m.checkPair(p); err != nil {
+		if err := m.CheckPair(p); err != nil {
 			return nil, fmt.Errorf("pair %d: %w", i, err)
 		}
 	}
@@ -499,7 +304,7 @@ func (m *Model) instFromRow(row []float64, s *scoreScratch) core.Instance {
 // risk: each contributing risk feature with its weight share in the pair's
 // portfolio, most influential first. Safe for concurrent use.
 func (m *Model) ExplainPair(p Pair) ([]string, error) {
-	if err := m.checkPair(p); err != nil {
+	if err := m.CheckPair(p); err != nil {
 		return nil, err
 	}
 	s := m.acquireScratch()

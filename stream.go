@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"sort"
 
 	"repro/internal/blocking"
 	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dtree"
+	"repro/internal/eval"
 	"repro/internal/featstore"
 	"repro/internal/par"
 	"repro/internal/rules"
@@ -38,29 +40,39 @@ func (w *Workload) candidateSeq() iter.Seq[dataset.Pair] {
 // flagCheckInterval is how often the pass-A flag scan polls the context.
 const flagCheckInterval = 8192
 
-// streamEvalChunk is the per-worker granularity of the streaming
-// evaluation's window scoring.
+// streamEvalChunk is the per-worker granularity of the evaluation's window
+// scoring.
 const streamEvalChunk = 64
 
-// TrainStream is Train over a lazily streamed candidate-pair workload: the
-// pipeline consumes the pairs in bounded windows (internal/featstore's
-// Streamer over blocking's CandidateSeq) instead of materializing the pair
-// list and the full metric-row store. Memory holds the per-pair ground
-// truth flags plus the training and validation rows — never the candidate
-// list or the test rows. The resulting model is bit-identical to Train on
-// the equivalent materialized workload (same tables, pairs from token
-// blocking): same split, same weights, same Save bytes.
+// Train runs the model-building half of the LearnRisk pipeline on the
+// workload: split by ratio, train the classifier on the training part,
+// generate risk features from it, and fit the risk model on the validation
+// part. The result is a reusable artifact — evaluate it with Evaluate,
+// serve it with Score/ScoreBatch, persist it with Save.
+//
+// Train reads the candidate pairs as a stream (candidateSeq) in two
+// passes. Pass A keeps one ground-truth flag per pair, the minimum the
+// stratified split needs. Pass B computes metric rows in bounded windows
+// (featstore.Streamer) and copies out only the training and validation
+// rows. Memory never holds the test rows, and on a tables-only workload
+// never the candidate list either.
+//
+// The context is checked during both passes and plumbed through
+// classifier training, rule generation and risk-model fitting, each of
+// which checks it between epochs (or tree nodes): a canceled context
+// aborts Train with an error satisfying errors.Is(err, ctx.Err()).
+// opts.Progress, when set, receives coarse progress per stage.
 //
 // Pair indices in the model's split (TrainPairs, TestPairs, ...) are
-// stream positions — usable with EvaluateStream on the same workload.
-func TrainStream(ctx context.Context, w *Workload, opts Options) (*Model, error) {
+// stream positions: indices into the materialized pair list, or positions
+// in the token-blocking sequence of a tables-only workload.
+func Train(ctx context.Context, w *Workload, opts Options) (*Model, error) {
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 
-	// Pass A: ground-truth flags only — one bool per candidate pair, the
-	// minimum the stratified split needs.
+	// Pass A: ground-truth flags only.
 	var flags []bool
 	for p := range w.candidateSeq() {
 		if len(flags)%flagCheckInterval == 0 {
@@ -119,8 +131,6 @@ func TrainStream(ctx context.Context, w *Workload, opts Options) (*Model, error)
 		return nil, fmt.Errorf("learnrisk: candidate stream changed length between passes: %d then %d pairs", len(flags), n)
 	}
 
-	// From here the stages mirror trainWithStore exactly, over the
-	// split-ordered row copies instead of store views.
 	trainY := make([]bool, len(split.Train))
 	for k, i := range split.Train {
 		trainY[k] = flags[i]
@@ -132,6 +142,7 @@ func TrainStream(ctx context.Context, w *Workload, opts Options) (*Model, error)
 		return nil, fmt.Errorf("learnrisk: classifier training: %w", err)
 	}
 
+	// Risk features from the classifier training data (Section 5).
 	feats, err := dtree.GenerateRiskFeaturesCtx(ctx, trainX, trainY, w.cat.Names(), dtree.OneSidedConfig{
 		MaxDepth: opts.RuleDepth,
 	})
@@ -153,6 +164,7 @@ func TrainStream(ctx context.Context, w *Workload, opts Options) (*Model, error)
 		return nil, err
 	}
 
+	// Risk-model training on the validation part (Section 4.3).
 	validTruth := make([]bool, len(split.Valid))
 	for k, i := range split.Valid {
 		validTruth[k] = flags[i]
@@ -165,6 +177,8 @@ func TrainStream(ctx context.Context, w *Workload, opts Options) (*Model, error)
 	}
 
 	attrs := schemaAttrs(w)
+	// The artifact must not pin whatever the training-side Progress closure
+	// captured; the callback belongs to the Train call, not the model.
 	opts.Progress = nil
 	return &Model{
 		attrs:   attrs,
@@ -179,33 +193,28 @@ func TrainStream(ctx context.Context, w *Workload, opts Options) (*Model, error)
 	}, nil
 }
 
-// RunStream is Run over a lazily streamed workload: TrainStream followed
-// by the streaming evaluation of the test part. For the same tables,
-// options and seed the report is byte-identical to Run on the equivalent
-// materialized workload, while peak memory stays bounded by the split rows
-// actually trained on plus one streaming window.
-func RunStream(w *Workload, opts Options) (*Report, error) {
-	return RunStreamCtx(context.Background(), w, opts)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation and progress
-// reporting (see TrainStream).
-func RunStreamCtx(ctx context.Context, w *Workload, opts Options) (*Report, error) {
-	m, err := TrainStream(ctx, w, opts)
-	if err != nil {
-		return nil, err
+// stageProgress adapts the Options callback to one stage's epoch stream.
+func stageProgress(fn func(stage string, done, total int), stage string) func(done, total int) {
+	if fn == nil {
+		return nil
 	}
-	return m.evaluateStream(w, m.TestPairs())
+	return func(done, total int) { fn(stage, done, total) }
 }
 
-// EvaluateStream is Evaluate over the workload's streamed candidate pairs:
-// idx selects stream positions (for a tables-only workload, positions in
-// the token-blocking sequence — the split indices a TrainStream model
-// reports). Metric rows for the selected pairs are computed in bounded
-// windows and scored immediately; nothing sized by the stream survives the
-// call. The report is byte-identical to Evaluate over the materialized
-// equivalent.
-func (m *Model) EvaluateStream(w *Workload, idx []int) (*Report, error) {
+// Evaluate labels the given workload pairs with the model's classifier,
+// risk-scores those labels, and returns the full Report — the same ranking,
+// quality metrics and explanations Run produces for its test split. The
+// workload must carry the model's schema (checked by fingerprint). Metric
+// rows are computed under the model's training catalog, so a model
+// evaluated on a second workload of the same schema sees it through the
+// corpora it was trained with — exactly the serving semantics.
+//
+// idx selects stream positions (see Train); duplicates are allowed and
+// each yields its own ranking row. The selected pairs' rows are computed
+// in bounded windows and scored on the spot; nothing sized by the stream
+// survives the call. On a tables-only workload an index past the end of
+// the candidate stream is only detected once the stream ends.
+func (m *Model) Evaluate(w *Workload, idx []int) (*Report, error) {
 	if err := m.CompatibleWith(w); err != nil {
 		return nil, err
 	}
@@ -217,14 +226,14 @@ func (m *Model) EvaluateStream(w *Workload, idx []int) (*Report, error) {
 			return nil, fmt.Errorf("learnrisk: pair index %d outside workload of %d pairs", i, w.Size())
 		}
 	}
-	return m.evaluateStream(w, idx)
+	return m.evaluate(w, idx)
 }
 
-// evaluateStream scores the pairs at the given stream positions window by
+// evaluate scores the pairs at the given stream positions window by
 // window: each kept row yields its classifier probability and fired-rule
 // set on the spot (through the pooled scoring scratch), and only those
 // per-pair results — never the rows — are retained for the report.
-func (m *Model) evaluateStream(w *Workload, idx []int) (*Report, error) {
+func (m *Model) evaluate(w *Workload, idx []int) (*Report, error) {
 	slots := make(map[int][]int, len(idx))
 	for k, i := range idx {
 		slots[i] = append(slots[i], k)
@@ -283,4 +292,56 @@ func (m *Model) evaluateStream(w *Workload, idx []int) (*Report, error) {
 		lab.Label[k] = p >= 0.5
 	}
 	return m.assembleReport(lab, fired), nil
+}
+
+// coveredFraction is rules.RuleSet.Coverage over precomputed firing sets:
+// the fraction of rows on which at least one rule fires, with the same
+// zero-rows convention and the same integer-to-float division. The
+// evaluation computes firings row by row and so never holds the metric
+// rows Coverage would need.
+func coveredFraction(fired [][]int) float64 {
+	if len(fired) == 0 {
+		return 0
+	}
+	covered := 0
+	for _, f := range fired {
+		if len(f) > 0 {
+			covered++
+		}
+	}
+	return float64(covered) / float64(len(fired))
+}
+
+// assembleReport builds the Report from a labeling and its firing sets:
+// risk-scores every labeled pair and ranks them by descending risk.
+func (m *Model) assembleReport(testLab classifier.Labeled, fired [][]int) *Report {
+	testInsts, testBad := core.BuildInstances(fired, testLab)
+	risks := m.risk.RiskAll(testInsts)
+
+	rep := &Report{
+		AUROC:              eval.AUROC(risks, testBad),
+		ClassifierF1:       testLab.F1(),
+		ClassifierAccuracy: testLab.Accuracy(),
+		Mislabels:          testLab.MislabelCount(),
+		NumFeatures:        len(m.feats),
+		RuleCoverage:       coveredFraction(fired),
+		model:              m.risk,
+		features:           m.feats,
+		artifact:           m,
+		insts:              make(map[int]core.Instance, len(testInsts)),
+	}
+	for k := range testInsts {
+		rep.insts[testLab.Idx[k]] = testInsts[k]
+		rep.Ranking = append(rep.Ranking, RankedPair{
+			PairIndex:  testLab.Idx[k],
+			Risk:       risks[k],
+			Prob:       testLab.Prob[k],
+			Match:      testLab.Label[k],
+			Mislabeled: testBad[k],
+		})
+	}
+	sort.SliceStable(rep.Ranking, func(a, b int) bool {
+		return rep.Ranking[a].Risk > rep.Ranking[b].Risk
+	})
+	return rep
 }

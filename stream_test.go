@@ -3,20 +3,26 @@ package learnrisk
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/blocking"
+	"repro/internal/classifier"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/dtree"
+	"repro/internal/featstore"
+	"repro/internal/rules"
 )
 
 // streamOracleWorkloads builds the oracle fixture: the same two generated
 // tables as (a) a materialized workload whose pairs come from token
 // blocking — exactly what LoadCSV without a pairs file produces — and (b) a
-// tables-only workload the streaming path blocks lazily.
+// tables-only workload the pipeline blocks lazily.
 func streamOracleWorkloads(t *testing.T) (materialized, tablesOnly *Workload) {
 	t.Helper()
 	gw := datagen.MustGenerate(datagen.DS(7), 0.03)
@@ -67,92 +73,151 @@ func saveBytes(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// TestRunStreamMatchesRun is the PR's acceptance oracle: the streamed
-// pipeline (lazy blocking -> windowed metric rows -> one-pass training and
-// evaluation) must be bit-identical to the materialized path — same pair
-// order, same split, same report bytes, same saved artifact — whether the
-// stream replays a materialized pair list or blocks the tables lazily.
+// referenceTrain is the store-based composition of the LearnRisk pipeline
+// the streamed Train must reproduce bit for bit: one featstore.Store over
+// the materialized pair list, classifier.TrainRowsCtx on its training
+// rows, LabelRows on its validation rows, and the compiled RuleSet's Stats
+// and Apply. It returns the store so the evaluation can reuse its rows.
+func referenceTrain(t *testing.T, w *Workload, opts Options) (*Model, *featstore.Store) {
+	t.Helper()
+	ctx := context.Background()
+	opts = opts.withDefaults()
+	split, err := w.inner.SplitPairs(opts.SplitRatio, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := featstore.New(w.inner, w.cat)
+	trainX := store.Rows(split.Train)
+	matcher, err := classifier.TrainRowsCtx(ctx, w.inner, w.cat, split.Train, trainX, classifier.Config{
+		Epochs: opts.ClassifierEpochs, Seed: opts.Seed,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainY := make([]bool, len(split.Train))
+	for k, i := range split.Train {
+		trainY[k] = w.inner.Pairs[i].Match
+	}
+	feats, err := dtree.GenerateRiskFeaturesCtx(ctx, trainX, trainY, w.cat.Names(), dtree.OneSidedConfig{MaxDepth: opts.RuleDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rset, err := rules.Compile(feats, store.Width())
+	if err != nil {
+		t.Fatal(err)
+	}
+	risk, err := core.New(core.BuildFeatures(feats, rset.Stats(trainX, trainY)), core.Config{
+		Theta: opts.VaRConfidence, Epochs: opts.RiskEpochs, Seed: opts.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	validX := store.Rows(split.Valid)
+	insts, bad := core.BuildInstances(rset.Apply(validX), matcher.LabelRows(w.inner, split.Valid, validX))
+	if err := risk.FitCtx(ctx, insts, bad, nil); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
+		t.Fatal(err)
+	}
+	attrs := schemaAttrs(w)
+	return &Model{
+		attrs: attrs, fp: fingerprintOf(attrs, w.cat.Names()), opts: opts, cat: w.cat,
+		matcher: matcher, feats: feats, rset: rset, risk: risk, split: split,
+	}, store
+}
+
+// referenceEvaluate is Evaluate over the store's rows of the given pairs
+// of a materialized workload.
+func referenceEvaluate(m *Model, w *Workload, idx []int, store *featstore.Store) *Report {
+	X := store.Rows(idx)
+	return m.assembleReport(m.matcher.LabelRows(w.inner, idx, X), m.rset.Apply(X))
+}
+
+// TestRunStreamMatchesRun is the pipeline's acceptance oracle: Run (lazy
+// candidate stream -> windowed metric rows -> training and evaluation)
+// must be bit-identical to the store reference — same pair order, same
+// split, same report bytes, same saved artifact — whether the stream
+// replays a materialized pair list or blocks the tables lazily.
 func TestRunStreamMatchesRun(t *testing.T) {
 	wm, ws := streamOracleWorkloads(t)
 	opts := Options{RiskEpochs: 80, ClassifierEpochs: 10, Seed: 7}
 
-	want, err := Run(wm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTables, err := RunStream(ws, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReport(t, "tables-only stream vs materialized run", want, fromTables)
-	fromPairs, err := RunStream(wm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReport(t, "materialized stream vs materialized run", want, fromPairs)
-
-	wantArt := saveBytes(t, want.Model())
-	if !bytes.Equal(wantArt, saveBytes(t, fromTables.Model())) {
-		t.Fatal("TrainStream artifact bytes differ from Train's")
-	}
-	if !bytes.Equal(wantArt, saveBytes(t, fromPairs.Model())) {
-		t.Fatal("TrainStream-over-pairs artifact bytes differ from Train's")
+	ref, store := referenceTrain(t, wm, opts)
+	want := referenceEvaluate(ref, wm, ref.TestPairs(), store)
+	wantArt := saveBytes(t, ref)
+	for _, tc := range []struct {
+		name string
+		w    *Workload
+	}{{"materialized", wm}, {"tables-only", ws}} {
+		got, err := Run(tc.w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, tc.name+" Run vs store reference", want, got)
+		if !bytes.Equal(wantArt, saveBytes(t, got.Model())) {
+			t.Fatalf("%s: Run's artifact bytes differ from the store reference's", tc.name)
+		}
 	}
 }
 
-// TestEvaluateStreamMatchesEvaluate: one model, both evaluation paths, any
-// index subset — including duplicates, which the streamed position map must
-// fan out.
+// TestEvaluateStreamMatchesEvaluate: Train and Evaluate on either workload
+// shape match the store reference for any index subset — including
+// duplicates, which the streamed position map must fan out.
 func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	wm, ws := streamOracleWorkloads(t)
 	opts := Options{RiskEpochs: 80, ClassifierEpochs: 10, Seed: 7}
-	m, err := Train(context.Background(), wm, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := m.TestPairs()
+	ref, store := referenceTrain(t, wm, opts)
+	idx := ref.TestPairs()
 	idx = append(idx[:len(idx):len(idx)], idx[0], idx[0], idx[len(idx)/2])
-	want, err := m.Evaluate(wm, idx)
-	if err != nil {
-		t.Fatal(err)
+	want := referenceEvaluate(ref, wm, idx, store)
+	wantArt := saveBytes(t, ref)
+	for _, tc := range []struct {
+		name string
+		w    *Workload
+	}{{"materialized", wm}, {"tables-only", ws}} {
+		m, err := Train(context.Background(), tc.w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantArt, saveBytes(t, m)) {
+			t.Fatalf("%s: Train's artifact bytes differ from the store reference's", tc.name)
+		}
+		got, err := m.Evaluate(tc.w, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, tc.name+" Evaluate vs store reference", want, got)
 	}
-	got, err := m.EvaluateStream(ws, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameReport(t, "EvaluateStream vs Evaluate", want, got)
 }
 
 func TestTrainStreamCancellation(t *testing.T) {
 	_, ws := streamOracleWorkloads(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := TrainStream(ctx, ws, Options{ClassifierEpochs: 5, RiskEpochs: 10}); err == nil {
-		t.Fatal("canceled context should abort TrainStream")
+	if _, err := Train(ctx, ws, Options{ClassifierEpochs: 5, RiskEpochs: 10}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a context.Canceled chain", err)
 	}
 }
 
 func TestStreamErrorPaths(t *testing.T) {
 	wm, ws := streamOracleWorkloads(t)
-	if _, err := TrainStream(context.Background(), ws, Options{RuleDepth: -1}); err == nil {
+	if _, err := Train(context.Background(), ws, Options{RuleDepth: -1}); err == nil {
 		t.Error("invalid options should fail")
 	}
 	m, err := Train(context.Background(), wm, Options{RiskEpochs: 40, ClassifierEpochs: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EvaluateStream(ws, nil); err == nil {
+	if _, err := m.Evaluate(ws, nil); err == nil {
 		t.Error("empty index set should fail")
 	}
-	if _, err := m.EvaluateStream(ws, []int{-1}); err == nil {
+	if _, err := m.Evaluate(ws, []int{-1}); err == nil {
 		t.Error("negative index should fail")
 	}
-	if _, err := m.EvaluateStream(wm, []int{wm.Size()}); err == nil {
+	if _, err := m.Evaluate(wm, []int{wm.Size()}); err == nil {
 		t.Error("out-of-range index on a materialized workload should fail")
 	}
 	// On a tables-only workload an index beyond the stream's end is only
 	// detectable after the stream ends.
-	if _, err := m.EvaluateStream(ws, []int{1 << 30}); err == nil {
+	if _, err := m.Evaluate(ws, []int{1 << 30}); err == nil {
 		t.Error("index beyond the candidate stream should fail")
 	}
 	// Schema mismatch.
@@ -160,7 +225,7 @@ func TestStreamErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.EvaluateStream(other, []int{0}); err == nil {
+	if _, err := m.Evaluate(other, []int{0}); err == nil {
 		t.Error("mismatched schema should fail")
 	}
 }
