@@ -57,12 +57,15 @@ test:
 # resolve paths (Model.Score/ScoreBatch/Resolve from many goroutines while
 # the match store mutates), the online match store itself (concurrent
 # Add/Delete/probe across compaction), the durability layer (concurrent
-# WAL append / snapshot rotation / replay), and the HTTP serving layer
-# (micro-batcher coalescing + model hot-swap under load).
+# WAL append / snapshot rotation / replay), the HTTP serving layer
+# (micro-batcher coalescing + model hot-swap under load), and Train's
+# rule generation running beside classifier training (the nn and dtree
+# packages plus the root TestTrain* tests, cancellation included).
 race:
 	$(GO) test -race ./internal/par/... ./internal/featstore/... ./internal/rules/... ./internal/core/... ./internal/blocking/...
 	$(GO) test -race ./internal/server/... ./internal/match/... ./internal/wal/... ./internal/partition/... ./internal/obs/...
-	$(GO) test -race -run 'TestScoreConcurrent|TestScoreBatchConcurrent|TestResolveConcurrent' .
+	$(GO) test -race ./internal/nn/... ./internal/dtree/...
+	$(GO) test -race -run 'TestScoreConcurrent|TestScoreBatchConcurrent|TestResolveConcurrent|TestTrain' .
 
 # cover enforces statement-coverage floors on the serving-grade packages:
 # the HTTP/batching layer, the feature store, and the facade (golden

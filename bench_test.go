@@ -1,9 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md "Per-experiment index"), plus ablation benches for the
-// design decisions DESIGN.md calls out. Besides wall-clock time, the
-// experiment benches report the headline quality number of their figure as
-// a custom "AUROC" (or "F1x100") metric so `go test -bench .` reproduces
-// the paper's numbers alongside the timings.
+// (Table 2 and Figures 9-14), plus ablation benches for the risk model's
+// design decisions: the variance term, truncated inference, one-sided rules
+// and the rule features themselves. Besides wall-clock time, the experiment
+// benches report the headline quality number of their figure as a custom
+// "AUROC" (or "F1x100") metric so `go test -bench .` reproduces the paper's
+// numbers alongside the timings.
 package learnrisk_test
 
 import (
@@ -150,7 +151,7 @@ func BenchmarkFig14ActiveLearning(b *testing.B) {
 	b.ReportMetric(f1*100, "F1x100")
 }
 
-// --- ablation benches (design decisions from DESIGN.md) ---
+// --- ablation benches (one design decision of the risk model each) ---
 
 // ablationLab prepares one shared setup for the ablation benches.
 func ablationLab(b *testing.B) (*experiments.Lab, []rules.Rule, []rules.Stat) {

@@ -1,10 +1,10 @@
 // Package classifier provides the machine ER classifier whose outputs
 // LearnRisk analyzes. The paper uses DeepMatcher, a PyTorch deep-learning
-// matcher; this package substitutes a feedforward network over per-attribute
-// similarity summary vectors (see DESIGN.md "Substitutions"). Risk analysis
-// only requires a black-box probabilistic classifier with realistic error
-// patterns, which this provides, plus the bootstrap ensemble needed by the
-// Uncertainty baseline.
+// matcher; this package substitutes a feedforward network over
+// per-attribute similarity summary vectors. Risk analysis only requires a
+// black-box probabilistic classifier with realistic error patterns, which
+// this provides, plus the bootstrap ensemble needed by the Uncertainty
+// baseline.
 package classifier
 
 import (

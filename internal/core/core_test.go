@@ -278,7 +278,8 @@ func TestGradientsMatchFiniteDifferences(t *testing.T) {
 		grads := make([]float64, m.paramCount())
 		pc := m.newParamCache()
 		m.fillParamCache(pc)
-		m.backpropCached(inst, 1.0, grads, pc)
+		f := m.fuseCached(inst, pc)
+		m.backprop(inst, &f, 1.0, grads, pc)
 
 		gamma := func() float64 { return m.surrogate(m.fuse(inst), inst.Label) }
 		check := func(name string, param *float64, analytic float64) {

@@ -206,6 +206,7 @@ func (m *Model) Influence(x float64) float64 {
 // instance; backprop reuses them.
 type fusion struct {
 	wc     float64 // classifier-feature weight f_w(p)
+	infl   float64 // influence term exp(-(p-0.5)^2/(2 alpha^2)), set by fuseCached
 	sigC   float64 // classifier-feature sigma (bucket RSD * p)
 	bucket int
 	S      float64 // total weight mass
@@ -215,7 +216,9 @@ type fusion struct {
 }
 
 // fuse aggregates the distributions of the features firing on inst
-// (Eq. 2–3 with per-pair weight normalization; see DESIGN.md).
+// (Eq. 2–3): the classifier output and the fired rule features are a
+// portfolio whose weights are normalized per pair by their total mass S,
+// so mu = sum(w_k mu_k)/S and the variance is sum(w_k^2 sigma_k^2)/S^2.
 //
 //vetkit:hotpath
 func (m *Model) fuse(inst Instance) fusion {

@@ -26,10 +26,10 @@ func fitParams(t *testing.T, workers int, epochs int) []byte {
 	return buf.Bytes()
 }
 
-// TestFitParallelMatchesSerial pins the tentpole determinism contract: the
-// block-sharded parallel forward/backward passes must produce parameters
-// bit-identical to single-worker execution (GOMAXPROCS is forced, so this
-// exercises real goroutine interleaving even on a one-core host).
+// TestFitParallelMatchesSerial pins the determinism contract: Fit's
+// parameters must not depend on GOMAXPROCS. The fit runs on the calling
+// goroutine, so this guards against a worker pool creeping back into it
+// with a worker-count-dependent reduction order.
 func TestFitParallelMatchesSerial(t *testing.T) {
 	serial := fitParams(t, 1, 60)
 	for _, workers := range []int{2, 4, 8} {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -57,11 +56,13 @@ func (m *Model) fillParamCache(pc *paramCache) {
 }
 
 // fuseCached is fuse with the epoch's parameter cache; it computes the same
-// floats as the scalar path.
+// floats as the scalar path, and also keeps the influence term for
+// backprop.
 func (m *Model) fuseCached(inst Instance, pc *paramCache) fusion {
 	var f fusion
 	d := inst.Prob - 0.5
-	f.wc = -math.Exp(-d*d/(2*pc.alpha*pc.alpha)) + pc.beta + 1
+	f.infl = math.Exp(-d * d / (2 * pc.alpha * pc.alpha))
+	f.wc = -f.infl + pc.beta + 1
 	f.bucket = m.cal.Bucket(inst.Prob)
 	f.sigC = pc.bsig[f.bucket] * inst.Prob
 	f.S = f.wc
@@ -84,12 +85,6 @@ func (m *Model) fuseCached(inst Instance, pc *paramCache) fusion {
 	return f
 }
 
-// fitBlock is the instance-block granularity of parallel backpropagation.
-// Blocks bound the per-instance gradient shard memory; the shards merge in
-// instance order, so the accumulated gradient is bit-identical to the
-// serial loop whatever the worker count.
-const fitBlock = 64
-
 // Fit tunes the model's learnable parameters — rule weights, rule RSDs, the
 // influence-function shape (alpha, beta) and the per-bucket classifier RSDs
 // — to rank mislabeled instances above correct ones (Section 6.2). The loss
@@ -99,11 +94,15 @@ const fitBlock = 64
 // surrogate) and applied with Adam. L1+L2 regularization is added on the
 // rule weights (Section 6.2.3).
 //
-// The per-epoch forward pass and backpropagation run in parallel across
-// instances: forward writes are per-instance slots, and backprop
-// accumulates per-instance gradient shards that are merged in instance
-// order — both bit-identical to the serial loop for a fixed seed,
-// independent of GOMAXPROCS.
+// An epoch's work scales with its sampled pairs, not with the instance
+// count: it draws and records the epoch's pairs, fuses each instance they
+// touch once, accumulates the pairwise coefficients in draw order, and
+// backpropagates the instances with a nonzero coefficient in ascending
+// instance order straight into the gradient, reusing their fusions. When
+// PairSample covers every (mislabeled, correct) pair, every epoch takes all
+// of them in order and so touches every instance. The fit runs on the
+// calling goroutine; for a fixed seed its parameters are the same bits
+// whatever GOMAXPROCS is.
 func (m *Model) Fit(insts []Instance, mislabeled []bool) error {
 	return m.FitCtx(context.Background(), insts, mislabeled, nil)
 }
@@ -136,14 +135,27 @@ func (m *Model) FitCtx(ctx context.Context, insts []Instance, mislabeled []bool,
 	rng := stats.NewRNG(m.cfg.Seed)
 	pc := m.newParamCache()
 	grads := make([]float64, P)
+	fused := make([]fusion, len(insts))
 	gammas := make([]float64, len(insts))
 	coef := make([]float64, len(insts))
-	shards := make([]float64, fitBlock*P) // per-instance gradient shards, zeroed outside touched slots
+	fusedIn := make([]int, len(insts)) // the last epoch (plus one) that fused instance i
 
 	allPairs := len(misIdx) * len(corIdx)
 	sample := m.cfg.PairSample
 	if sample > allPairs {
 		sample = allPairs
+	}
+	// The epoch's (mislabeled, correct) pairs. When the sample covers
+	// every pair they are fixed: all of them, mislabeled-major. Otherwise
+	// each epoch draws its own.
+	dense := sample == allPairs
+	pairs := make([][2]int, 0, sample)
+	if dense {
+		for _, mi := range misIdx {
+			for _, ci := range corIdx {
+				pairs = append(pairs, [2]int{mi, ci})
+			}
+		}
 	}
 
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
@@ -151,60 +163,47 @@ func (m *Model) FitCtx(ctx context.Context, insts []Instance, mislabeled []bool,
 			return err
 		}
 		m.fillParamCache(pc)
-
-		// Forward: surrogate VaR for every instance, in parallel
-		// (disjoint per-instance writes).
-		par.For(len(insts), func(i int) {
-			gammas[i] = m.surrogate(m.fuseCached(insts[i], pc), insts[i].Label)
-		})
-
-		// Pairwise loss coefficients dL/dgamma_i accumulated per instance.
-		// Kept serial: the sampled variant consumes the RNG sequentially and
-		// the dense variant's accumulation order is part of the
-		// bit-reproducibility contract.
-		for i := range coef {
-			coef[i] = 0
-		}
-		if allPairs == sample {
-			for _, mi := range misIdx {
-				for _, ci := range corIdx {
-					s := stats.Sigmoid(gammas[mi] - gammas[ci])
-					coef[mi] += s - 1 // p̄ = 1 for (mislabeled, correct)
-					coef[ci] += 1 - s
-				}
-			}
-		} else {
+		if !dense {
+			pairs = pairs[:0]
 			for k := 0; k < sample; k++ {
 				mi := misIdx[rng.Intn(len(misIdx))]
 				ci := corIdx[rng.Intn(len(corIdx))]
-				s := stats.Sigmoid(gammas[mi] - gammas[ci])
-				coef[mi] += s - 1
-				coef[ci] += 1 - s
+				pairs = append(pairs, [2]int{mi, ci})
 			}
+		}
+
+		// Forward: the fusion and surrogate VaR of every instance the
+		// pairs touch, once each.
+		for _, p := range pairs {
+			for _, i := range p {
+				if fusedIn[i] != epoch+1 {
+					fusedIn[i] = epoch + 1
+					fused[i] = m.fuseCached(insts[i], pc)
+					gammas[i] = m.surrogate(fused[i], insts[i].Label)
+				}
+			}
+		}
+
+		// Pairwise loss coefficients dL/dgamma_i accumulated per instance
+		// in pair order; the order is part of the bit-reproducibility
+		// contract.
+		for _, p := range pairs {
+			mi, ci := p[0], p[1]
+			s := stats.Sigmoid(gammas[mi] - gammas[ci])
+			coef[mi] += s - 1 // p̄ = 1 for (mislabeled, correct)
+			coef[ci] += 1 - s
 		}
 		scale := 1 / float64(sample)
 
-		// Backward: per-instance gradient shards computed in parallel
-		// block by block, merged serially in instance order.
+		// Backward in ascending instance order, re-zeroing coef for the
+		// next epoch. Untouched instances have coef 0 and are skipped.
 		for i := range grads {
 			grads[i] = 0
 		}
-		for lo := 0; lo < len(insts); lo += fitBlock {
-			hi := lo + fitBlock
-			if hi > len(insts) {
-				hi = len(insts)
-			}
-			par.For(hi-lo, func(k int) {
-				i := lo + k
-				if coef[i] != 0 {
-					m.backpropCached(insts[i], coef[i]*scale, shards[k*P:(k+1)*P], pc)
-				}
-			})
-			for k := 0; k < hi-lo; k++ {
-				i := lo + k
-				if coef[i] != 0 {
-					m.mergeShard(insts[i], shards[k*P:(k+1)*P], grads)
-				}
+		for i, c := range coef {
+			if c != 0 {
+				m.backprop(insts[i], &fused[i], c*scale, grads, pc)
+				coef[i] = 0
 			}
 		}
 		m.addRegGradsCached(grads, pc)
@@ -265,15 +264,16 @@ func (m *Model) applyStep(opt *adam, grads []float64) {
 	}
 }
 
-// backpropCached accumulates d(coef*gamma)/dparam for one instance into the
-// shard (a scratch gradient vector whose touched slots are zero on entry;
-// mergeShard re-zeroes them after folding into the global gradient). The
-// touched slots are exactly: the fired features' weight and RSD slots, the
-// two influence slots, and the instance's bucket slot. Firing lists contain
-// each feature at most once, so each slot is written once.
-// See DESIGN.md "Risk-model math as implemented" for the derivation.
-func (m *Model) backpropCached(inst Instance, coef float64, shard []float64, pc *paramCache) {
-	f := m.fuseCached(inst, pc)
+// backprop accumulates coef * d(gamma)/d(param) for one instance straight
+// into grads, given the instance's fusion f under the same parameter cache.
+// The touched slots are exactly: the fired features' weight and RSD slots,
+// the two influence slots, and the instance's bucket slot. Firing lists
+// contain each feature at most once, so each slot is written once per
+// instance. The derivation is the chain rule through the fusion's weighted
+// mean mu = sum(w_k mu_k)/S and variance V = sum(w_k^2 sigma_k^2)/S^2, the
+// surrogate gamma = mu + z*sqrt(V) (or (1-mu) + z*sqrt(V) for a matching
+// label) and the softplus transforms of the raw parameters.
+func (m *Model) backprop(inst Instance, f *fusion, coef float64, grads []float64, pc *paramCache) {
 	F := len(m.features)
 
 	sgnMu := 1.0
@@ -299,49 +299,28 @@ func (m *Model) backpropCached(inst Instance, coef float64, shard []float64, pc 
 		dMudW := (muJ - f.mu) / f.S
 		dVdW := (2*w*sigJ*sigJ)/(f.S*f.S) - 2*f.vr/f.S
 		dW := dGdMu*dMudW + dGdV*dVdW
-		shard[j] += dW * pc.gw[j]
+		grads[j] += dW * pc.gw[j]
 
 		dVdSigJ := 2 * w * w * sigJ / (f.S * f.S)
 		dRSD := dGdV * dVdSigJ * muJ
-		shard[F+j] += dRSD * pc.grsd[j]
+		grads[F+j] += dRSD * pc.grsd[j]
 	}
 
-	// Classifier-output feature: weight wc = beta + 1 - E with
-	// E = exp(-d^2/(2 alpha^2)), expectation p, sigma = bucketRSD * p.
+	// Classifier-output feature: weight wc = beta + 1 - infl with
+	// infl = exp(-d^2/(2 alpha^2)), expectation p, sigma = bucketRSD * p.
 	p := inst.Prob
 	dMudWc := (p - f.mu) / f.S
 	dVdWc := (2*f.wc*f.sigC*f.sigC)/(f.S*f.S) - 2*f.vr/f.S
 	dWc := dGdMu*dMudWc + dGdV*dVdWc
 
 	d := p - 0.5
-	E := math.Exp(-d * d / (2 * pc.alpha * pc.alpha))
-	dWcdAlpha := -E * d * d / (pc.alpha * pc.alpha * pc.alpha)
-	shard[2*F] += dWc * dWcdAlpha * pc.galpha
-	shard[2*F+1] += dWc * pc.gbeta // dwc/dbeta = 1
+	dWcdAlpha := -f.infl * d * d / (pc.alpha * pc.alpha * pc.alpha)
+	grads[2*F] += dWc * dWcdAlpha * pc.galpha
+	grads[2*F+1] += dWc * pc.gbeta // dwc/dbeta = 1
 
 	dVdSigC := 2 * f.wc * f.wc * f.sigC / (f.S * f.S)
 	dBucket := dGdV * dVdSigC * p
-	shard[2*F+2+f.bucket] += dBucket * pc.gbucket[f.bucket]
-}
-
-// mergeShard folds one instance's gradient shard into the global gradient,
-// visiting the touched slots in the same order the serial loop wrote them,
-// and re-zeroes the shard for reuse.
-func (m *Model) mergeShard(inst Instance, shard, grads []float64) {
-	F := len(m.features)
-	for _, j := range inst.Fired {
-		grads[j] += shard[j]
-		shard[j] = 0
-		grads[F+j] += shard[F+j]
-		shard[F+j] = 0
-	}
-	grads[2*F] += shard[2*F]
-	shard[2*F] = 0
-	grads[2*F+1] += shard[2*F+1]
-	shard[2*F+1] = 0
-	b := 2*F + 2 + m.cal.Bucket(inst.Prob)
-	grads[b] += shard[b]
-	shard[b] = 0
+	grads[2*F+2+f.bucket] += dBucket * pc.gbucket[f.bucket]
 }
 
 // addRegGradsCached adds the L1+L2 penalty gradients on the rule weights

@@ -5,7 +5,7 @@
 // their statistical shape — schemas, match ratios, and the dirtiness
 // (abbreviations, typos, missing values, sibling entities) that makes ER
 // classifiers err — with a deterministic PRNG so every experiment is
-// repeatable. See DESIGN.md "Substitutions".
+// repeatable.
 package datagen
 
 // Vocabularies used to synthesize attribute values. They are intentionally

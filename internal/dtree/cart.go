@@ -44,11 +44,13 @@ type Node struct {
 func BuildCART(X [][]float64, y []bool, idx []int, names []string, cfg CARTConfig) *Node {
 	cfg = cfg.withDefaults()
 	rng := stats.NewRNG(cfg.Seed)
-	return growCART(X, y, idx, names, cfg, rng, 0)
+	return growCART(X, y, idx, names, cfg, rng, 0, make([]splitVal, len(idx)))
 }
 
+// growCART grows the subtree over idx; buf is bestSplit's scratch, sized
+// for the root's rows.
 func growCART(X [][]float64, y []bool, idx []int, names []string,
-	cfg CARTConfig, rng *stats.RNG, depth int) *Node {
+	cfg CARTConfig, rng *stats.RNG, depth int, buf []splitVal) *Node {
 
 	counts := rawCounts(y, idx)
 	leaf := func() *Node {
@@ -67,7 +69,7 @@ func growCART(X [][]float64, y []bool, idx []int, names []string,
 	best := splitResult{score: 1e18}
 	bestCol := -1
 	for _, c := range cols {
-		res := bestSplit(X, y, idx, c, 1, cfg.MinLeaf, twoSidedGini)
+		res := bestSplit(X, y, idx, c, 1, cfg.MinLeaf, twoSidedGini, buf)
 		if res.ok && res.score < best.score {
 			best = res
 			bestCol = c
@@ -89,8 +91,8 @@ func growCART(X [][]float64, y []bool, idx []int, names []string,
 		Feature:   bestCol,
 		Name:      names[bestCol],
 		Threshold: best.threshold,
-		Left:      growCART(X, y, li, names, cfg, rng, depth+1),
-		Right:     growCART(X, y, ri, names, cfg, rng, depth+1),
+		Left:      growCART(X, y, li, names, cfg, rng, depth+1, buf),
+		Right:     growCART(X, y, ri, names, cfg, rng, depth+1, buf),
 		Count:     counts.n,
 	}
 }

@@ -285,11 +285,12 @@ func TestSplitHelpers(t *testing.T) {
 func TestBestSplitRespectsMinLeaf(t *testing.T) {
 	X := [][]float64{{0}, {0.1}, {0.9}, {1}}
 	y := []bool{false, false, true, true}
-	res := bestSplit(X, y, []int{0, 1, 2, 3}, 0, 1, 3, twoSidedGini)
+	buf := make([]splitVal, len(X))
+	res := bestSplit(X, y, []int{0, 1, 2, 3}, 0, 1, 3, twoSidedGini, buf)
 	if res.ok {
 		t.Error("no split should satisfy MinLeaf 3 on 4 rows")
 	}
-	res = bestSplit(X, y, []int{0, 1, 2, 3}, 0, 1, 2, twoSidedGini)
+	res = bestSplit(X, y, []int{0, 1, 2, 3}, 0, 1, 2, twoSidedGini, buf)
 	if !res.ok {
 		t.Fatal("expected a valid split")
 	}

@@ -81,7 +81,7 @@ func GenerateRiskFeaturesCtx(ctx context.Context, X [][]float64, y []bool, names
 	for i := range idx {
 		idx[i] = i
 	}
-	g := &onesidedGen{ctx: ctx, X: X, y: y, names: names, cfg: cfg}
+	g := &onesidedGen{ctx: ctx, X: X, y: y, names: names, cfg: cfg, buf: make([]splitVal, len(X))}
 	g.construct(idx, 0, nil)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -96,6 +96,7 @@ type onesidedGen struct {
 	names []string
 	cfg   OneSidedConfig
 	out   []rules.Rule
+	buf   []splitVal // bestSplit's scratch, one value per row of X
 }
 
 // branch is one candidate partition: a threshold on a column under one
@@ -121,7 +122,7 @@ func (g *onesidedGen) construct(idx []int, depth int, path []rules.Predicate) {
 	var cands []branch
 	for c := range g.names {
 		for _, w := range []float64{1, g.cfg.MatchWeight} {
-			res := bestSplit(g.X, g.y, idx, c, w, g.cfg.MinLeaf, oneSidedGini(g.cfg.Lambda))
+			res := bestSplit(g.X, g.y, idx, c, w, g.cfg.MinLeaf, oneSidedGini(g.cfg.Lambda), g.buf)
 			if res.ok {
 				cands = append(cands, branch{col: c, weight: w, threshold: res.threshold, score: res.score})
 			}

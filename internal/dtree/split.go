@@ -55,26 +55,29 @@ type splitResult struct {
 	score     float64    // criterion value (lower is better)
 }
 
+// splitVal is one row's value on the column being split and its class.
+type splitVal struct {
+	v float64
+	m bool
+}
+
 // bestSplit finds the threshold on column c (over the row subset idx) that
 // minimizes criterion(left, right). matchWeight multiplies the weighted
 // mass of matching rows (the paper's class weighting for matching-rule
 // generation). minLeaf disqualifies splits leaving fewer than minLeaf raw
-// rows on either side.
+// rows on either side. buf is the caller's scratch of at least len(idx)
+// values; its contents are overwritten.
 func bestSplit(X [][]float64, y []bool, idx []int, c int, matchWeight float64,
-	minLeaf int, criterion func(l, r giniCounts) float64) splitResult {
+	minLeaf int, criterion func(l, r giniCounts) float64, buf []splitVal) splitResult {
 
-	type vl struct {
-		v float64
-		m bool
-	}
-	vals := make([]vl, len(idx))
+	vals := buf[:len(idx)]
 	var total giniCounts
 	for k, i := range idx {
 		w := 1.0
 		if y[i] {
 			w = matchWeight
 		}
-		vals[k] = vl{v: X[i][c], m: y[i]}
+		vals[k] = splitVal{v: X[i][c], m: y[i]}
 		total = total.add(y[i], w)
 	}
 	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })

@@ -1,9 +1,11 @@
 // Package nn implements a small dense feedforward neural network with
 // backpropagation, the substrate for the repository's DeepMatcher
-// substitute (see DESIGN.md "Substitutions"). It supports ReLU/sigmoid/tanh
-// activations, SGD with momentum and Adam, inverted dropout, L2 weight
-// decay and binary cross-entropy loss — enough to train a realistic,
-// imperfect probabilistic ER classifier on similarity feature vectors.
+// substitute: the paper's classifier is DeepMatcher, a PyTorch model, and
+// risk analysis needs only a black-box probabilistic classifier. It
+// supports ReLU/sigmoid/tanh activations, SGD with momentum and Adam,
+// inverted dropout, L2 weight decay and binary cross-entropy loss — enough
+// to train a realistic, imperfect probabilistic ER classifier on similarity
+// feature vectors.
 package nn
 
 import (
@@ -139,14 +141,10 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// forward runs the network, keeping per-layer activations for backprop.
-// When train is true, inverted dropout masks hidden activations.
-func (n *Network) forward(x []float64, train bool) (acts [][]float64, masks [][]float64) {
-	acts = make([][]float64, len(n.layers)+1)
+// forward runs the network for inference, keeping per-layer activations.
+func (n *Network) forward(x []float64) [][]float64 {
+	acts := make([][]float64, len(n.layers)+1)
 	acts[0] = x
-	if train && n.cfg.Dropout > 0 {
-		masks = make([][]float64, len(n.layers))
-	}
 	cur := x
 	for li, l := range n.layers {
 		out := make([]float64, l.Out)
@@ -158,26 +156,15 @@ func (n *Network) forward(x []float64, train bool) (acts [][]float64, masks [][]
 			}
 			out[o] = l.Act.apply(s)
 		}
-		if masks != nil && li < len(n.layers)-1 {
-			mask := make([]float64, l.Out)
-			keep := 1 - n.cfg.Dropout
-			for o := range out {
-				if n.rng.Float64() < keep {
-					mask[o] = 1 / keep
-				}
-				out[o] *= mask[o]
-			}
-			masks[li] = mask
-		}
 		acts[li+1] = out
 		cur = out
 	}
-	return acts, masks
+	return acts
 }
 
 // Predict returns the probability that x belongs to the positive class.
 func (n *Network) Predict(x []float64) float64 {
-	acts, _ := n.forward(x, false)
+	acts := n.forward(x)
 	return acts[len(acts)-1][0]
 }
 
@@ -230,7 +217,7 @@ func (n *Network) PredictBatch(xs [][]float64) []float64 {
 // input itself when the network has no hidden layers. The TrustScore
 // baseline clusters in this representation space.
 func (n *Network) Hidden(x []float64) []float64 {
-	acts, _ := n.forward(x, false)
+	acts := n.forward(x)
 	if len(acts) < 2 {
 		return x
 	}
@@ -269,6 +256,7 @@ func (n *Network) FitCtx(ctx context.Context, xs [][]float64, ys []float64, weig
 	for i := range idx {
 		idx[i] = i
 	}
+	ts := n.newTrainScratch()
 	for epoch := 0; epoch < n.cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -279,7 +267,7 @@ func (n *Network) FitCtx(ctx context.Context, xs [][]float64, ys []float64, weig
 			if end > len(idx) {
 				end = len(idx)
 			}
-			n.trainBatch(xs, ys, weights, idx[start:end])
+			n.trainBatch(xs, ys, weights, idx[start:end], ts)
 		}
 		if progress != nil {
 			progress(epoch+1, n.cfg.Epochs)
@@ -288,29 +276,96 @@ func (n *Network) FitCtx(ctx context.Context, xs [][]float64, ys []float64, weig
 	return nil
 }
 
-// trainBatch accumulates gradients over the batch and applies one update.
-func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int) {
-	gradW := make([][]float64, len(n.layers))
-	gradB := make([][]float64, len(n.layers))
-	for li, l := range n.layers {
-		gradW[li] = make([]float64, len(l.W))
-		gradB[li] = make([]float64, len(l.B))
+// trainScratch holds every buffer of a training step, sized once per
+// FitCtx call: per-layer activations, inverted-dropout masks (hidden
+// layers, only with Dropout > 0), backpropagated deltas and the minibatch
+// gradients.
+type trainScratch struct {
+	acts         [][]float64 // acts[0] is the input row; acts[li+1] is layer li's output
+	masks        [][]float64
+	deltas       [][]float64
+	gradW, gradB [][]float64
+}
+
+func (n *Network) newTrainScratch() *trainScratch {
+	L := len(n.layers)
+	s := &trainScratch{
+		acts:   make([][]float64, L+1),
+		deltas: make([][]float64, L),
+		gradW:  make([][]float64, L),
+		gradB:  make([][]float64, L),
 	}
+	if n.cfg.Dropout > 0 {
+		s.masks = make([][]float64, L-1)
+	}
+	for li, l := range n.layers {
+		s.acts[li+1] = make([]float64, l.Out)
+		s.deltas[li] = make([]float64, l.Out)
+		s.gradW[li] = make([]float64, len(l.W))
+		s.gradB[li] = make([]float64, len(l.B))
+		if s.masks != nil && li < L-1 {
+			s.masks[li] = make([]float64, l.Out)
+		}
+	}
+	return s
+}
+
+// trainForward runs the network on x into the scratch's activation
+// buffers, masking hidden activations with fresh inverted-dropout draws
+// when Dropout > 0.
+func (n *Network) trainForward(x []float64, s *trainScratch) {
+	s.acts[0] = x
+	cur := x
+	for li, l := range n.layers {
+		out := s.acts[li+1]
+		for o := 0; o < l.Out; o++ {
+			v := l.B[o]
+			row := l.W[o*l.In : (o+1)*l.In]
+			for i, xi := range cur {
+				v += row[i] * xi
+			}
+			out[o] = l.Act.apply(v)
+		}
+		if s.masks != nil && li < len(n.layers)-1 {
+			mask := s.masks[li]
+			keep := 1 - n.cfg.Dropout
+			for o := range out {
+				mask[o] = 0
+				if n.rng.Float64() < keep {
+					mask[o] = 1 / keep
+				}
+				out[o] *= mask[o]
+			}
+		}
+		cur = out
+	}
+}
+
+// trainBatch accumulates gradients over the batch and applies one update,
+// entirely within the training scratch.
+func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int, s *trainScratch) {
+	for li := range n.layers {
+		clear(s.gradW[li])
+		clear(s.gradB[li])
+	}
+	last := len(n.layers) - 1
 	for _, i := range batch {
-		acts, masks := n.forward(xs[i], true)
+		n.trainForward(xs[i], s)
 		wgt := 1.0
 		if weights != nil {
 			wgt = weights[i]
 		}
 		// Output delta for sigmoid + BCE: (p - y).
-		p := acts[len(acts)-1][0]
-		delta := []float64{(p - ys[i]) * wgt}
-		for li := len(n.layers) - 1; li >= 0; li-- {
+		p := s.acts[last+1][0]
+		s.deltas[last][0] = (p - ys[i]) * wgt
+		for li := last; li >= 0; li-- {
 			l := n.layers[li]
-			in := acts[li]
+			in := s.acts[li]
+			delta := s.deltas[li]
+			gradW, gradB := s.gradW[li], s.gradB[li]
 			for o := 0; o < l.Out; o++ {
-				gradB[li][o] += delta[o]
-				row := gradW[li][o*l.In : (o+1)*l.In]
+				gradB[o] += delta[o]
+				row := gradW[o*l.In : (o+1)*l.In]
 				for j, v := range in {
 					row[j] += delta[o] * v
 				}
@@ -319,25 +374,24 @@ func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int)
 				break
 			}
 			prev := n.layers[li-1]
-			nd := make([]float64, prev.Out)
+			nd := s.deltas[li-1]
 			for j := 0; j < prev.Out; j++ {
-				s := 0.0
+				sum := 0.0
 				for o := 0; o < l.Out; o++ {
-					s += l.W[o*l.In+j] * delta[o]
+					sum += l.W[o*l.In+j] * delta[o]
 				}
-				g := prev.Act.grad(acts[li][j])
-				if masks != nil && masks[li-1] != nil {
-					g *= masks[li-1][j]
+				g := prev.Act.grad(s.acts[li][j])
+				if s.masks != nil {
+					g *= s.masks[li-1][j]
 				}
-				nd[j] = s * g
+				nd[j] = sum * g
 			}
-			delta = nd
 		}
 	}
 	scale := 1 / float64(len(batch))
 	n.step++
 	for li, l := range n.layers {
-		n.applyUpdate(l, gradW[li], gradB[li], scale)
+		n.applyUpdate(l, s.gradW[li], s.gradB[li], scale)
 	}
 }
 

@@ -266,7 +266,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 		gradB[li] = make([]float64, len(lay.B))
 	}
 	// Recompute the analytic gradient exactly as trainBatch does.
-	acts, _ := net.forward(x, false)
+	acts := net.forward(x)
 	p := acts[len(acts)-1][0]
 	delta := []float64{p - y}
 	for li := len(net.layers) - 1; li >= 0; li-- {

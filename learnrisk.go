@@ -233,8 +233,8 @@ type Options struct {
 	Seed uint64 `json:"seed"`
 	// Progress, when set, receives coarse training progress: the stage
 	// ("classifier", "rules", "risk") and its (done, total) counts. Called
-	// from the training goroutine; keep it fast. Not part of the persisted
-	// artifact.
+	// on the goroutine that called Train or Run; keep it fast. Not part of
+	// the persisted artifact.
 	Progress func(stage string, done, total int) `json:"-"`
 }
 

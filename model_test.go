@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // trainedModel trains one small model per test run and shares it.
@@ -109,6 +111,47 @@ func TestTrainCancellationMidway(t *testing.T) {
 	_, err = Train(ctx, w, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want a context.Canceled chain", err)
+	}
+}
+
+// TestTrainCancelDuringClassifierJoinsRuleGeneration cancels while
+// classifier training and rule generation run side by side: Train must
+// report the classifier stage's cancellation, never reach the "rules"
+// stage, and leave no goroutine behind.
+func TestTrainCancelDuringClassifierJoinsRuleGeneration(t *testing.T) {
+	w, err := Generate("DS", 0.02, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rulesReported := false
+	opts := Options{Seed: 3}
+	opts.Progress = func(stage string, done, total int) {
+		switch {
+		case stage == "classifier" && done == 2:
+			cancel()
+		case stage == "rules":
+			rulesReported = true
+		}
+	}
+	before := runtime.NumGoroutine()
+	_, err = Train(ctx, w, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a context.Canceled chain", err)
+	}
+	if !strings.Contains(err.Error(), "classifier training") {
+		t.Errorf("err = %v, want it to name the classifier stage", err)
+	}
+	if rulesReported {
+		t.Error(`Progress reported the "rules" stage after the classifier failed`)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Train returned, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

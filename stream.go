@@ -57,11 +57,14 @@ const streamEvalChunk = 64
 // rows. Memory never holds the test rows, and on a tables-only workload
 // never the candidate list either.
 //
-// The context is checked during both passes and plumbed through
-// classifier training, rule generation and risk-model fitting, each of
-// which checks it between epochs (or tree nodes): a canceled context
-// aborts Train with an error satisfying errors.Is(err, ctx.Err()).
-// opts.Progress, when set, receives coarse progress per stage.
+// Rule generation runs on its own goroutine beside classifier training;
+// both read the training rows and flags only. The context is checked
+// during both passes and plumbed through classifier training, rule
+// generation and risk-model fitting, each of which checks it between
+// epochs (or tree nodes): a canceled context aborts Train with an error
+// satisfying errors.Is(err, ctx.Err()). A classifier failure is reported
+// ahead of any rule-generation failure. opts.Progress, when set, receives
+// coarse progress per stage, always on the calling goroutine.
 //
 // Pair indices in the model's split (TrainPairs, TestPairs, ...) are
 // stream positions: indices into the materialized pair list, or positions
@@ -135,19 +138,35 @@ func Train(ctx context.Context, w *Workload, opts Options) (*Model, error) {
 	for k, i := range split.Train {
 		trainY[k] = flags[i]
 	}
+
+	// Risk features from the classifier training data (Section 5). Rule
+	// generation reads only the training rows and flags, so it runs beside
+	// classifier training under a child context. However Train returns,
+	// rule generation is cancelled and joined first.
+	rulesCtx, cancelRules := context.WithCancel(ctx)
+	rulesDone := make(chan struct{})
+	var feats []rules.Rule
+	var rulesErr error
+	go func() {
+		defer close(rulesDone)
+		feats, rulesErr = dtree.GenerateRiskFeaturesCtx(rulesCtx, trainX, trainY, w.cat.Names(), dtree.OneSidedConfig{
+			MaxDepth: opts.RuleDepth,
+		})
+	}()
+	defer func() {
+		cancelRules()
+		<-rulesDone
+	}()
+
 	matcher, err := classifier.TrainRowsFlagsCtx(ctx, w.cat, trainX, trainY, classifier.Config{
 		Epochs: opts.ClassifierEpochs, Seed: opts.Seed,
 	}, stageProgress(opts.Progress, "classifier"))
 	if err != nil {
 		return nil, fmt.Errorf("learnrisk: classifier training: %w", err)
 	}
-
-	// Risk features from the classifier training data (Section 5).
-	feats, err := dtree.GenerateRiskFeaturesCtx(ctx, trainX, trainY, w.cat.Names(), dtree.OneSidedConfig{
-		MaxDepth: opts.RuleDepth,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("learnrisk: rule generation: %w", err)
+	<-rulesDone
+	if rulesErr != nil {
+		return nil, fmt.Errorf("learnrisk: rule generation: %w", rulesErr)
 	}
 	if opts.Progress != nil {
 		opts.Progress("rules", 1, 1)
