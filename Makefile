@@ -58,7 +58,7 @@ test:
 # the match store mutates), the online match store itself (concurrent
 # Add/Delete/probe across compaction), the durability layer (concurrent
 # WAL append / snapshot rotation / replay), the HTTP serving layer
-# (micro-batcher coalescing + model hot-swap under load), and Train's
+# (direct scoring + model hot-swap under load), and Train's
 # rule generation running beside classifier training (the nn and dtree
 # packages plus the root TestTrain* tests, cancellation included).
 race:
@@ -68,7 +68,7 @@ race:
 	$(GO) test -race -run 'TestScoreConcurrent|TestScoreBatchConcurrent|TestResolveConcurrent|TestTrain' .
 
 # cover enforces statement-coverage floors on the serving-grade packages:
-# the HTTP/batching layer, the feature store, and the facade (golden
+# the HTTP layer, the feature store, and the facade (golden
 # regression + Save/Load property tests live there). Raise the floors as
 # coverage grows; never lower them.
 COVER_FLOORS = ./internal/server:80 ./internal/featstore:85 ./internal/match:80 ./internal/wal:85 ./internal/analysis:80 ./internal/partition:80 ./internal/obs:85 .:85
@@ -117,8 +117,8 @@ bench:
 bench-baseline:
 	$(GO) run ./cmd/bench -out BENCH_PR1.json -label baseline
 
-# bench-serve measures serving throughput: direct Score calls vs the
-# micro-batcher (greedy and lingering). See PERFORMANCE.md.
+# bench-serve measures saturated serving throughput: Server.Score from 8
+# goroutines per GOMAXPROCS, ns/op per scored pair. See PERFORMANCE.md.
 bench-serve:
 	$(GO) test -run '^$$' -bench BenchmarkServe -benchmem ./internal/server
 

@@ -90,7 +90,6 @@ func main() {
 			MaxPending: *maxPending,
 			Obs:        obs.NewRegistry(),
 		})
-		defer srv.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
@@ -398,7 +397,6 @@ func doJSON(client *http.Client, method, url string, body, out any) (int, error)
 // bench JSON, mapping Prometheus sample keys (name plus rendered labels)
 // to the metric names the section's Metrics map uses.
 var srvStages = map[string]string{
-	`stage_batch_wait_ns{quantile="0.99"}`:      "srv_batch_wait_p99_ns",
 	`stage_scatter_ns{quantile="0.99"}`:         "srv_scatter_p99_ns",
 	`stage_scatter_slowest_ns{quantile="0.99"}`: "srv_scatter_slowest_p99_ns",
 	`stage_topk_merge_ns{quantile="0.99"}`:      "srv_topk_merge_p99_ns",

@@ -144,7 +144,7 @@ stage_scatter_ns{quantile="0.5"} 100
 stage_scatter_ns{quantile="0.99"} 4200
 stage_scatter_ns_sum 9000
 request_resolve_ns{quantile="0.99"} 8_bad_value
-stage_batch_wait_ns{quantile="0.99"} 77
+stage_probe_tokenize_ns{quantile="0.99"} 77
 
 stage_topk_merge_ns{quantile="0.99"} 3.5e2
 `
@@ -171,7 +171,7 @@ stage_topk_merge_ns{quantile="0.99"} 3.5e2
 	}))
 	defer ts.Close()
 	got := scrapeServerStages(ts.Client(), ts.URL)
-	if got["srv_scatter_p99_ns"] != 4200 || got["srv_batch_wait_p99_ns"] != 77 {
+	if got["srv_scatter_p99_ns"] != 4200 || got["srv_probe_tokenize_p99_ns"] != 77 {
 		t.Errorf("scrape selection = %v", got)
 	}
 	if _, ok := got["srv_scatter_slowest_p99_ns"]; ok {

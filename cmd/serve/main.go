@@ -1,5 +1,6 @@
 // Command serve runs the risk-scoring HTTP service: a trained
-// learnrisk.Model behind a dynamic micro-batcher with atomic hot-swap.
+// learnrisk.Model that every request scores on directly, with atomic
+// hot-swap.
 //
 // Load a saved artifact (the production shape — train once with
 // cmd/learnrisk -save, serve anywhere):
@@ -60,25 +61,24 @@
 // data dir) opens in place with -partitions 1 and is refused with more.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight requests
-// finish (bounded by -shutdown-timeout), then the micro-batcher stops, and
-// a durable store is closed last — its tail is rolled into a final
-// snapshot, so a clean restart replays zero log frames.
+// finish (bounded by -shutdown-timeout), and then a durable store is
+// closed — its tail is rolled into a final snapshot, so a clean restart
+// replays zero log frames.
 //
 // -pprof localhost:6060 starts a second, debug-only listener exposing
 // /debug/pprof (CPU/heap/goroutine profiles) and /debug/vars (expvar
-// counters: batcher flushes, batched pairs, mean/max flush size, queue
-// depth, served pairs, model swaps, the match store's records, tombstones,
-// compactions, resolves and mean candidates per probe, and — with
-// -data-dir — wal_stats/snapshot_stats durability counters). Keep
-// it bound to localhost — it is intentionally separate from the
-// client-facing listener. -mutex-profile-fraction and
-// -block-profile-rate turn on the runtime's contention profiles
-// (mutex/block under /debug/pprof), which are silently empty without them.
+// counters: served pairs, model swaps, the match store's records,
+// tombstones, compactions, resolves and mean candidates per probe, and —
+// with -data-dir — wal_stats/snapshot_stats durability counters). Keep it
+// bound to localhost — it is intentionally separate from the client-facing
+// listener. -mutex-profile-fraction and -block-profile-rate turn on the
+// runtime's contention profiles (mutex/block under /debug/pprof), which
+// are silently empty without them.
 //
-// All of those counters — plus per-stage latency histograms (batcher
-// wait, scatter per partition, WAL append/fsync, snapshot cut/publish),
-// request-level p50/p95/p99 and a runtime sampler — also render as
-// Prometheus text exposition on the serving listener's GET /metrics.
+// All of those counters — plus per-stage latency histograms (scatter per
+// partition, WAL append/fsync, snapshot cut/publish), request-level
+// p50/p95/p99 and a runtime sampler — also render as Prometheus text
+// exposition on the serving listener's GET /metrics.
 // -slow-request 50ms logs a structured line (request id + per-stage
 // breakdown) for every request slower than that; -log-format json makes
 // the log machine-parseable.
@@ -114,8 +114,6 @@ func main() {
 		profile     = flag.String("profile", "AB", "synthetic profile to train on when -model is empty: DS|AB|AG|SG|DA")
 		scale       = flag.Float64("scale", 0.05, "synthetic dataset scale for startup training")
 		seed        = flag.Uint64("seed", 1, "seed for startup training")
-		maxBatch    = flag.Int("max-batch", 64, "micro-batcher flush size (1 disables coalescing)")
-		maxLinger   = flag.Duration("max-linger", 2*time.Millisecond, "micro-batcher linger before an under-full batch flushes (0 = greedy)")
 		recordsPath = flag.String("records", "", "CSV table (id,entity_id,<values...> with header) to warm-load into the match store; /readyz is 503 until done")
 		dataDir     = flag.String("data-dir", "", "directory for the durable match store (WAL + snapshots); empty keeps the store in-memory only")
 		fsyncFlag   = flag.String("fsync", "always", "WAL fsync policy: always (durable before ack), never, or an interval like 100ms")
@@ -156,8 +154,6 @@ func main() {
 		MaxBlockSize:    *maxBlock,
 	}
 	srv := server.New(model, server.Config{
-		MaxBatch:    *maxBatch,
-		MaxLinger:   *maxLinger,
 		ModelPath:   *modelPath,
 		Match:       matchCfg,
 		Partitions:  *partitions,
@@ -166,7 +162,6 @@ func main() {
 		SlowRequest: *slowReq,
 		Logger:      logger,
 	})
-	defer srv.Close()
 	// Mirror every registry metric onto expvar so the -pprof listener's
 	// /debug/vars keeps its pre-registry surface: same names, same tree
 	// shapes, now sourced from the same registry /metrics scrapes.
@@ -232,7 +227,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (max-batch=%d max-linger=%s)", *addr, *maxBatch, *maxLinger)
+		log.Printf("listening on %s", *addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -249,10 +244,8 @@ func main() {
 		log.Printf("shutdown: %v", err)
 	}
 	// Ordering matters: the HTTP drain above means no request is mid-mutation,
-	// the batcher drain answers everything already accepted, and only then is
-	// the durable store sealed — its unsnapshotted tail rolls into a final
-	// snapshot so the next start replays zero log frames.
-	srv.Close()
+	// and only then is the durable store sealed — its unsnapshotted tail rolls
+	// into a final snapshot so the next start replays zero log frames.
 	if ps := srv.Store(); ps.Durable() {
 		log.Printf("sealing %d durable match partitions in %s (final snapshots)", ps.Partitions(), *dataDir)
 		if err := ps.Close(); err != nil {

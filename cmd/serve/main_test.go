@@ -167,7 +167,6 @@ func startStore(t *testing.T, m *learnrisk.Model, partitions int, dir, records s
 	t.Helper()
 	srv := server.New(m, server.Config{Partitions: partitions})
 	t.Cleanup(func() {
-		srv.Close()
 		if err := srv.Store().Close(); err != nil {
 			t.Errorf("closing the store: %v", err)
 		}

@@ -5,7 +5,7 @@
 //	go run ./examples/quickstart
 //
 // The saved artifact is what cmd/serve puts behind the HTTP scoring API
-// (micro-batched, hot-swappable): `go run ./cmd/serve -model model.json`.
+// (hot-swappable): `go run ./cmd/serve -model model.json`.
 // See examples/serving for the service under concurrent load.
 package main
 

@@ -1,9 +1,9 @@
 // Serving: train a model once, stand up the risk-scoring HTTP service on a
 // loopback listener, and drive it with concurrent clients — the production
 // shape of the repository: cmd/serve is this same server behind a real
-// address. Single-pair requests are coalesced by the dynamic micro-batcher
-// into ScoreBatch calls; mid-traffic the model is hot-swapped through the
-// reload endpoint with zero dropped requests.
+// address. Each single-pair request is scored directly on the served model
+// snapshot; mid-traffic the model is hot-swapped through the reload
+// endpoint with zero dropped requests.
 //
 //	go run ./examples/serving
 package main
@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	learnrisk "repro"
 	"repro/internal/server"
@@ -64,10 +63,7 @@ func main() {
 
 	// Stand the service up on a loopback port — exactly what cmd/serve
 	// does, minus the flags.
-	srv := server.New(model, server.Config{
-		MaxBatch: 32, MaxLinger: 2 * time.Millisecond, ModelPath: artifact,
-	})
-	defer srv.Close()
+	srv := server.New(model, server.Config{ModelPath: artifact})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -79,7 +75,7 @@ func main() {
 	fmt.Printf("serving on %s\n", base)
 
 	// Concurrent clients: every worker scores "fresh" pairs one request at
-	// a time; the micro-batcher coalesces them server-side.
+	// a time, and the server scores each on its own handler goroutine.
 	var wg sync.WaitGroup
 	risky := make([]int, workers)
 	for wk := 0; wk < workers; wk++ {
@@ -119,9 +115,8 @@ func main() {
 	for _, r := range risky {
 		totalRisky += r
 	}
-	flushes, pairs := srv.BatchStats()
-	fmt.Printf("served %d pairs (%d flagged risk>0.5) in %d micro-batches — %.1f pairs/flush\n",
-		srv.Served(), totalRisky, flushes, float64(pairs)/float64(flushes))
+	fmt.Printf("served %d pairs (%d flagged risk>0.5), model swaps: %d\n",
+		srv.Served(), totalRisky, srv.Swaps())
 
 	// One explained verdict over the wire, as a review UI would render it.
 	l, r := w.PairValues(0)

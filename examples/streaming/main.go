@@ -58,8 +58,7 @@ func main() {
 
 	// Stand the service up on a loopback port — the same server cmd/serve
 	// runs; the streaming client below is ordinary HTTP.
-	srv := server.New(model, server.Config{MaxLinger: time.Millisecond})
-	defer srv.Close()
+	srv := server.New(model, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -194,14 +193,13 @@ func durableRestartDemo(w *learnrisk.Workload, model *learnrisk.Model, k int) er
 
 // withDurableService runs fn against a freshly-started HTTP service backed
 // by a durable store in dir, then tears everything down in the graceful
-// shutdown order (HTTP, batcher, store — the store last, sealing a final
-// snapshot).
+// shutdown order (HTTP, then the store, sealing a final snapshot).
 func withDurableService(model *learnrisk.Model, dir string, fn func(base string) error) error {
 	d, err := model.OpenDurablePartitionedMatchStore(dir, 1, learnrisk.MatchConfig{}, learnrisk.DurableMatchOptions{}, nil)
 	if err != nil {
 		return err
 	}
-	srv := server.New(model, server.Config{MaxLinger: time.Millisecond})
+	srv := server.New(model, server.Config{})
 	if err := srv.InstallStore(d); err != nil {
 		d.Close()
 		return err
@@ -215,7 +213,6 @@ func withDurableService(model *learnrisk.Model, dir string, fn func(base string)
 	go httpSrv.Serve(ln)
 	defer func() {
 		httpSrv.Close()
-		srv.Close()
 		d.Close()
 	}()
 	return fn("http://" + ln.Addr().String())

@@ -2,7 +2,7 @@
 // and the WAL writer. Two checks, both on non-test code:
 //
 //  1. No copying of values whose type contains a sync.Mutex or
-//     sync.RWMutex (the match.Store shards, wal.Writer, the batcher):
+//     sync.RWMutex (the match.Store shards, wal.Writer):
 //     by-value parameters, results and receivers, assignments from
 //     existing values, by-value range variables, and lock-carrying call
 //     arguments are all flagged. A fresh composite literal is fine — it

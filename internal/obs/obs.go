@@ -4,8 +4,8 @@
 // steady state), a process-wide Registry that renders both Prometheus
 // text exposition (GET /metrics) and the legacy expvar tree, a runtime
 // sampler (heap, GC, goroutines, fds), and a request-scoped Trace that
-// rides a context.Context through the serving hot paths recording
-// per-stage durations.
+// the serving hot paths take as a parameter to record per-stage
+// durations.
 //
 // The package imports only the standard library and is imported by the
 // lowest layers of the repo (wal, match, partition), so it must never

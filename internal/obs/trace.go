@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 )
@@ -12,17 +11,12 @@ import (
 type Stage uint8
 
 const (
-	// Score path (micro-batcher).
-	StageBatchWait     Stage = iota // enqueue to flush-assembly start
-	StageBatchAssemble              // first request to batch handoff
-	StageScoreBatch                 // Model.ScoreBatch over the flushed batch
-
 	// Resolve path.
-	StageProbeTokenize  // probe tokenization / candidate generation
-	StageScore          // per-candidate scoring
-	StageScatter        // partitioned scatter wall time (all legs)
-	StageScatterSlowest // slowest single partition leg
-	StageTopKMerge      // order-stable top-k merge
+	StageProbeTokenize  Stage = iota // probe tokenization / candidate generation
+	StageScore                       // per-candidate scoring
+	StageScatter                     // partitioned scatter wall time (all legs)
+	StageScatterSlowest              // slowest single partition leg
+	StageTopKMerge                   // order-stable top-k merge
 
 	// Ingest / durability path.
 	StageWALAppend  // WAL frame build + write
@@ -37,9 +31,6 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	StageBatchWait:       "batch_wait",
-	StageBatchAssemble:   "batch_assemble",
-	StageScoreBatch:      "score_batch",
 	StageProbeTokenize:   "probe_tokenize",
 	StageScore:           "score",
 	StageScatter:         "scatter",
@@ -67,8 +58,7 @@ func (s Stage) String() string {
 // one predictable branch when tracing is disabled.
 //
 // Stage additions are atomic, so concurrent writers (partition scatter
-// legs, the batcher goroutine vs the submitting handler) may record onto
-// the same Trace without synchronization.
+// legs) may record onto the same Trace without synchronization.
 type Trace struct {
 	id    uint64
 	start time.Time
@@ -175,21 +165,4 @@ func (t *Trace) Reset() {
 	}
 	t.slowest.Store(0)
 	t.start = time.Now()
-}
-
-type traceCtxKey struct{}
-
-// WithTrace returns a context carrying t. A nil trace returns ctx
-// unchanged, so callers can thread the result unconditionally.
-func WithTrace(ctx context.Context, t *Trace) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceCtxKey{}, t)
-}
-
-// FromContext returns the Trace carried by ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceCtxKey{}).(*Trace)
-	return t
 }

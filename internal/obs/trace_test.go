@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"regexp"
 	"sync"
 	"testing"
@@ -100,22 +99,6 @@ func TestTraceConcurrent(t *testing.T) {
 	}
 	if _, d := tr.Slowest(); d != 999*time.Microsecond {
 		t.Fatalf("Slowest = %v", d)
-	}
-}
-
-func TestTraceContext(t *testing.T) {
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatalf("FromContext(empty) = %v", got)
-	}
-	tr := NewTrace(3)
-	ctx := WithTrace(context.Background(), tr)
-	if got := FromContext(ctx); got != tr {
-		t.Fatalf("round-trip failed: %v", got)
-	}
-	// nil trace leaves the context untouched.
-	base := context.Background()
-	if got := WithTrace(base, nil); got != base {
-		t.Fatal("WithTrace(nil) allocated a context")
 	}
 }
 

@@ -31,7 +31,6 @@ func newDurableServer(t *testing.T, dir string, parts int) (*learnrisk.Workload,
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		srv.Close()
 		ps.Close()
 	})
 	return w, srv, ts, ps
@@ -80,10 +79,9 @@ func TestDurableServerRestartServesIdenticalResolves(t *testing.T) {
 	}
 	liveBefore := srv1.Live()
 
-	// Clean shutdown: drain HTTP, stop the batcher, close the store (which
-	// rolls the tail into a final snapshot).
+	// Clean shutdown: drain HTTP, then close the store (which rolls the
+	// tail into a final snapshot).
 	ts1.Close()
-	srv1.Close()
 	if err := d1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +185,6 @@ func TestDurableRefusesSchemaSwap(t *testing.T) {
 	w2, m2 := trainedModel(t, 7)
 	_ = w2
 	srv2 := New(m2, Config{})
-	defer srv2.Close()
 	srv2.SetDurablePending()
 	if err := srv2.Swap(ab, true); !errors.Is(err, ErrDurableSchemaSwap) {
 		t.Fatalf("forced cross-schema swap while pending = %v, want ErrDurableSchemaSwap", err)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 
 	learnrisk "repro"
 	"repro/internal/match"
-	"repro/internal/obs"
 )
 
 // The wire format. Every response is JSON; errors come back as
@@ -89,7 +87,7 @@ const maxBodyBytes = 32 << 20
 
 // Handler returns the server's HTTP API:
 //
-//	POST   /v1/score         score one pair (micro-batched)
+//	POST   /v1/score         score one pair
 //	POST   /v1/score/batch   score a client-assembled batch
 //	POST   /v1/explain       score one pair and explain its risk
 //	POST   /v1/records       add + index one record in the online store
@@ -125,8 +123,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := s.metrics.begin()
-	ctx := obs.WithTrace(r.Context(), tr)
-	score, fp, err := s.Score(ctx, learnrisk.Pair{Left: req.Left, Right: req.Right})
+	score, fp, err := s.Score(learnrisk.Pair{Left: req.Left, Right: req.Right})
 	s.metrics.finish(reqScore, tr)
 	if err != nil {
 		writeError(w, statusFor(err), err)
@@ -248,12 +245,13 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// statusFor maps scoring and resolving errors to statuses: malformed pairs,
-// records and probes (schema arity) are the client's fault; a canceled
-// request maps to the nonstandard 499 convention; everything else is a 500.
+// statusFor maps scoring, resolving and record errors to statuses: a
+// loading or closed store is a 503, a snapshot without a durable store a
+// 409, a full ingest queue a 429, and malformed pairs, records and probes
+// (schema arity) a 400; everything else is a 500.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrStoreLoading):
+	case errors.Is(err, ErrStoreLoading):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrNoDurableStore):
 		return http.StatusConflict
@@ -263,8 +261,6 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, learnrisk.ErrPairArity), errors.Is(err, match.ErrArity):
 		return http.StatusBadRequest
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return 499
 	}
 	return http.StatusInternalServerError
 }

@@ -53,9 +53,6 @@ func newMetrics(reg *obs.Registry, slow time.Duration, logger *slog.Logger) *Met
 	m := &Metrics{reg: reg, slow: slow, log: logger}
 	// One histogram per trace stage, names locked to Stage.String() (the
 	// test cross-checks); literal so metriclint can see them.
-	m.stage[obs.StageBatchWait] = reg.Histogram("stage_batch_wait_ns")
-	m.stage[obs.StageBatchAssemble] = reg.Histogram("stage_batch_assemble_ns")
-	m.stage[obs.StageScoreBatch] = reg.Histogram("stage_score_batch_ns")
 	m.stage[obs.StageProbeTokenize] = reg.Histogram("stage_probe_tokenize_ns")
 	m.stage[obs.StageScore] = reg.Histogram("stage_score_ns")
 	m.stage[obs.StageScatter] = reg.Histogram("stage_scatter_ns")
@@ -131,23 +128,6 @@ func (m *Metrics) observeStage(stage obs.Stage, d time.Duration) {
 // /debug/vars surface, and /metrics flattens the same trees into
 // Prometheus samples.
 func registerServerMetrics(s *Server, reg *obs.Registry) {
-	reg.Func("batcher_flushes", func() any {
-		flushes, _ := s.BatchStats()
-		return flushes
-	})
-	reg.Func("batcher_batched_pairs", func() any {
-		_, pairs := s.BatchStats()
-		return pairs
-	})
-	reg.Func("batcher_mean_flush", func() any {
-		flushes, pairs := s.BatchStats()
-		if flushes == 0 {
-			return 0.0
-		}
-		return float64(pairs) / float64(flushes)
-	})
-	reg.Func("batcher_max_flush", func() any { return s.MaxFlush() })
-	reg.Func("batcher_queue_depth", func() any { return s.QueueDepth() })
 	reg.Func("served_pairs", func() any { return s.Served() })
 	reg.Func("model_swaps", func() any { return s.Swaps() })
 

@@ -17,7 +17,7 @@ import (
 )
 
 // syncBuf is a goroutine-safe strings.Builder for capturing slog output
-// (handlers may log from the batcher goroutine).
+// (concurrent handlers log from their own goroutines).
 type syncBuf struct {
 	mu sync.Mutex
 	sb strings.Builder
@@ -40,10 +40,7 @@ func (b *syncBuf) String() string {
 func newHTTPServer(t *testing.T, srv *Server) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return ts
 }
 
@@ -71,16 +68,15 @@ func scrapeMetrics(t *testing.T, base string) string {
 
 // TestMetricsEndToEnd drives every request kind through an obs-enabled
 // server and reads the whole story back off GET /metrics: request and
-// stage histograms counted, the migrated debug trees rendered, and —
-// with SlowRequest set below every request's latency — one structured
+// stage histograms counted, one stage histogram per obs.Stage under its
+// Stage.String() name, the migrated debug trees rendered, and — with
+// SlowRequest set below every request's latency — one structured
 // slow-request log line per request.
 func TestMetricsEndToEnd(t *testing.T) {
 	var logBuf syncBuf
 	reg := obs.NewRegistry()
 	w, m := trainedModel(t, 7)
 	srv := New(m, Config{
-		MaxBatch:    4,
-		MaxLinger:   time.Millisecond,
 		Obs:         reg,
 		SlowRequest: time.Nanosecond,
 		Logger:      slog.New(slog.NewJSONHandler(&logBuf, nil)),
@@ -105,16 +101,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"request_score_ns_count 1",
 		"request_resolve_ns_count 1",
 		"request_ingest_ns_count 2",
-		"stage_batch_wait_ns_count 1",
-		"stage_batch_assemble_ns_count 1",
-		"stage_score_batch_ns_count 1",
 		"stage_probe_tokenize_ns_count 1",
 		"stage_score_ns_count 1",
 		"stage_topk_merge_ns_count 1",
 		"slow_requests_total 4",
 		// The debug trees cmd/serve used to publish directly on expvar,
 		// flattened into Prometheus samples from the same registrations.
-		"batcher_flushes 1",
 		"served_pairs 1",
 		"match_store_records_indexed 1",
 		"match_store_resolves 1",
@@ -127,6 +119,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+	for s := 0; s < obs.NumStages; s++ {
+		if name := "stage_" + obs.Stage(s).String() + "_ns_count "; !strings.Contains(out, name) {
+			t.Errorf("scrape has no histogram for stage %d: missing %q", s, name)
+		}
+	}
 
 	logs := logBuf.String()
 	if got := strings.Count(logs, `"msg":"slow request"`); got != 4 {
@@ -134,7 +131,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	for _, want := range []string{
 		`"kind":"score"`, `"kind":"resolve"`, `"kind":"ingest"`,
-		`"request_id":1`, `"total_ns":`, `"topk_merge_ns":`, `"score_batch_ns":`,
+		`"request_id":1`, `"total_ns":`, `"topk_merge_ns":`,
 	} {
 		if !strings.Contains(logs, want) {
 			t.Errorf("slow log missing %s:\n%s", want, logs)

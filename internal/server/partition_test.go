@@ -166,7 +166,6 @@ func TestPartitionedDurableServer(t *testing.T) {
 		if _, err := gated.AddRecord([]string{"a", "b", "c", "d"}); !errors.Is(err, ErrStoreLoading) {
 			t.Errorf("add while replaying = %v, want ErrStoreLoading", err)
 		}
-		gated.Close()
 	}
 
 	n := w.NumRightRecords()
@@ -243,7 +242,6 @@ func TestPartitionedDurableServer(t *testing.T) {
 	}
 	liveBefore := srv.Live()
 	ts.Close()
-	srv.Close()
 
 	_, srv2, ts2, _ := newDurableServer(t, dir, 3)
 	if srv2.Live() != liveBefore {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,10 +10,9 @@ import (
 )
 
 // TestPooledScratchConcurrencyBitIdentical is the pooled-scratch race
-// gate (run under -race via `make race`): Score, ScoreBatch and
-// ExplainPair hammered concurrently through the Server — micro-batcher
-// included, so requests from different goroutines coalesce into shared
-// ScoreBatch flushes — must stay bit-identical to a fresh, unpooled
+// gate (run under -race via `make race`): Server.Score, Server.ScoreBatch
+// and Server.Explain hammered concurrently, so goroutines share the served
+// model's scratch pool, must stay bit-identical to a fresh, unpooled
 // model's serial answers. The reference model is a fresh Load of the
 // serving artifact whose pool has never been warmed beyond the serial
 // reference pass, so any cross-goroutine scratch corruption (stale
@@ -56,8 +54,7 @@ func TestPooledScratchConcurrencyBitIdentical(t *testing.T) {
 		wantWhy[i] = why
 	}
 
-	srv := New(m, Config{MaxBatch: 16, MaxLinger: 0})
-	defer srv.Close()
+	srv := New(m, Config{})
 
 	const goroutines = 12
 	const rounds = 30
@@ -70,8 +67,8 @@ func TestPooledScratchConcurrencyBitIdentical(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				i := (g*rounds + round) % n
 				switch g % 3 {
-				case 0: // single pairs through the micro-batcher
-					got, _, err := srv.Score(context.Background(), pairs[i])
+				case 0: // single pairs
+					got, _, err := srv.Score(pairs[i])
 					if err != nil {
 						errs <- err
 						return

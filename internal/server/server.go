@@ -1,7 +1,16 @@
+// Package server turns a trained learnrisk.Model into a network service:
+// an HTTP JSON API over an atomically hot-swappable model artifact and an
+// online record store.
+//
+// Scoring has no queue. Each request loads the served model snapshot once
+// and calls it directly: POST /v1/score runs Model.Score, POST
+// /v1/score/batch runs Model.ScoreBatch and POST /v1/explain runs Score and
+// ExplainPair. Concurrent requests score on their own goroutines over the
+// model's pooled scratch, and every verdict is bit-identical to calling
+// the model in process.
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -47,14 +56,6 @@ var (
 
 // Config sizes the serving front end. The zero value takes the defaults.
 type Config struct {
-	// MaxBatch is the micro-batcher's flush size (default 64): concurrent
-	// single-pair requests coalesce into ScoreBatch calls of at most this
-	// many pairs. 1 disables coalescing.
-	MaxBatch int
-	// MaxLinger bounds how long an under-full batch waits for company
-	// (default 2ms). 0 keeps flushes greedy: a batch takes what is queued
-	// and never waits — lowest latency, least coalescing.
-	MaxLinger time.Duration
 	// ModelPath, when set, is the default artifact the reload endpoint
 	// re-reads when the request names no path. It also anchors the reload
 	// allowlist: request-supplied paths must live in the same directory
@@ -93,12 +94,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
-	if c.MaxLinger == 0 {
-		c.MaxLinger = 2 * time.Millisecond
-	}
 	if c.Partitions <= 0 {
 		c.Partitions = 1
 	}
@@ -112,14 +107,13 @@ func (c Config) withDefaults() Config {
 }
 
 // Server serves one hot-swappable learnrisk.Model. The model lives behind
-// an atomic.Pointer: scoring paths snapshot it per request (or per batch
-// flush), Swap publishes a replacement, and because the artifact is
-// immutable, requests in flight during a swap complete on the snapshot
-// they started with — zero dropped requests, no locks on the hot path.
+// an atomic.Pointer: scoring paths snapshot it once per request, Swap
+// publishes a replacement, and because the artifact is immutable, requests
+// in flight during a swap complete on the snapshot they started with —
+// zero dropped requests, no locks on the hot path.
 type Server struct {
-	cfg     Config
-	model   atomic.Pointer[learnrisk.Model]
-	batcher *Batcher
+	cfg   Config
+	model atomic.Pointer[learnrisk.Model]
 
 	// store is the online record store behind /v1/records and /v1/resolve:
 	// Config.Partitions match partitions, record mutations routed by
@@ -188,7 +182,6 @@ func New(m *learnrisk.Model, cfg Config) *Server {
 	if s.cfg.MaxPending > 0 {
 		s.ingestSem = make(chan struct{}, s.cfg.MaxPending)
 	}
-	s.batcher = NewBatcher(&s.model, s.cfg.MaxBatch, s.cfg.MaxLinger)
 	if s.cfg.Obs != nil {
 		s.metrics = newMetrics(s.cfg.Obs, s.cfg.SlowRequest, s.cfg.Logger)
 		registerServerMetrics(s, s.cfg.Obs)
@@ -241,10 +234,6 @@ func (s *Server) releaseIngest() {
 	}
 }
 
-// Close drains and stops the micro-batcher. In-flight requests are
-// answered first.
-func (s *Server) Close() { s.batcher.Close() }
-
 // Model returns the currently-served model snapshot.
 func (s *Server) Model() *learnrisk.Model { return s.model.Load() }
 
@@ -254,29 +243,20 @@ func (s *Server) Served() int64 { return s.served.Load() }
 // Swaps returns how many model hot-swaps have been published.
 func (s *Server) Swaps() int64 { return s.swaps.Load() }
 
-// BatchStats reports the micro-batcher's coalescing: how many ScoreBatch
-// flushes it issued and how many single-pair requests rode them.
-func (s *Server) BatchStats() (flushes, pairs int64) { return s.batcher.Flushes() }
-
-// QueueDepth reports how many accepted single-pair requests are waiting to
-// join a batch (the micro-batcher's backpressure signal).
-func (s *Server) QueueDepth() int { return s.batcher.QueueDepth() }
-
-// MaxFlush reports the largest micro-batch flushed so far.
-func (s *Server) MaxFlush() int64 { return s.batcher.MaxFlush() }
-
-// Score risk-scores one pair through the micro-batcher and reports which
-// model snapshot produced the verdict.
-func (s *Server) Score(ctx context.Context, p learnrisk.Pair) (learnrisk.PairScore, string, error) {
-	score, fp, err := s.batcher.Submit(ctx, p)
-	if err == nil {
-		s.served.Add(1)
+// Score risk-scores one pair on the current model snapshot and returns the
+// verdict with that snapshot's fingerprint.
+func (s *Server) Score(p learnrisk.Pair) (learnrisk.PairScore, string, error) {
+	m := s.model.Load()
+	score, err := m.Score(p)
+	if err != nil {
+		return learnrisk.PairScore{}, "", err
 	}
-	return score, fp, err
+	s.served.Add(1)
+	return score, m.Fingerprint(), nil
 }
 
-// ScoreBatch risk-scores a client-assembled batch directly on the current
-// snapshot — it is already a batch, so it bypasses the micro-batcher.
+// ScoreBatch risk-scores a client-assembled batch on one model snapshot and
+// returns the verdicts, in input order, with that snapshot's fingerprint.
 func (s *Server) ScoreBatch(pairs []learnrisk.Pair) ([]learnrisk.PairScore, string, error) {
 	m := s.model.Load()
 	scores, err := m.ScoreBatch(pairs)

@@ -4,16 +4,46 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	learnrisk "repro"
 )
+
+// trainedModel trains one small model per seed and caches it across tests
+// (training dominates test wall-clock otherwise).
+var modelCache sync.Map // seed -> *learnrisk.Model
+
+func trainedModel(t testing.TB, seed uint64) (*learnrisk.Workload, *learnrisk.Model) {
+	t.Helper()
+	w, err := learnrisk.Generate("DS", 0.02, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := modelCache.Load(seed); ok {
+		return w, m.(*learnrisk.Model)
+	}
+	m, err := learnrisk.Train(context.Background(), w, learnrisk.Options{
+		RiskEpochs: 120, ClassifierEpochs: 12, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelCache.Store(seed, m)
+	return w, m
+}
+
+func freshPair(w *learnrisk.Workload, i int) learnrisk.Pair {
+	l, r := w.PairValues(i % w.Size())
+	return learnrisk.Pair{Left: l, Right: r}
+}
 
 // abOnce trains one model with a different schema (AB: 3 attributes) for
 // fingerprint-mismatch tests.
@@ -50,10 +80,7 @@ func newTestServer(t *testing.T, cfg Config) (*learnrisk.Workload, *learnrisk.Mo
 	w, m := trainedModel(t, 7)
 	srv := New(m, cfg)
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return w, m, srv, ts
 }
 
@@ -78,8 +105,91 @@ func postJSON(t *testing.T, url string, body any, out any) int {
 	return resp.StatusCode
 }
 
+// TestBatcherEquivalence pins single-vs-batch equivalence on the serving
+// path: pairs hammered from many goroutines through Server.Score and
+// client-assembled Server.ScoreBatch calls each get exactly one verdict,
+// bit-identical to calling Model.Score directly and stamped with the
+// served fingerprint, and Served counts every pair exactly once. Run under
+// -race by `make race`.
+func TestBatcherEquivalence(t *testing.T) {
+	w, m := trainedModel(t, 7)
+	srv := New(m, Config{})
+
+	const goroutines = 16
+	const perG = 40
+	const batch = 8
+	var wg sync.WaitGroup
+	var responses atomic.Int64
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			pairs := make([]learnrisk.Pair, perG)
+			for i := range pairs {
+				pairs[i] = freshPair(w, g*perG+i)
+			}
+			var got []learnrisk.PairScore
+			if g%2 == 0 {
+				for _, p := range pairs {
+					sc, fp, err := srv.Score(p)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if fp != m.Fingerprint() {
+						errs <- fmt.Errorf("fingerprint %.12s, want %.12s", fp, m.Fingerprint())
+						return
+					}
+					got = append(got, sc)
+				}
+			} else {
+				for lo := 0; lo < perG; lo += batch {
+					scs, fp, err := srv.ScoreBatch(pairs[lo : lo+batch])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if fp != m.Fingerprint() {
+						errs <- fmt.Errorf("fingerprint %.12s, want %.12s", fp, m.Fingerprint())
+						return
+					}
+					got = append(got, scs...)
+				}
+			}
+			if len(got) != perG {
+				errs <- fmt.Errorf("goroutine %d: %d verdicts for %d pairs", g, len(got), perG)
+				return
+			}
+			for i, p := range pairs {
+				want, err := m.Score(p)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got[i] != want {
+					errs <- fmt.Errorf("served score %+v != direct %+v", got[i], want)
+					return
+				}
+			}
+			responses.Add(int64(len(got)))
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := responses.Load(); got != goroutines*perG {
+		t.Fatalf("%d responses for %d requests", got, goroutines*perG)
+	}
+	if got := srv.Served(); got != goroutines*perG {
+		t.Fatalf("Served = %d, want %d", got, goroutines*perG)
+	}
+}
+
 func TestHTTPScoreMatchesDirect(t *testing.T) {
-	w, m, _, ts := newTestServer(t, Config{MaxBatch: 8, MaxLinger: time.Millisecond})
+	w, m, _, ts := newTestServer(t, Config{})
 	for i := 0; i < 5; i++ {
 		l, r := w.PairValues(i * 3 % w.Size())
 		var got ScoreResponse
@@ -253,7 +363,7 @@ func TestHTTPReload(t *testing.T) {
 	path := saveArtifactIn(t, dir, "next.json", m2)
 	srv := New(m, Config{ModelPath: base})
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	t.Cleanup(ts.Close)
 
 	var rel ReloadResponse
 	if code := postJSON(t, ts.URL+"/v1/model/reload", ReloadRequest{Path: path}, &rel); code != http.StatusOK {
@@ -300,7 +410,7 @@ func TestHTTPReloadErrors(t *testing.T) {
 	base := saveArtifactIn(t, dir, "base.json", m)
 	srv := New(m, Config{ModelPath: base})
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	t.Cleanup(ts.Close)
 
 	// Escape attempts: absolute path elsewhere, and dot-dot traversal.
 	for _, p := range []string{"/etc/passwd", filepath.Join(dir, "..", "evil.json")} {
@@ -332,18 +442,18 @@ func TestHTTPReloadErrors(t *testing.T) {
 }
 
 // TestHTTPConcurrentMixedTraffic drives the acceptance shape end to end:
-// mixed single/batch/explain traffic from many clients over real HTTP,
-// with a hot swap in the middle, zero failed requests, and micro-batched
-// scores bit-identical to direct Score. `make race` runs it under -race.
+// mixed single/batch traffic from many clients over real HTTP, with a hot
+// swap in the middle, zero failed requests, and single-pair scores
+// bit-identical to direct Score. `make race` runs it under -race.
 func TestHTTPConcurrentMixedTraffic(t *testing.T) {
 	dir := t.TempDir()
 	w, m := trainedModel(t, 7)
 	_, m2 := trainedModel(t, 11)
 	base := saveArtifactIn(t, dir, "base.json", m)
 	path := saveArtifactIn(t, dir, "next.json", m2)
-	srv := New(m, Config{MaxBatch: 16, MaxLinger: time.Millisecond, ModelPath: base})
+	srv := New(m, Config{ModelPath: base})
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	t.Cleanup(ts.Close)
 
 	const clients = 10
 	const perClient = 20
@@ -355,7 +465,7 @@ func TestHTTPConcurrentMixedTraffic(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				l, r := w.PairValues((c*perClient + i) % w.Size())
 				switch i % 3 {
-				case 0, 1: // single, micro-batched
+				case 0, 1: // single pair
 					var got ScoreResponse
 					if code := postJSON(t, ts.URL+"/v1/score", PairRequest{Left: l, Right: r}, &got); code != http.StatusOK {
 						t.Errorf("client %d: score status %d", c, code)
@@ -398,32 +508,139 @@ func TestHTTPConcurrentMixedTraffic(t *testing.T) {
 	if srv.Served() == 0 {
 		t.Fatal("served counter did not move")
 	}
-	flushes, pairs := srv.BatchStats()
-	t.Logf("mixed traffic: served=%d, micro-batched %d pairs in %d flushes", srv.Served(), pairs, flushes)
 }
 
-// TestServerScoreAfterClose: the HTTP layer surfaces ErrClosed as 503.
-func TestServerScoreAfterClose(t *testing.T) {
-	w, m := trainedModel(t, 7)
-	srv := New(m, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	srv.Close()
-	l, r := w.PairValues(0)
-	var e errorResponse
-	if code := postJSON(t, ts.URL+"/v1/score", PairRequest{Left: l, Right: r}, &e); code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503 (%s)", code, e.Error)
+// TestHTTPScoreIsolatesBadPairs is per-request error isolation over real
+// HTTP: concurrent POST /v1/score requests mix well-formed pairs with pairs
+// of the wrong arity. Every bad request gets its own 400, and every good
+// one a verdict bit-identical to Model.Score.
+func TestHTTPScoreIsolatesBadPairs(t *testing.T) {
+	w, m, srv, ts := newTestServer(t, Config{})
+	const clients, perClient = 8, 12
+	var wg sync.WaitGroup
+	var good atomic.Int64
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				pair := freshPair(w, c*perClient+i)
+				if (c+i)%2 == 0 {
+					var e errorResponse
+					bad := PairRequest{Left: pair.Left[:1], Right: pair.Right}
+					if code := postJSON(t, ts.URL+"/v1/score", bad, &e); code != http.StatusBadRequest || e.Error == "" {
+						t.Errorf("client %d: wrong-arity pair got status %d (error %q), want 400", c, code, e.Error)
+					}
+					continue
+				}
+				var got ScoreResponse
+				if code := postJSON(t, ts.URL+"/v1/score", PairRequest{Left: pair.Left, Right: pair.Right}, &got); code != http.StatusOK {
+					t.Errorf("client %d: good pair got status %d", c, code)
+					continue
+				}
+				want, err := m.Score(pair)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				gotPS := learnrisk.PairScore{Prob: got.Prob, Match: got.Match, Risk: got.Risk, Mu: got.Mu, Sigma: got.Sigma}
+				if gotPS != want || got.ModelFingerprint != m.Fingerprint() {
+					t.Errorf("client %d: served %+v, Model.Score %+v", c, got, want)
+				}
+				good.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	if want := int64(clients * perClient / 2); good.Load() != want || srv.Served() != want {
+		t.Fatalf("answered %d good pairs and counted %d served, want %d of each", good.Load(), srv.Served(), want)
+	}
+}
+
+// TestHotSwapUnderLoad is the zero-dropped-requests criterion: while N
+// goroutines score through Server.Score, the model is swapped repeatedly
+// between two distinct artifacts. Every request must be answered, with a
+// score bit-identical to direct Score on one of the two models.
+func TestHotSwapUnderLoad(t *testing.T) {
+	w, mA := trainedModel(t, 7)
+	_, mB := trainedModel(t, 11) // same schema, different weights
+	if mA.Fingerprint() != mB.Fingerprint() {
+		t.Fatal("test premise: both models share the schema fingerprint")
+	}
+	srv := New(mA, Config{})
+
+	stop := make(chan struct{})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		models := [2]*learnrisk.Model{mB, mA}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := srv.Swap(models[i%2], false); err != nil {
+				t.Errorf("swap: %v", err)
+				return
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+
+	const goroutines = 12
+	const perG = 30
+	var wg sync.WaitGroup
+	var answered atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				pair := freshPair(w, g*perG+i)
+				got, _, err := srv.Score(pair)
+				if err != nil {
+					t.Errorf("score: %v", err)
+					return
+				}
+				answered.Add(1)
+				// The fingerprint cannot identify the snapshot (both models
+				// share the schema), so check against both: the verdict must
+				// be bit-identical to one of the two artifacts' direct Score.
+				wantA, errA := mA.Score(pair)
+				wantB, errB := mB.Score(pair)
+				if errA != nil || errB != nil {
+					t.Errorf("direct score: %v %v", errA, errB)
+					return
+				}
+				if got != wantA && got != wantB {
+					t.Errorf("swapped score %+v matches neither model (%+v / %+v)", got, wantA, wantB)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-swapped
+	if got := answered.Load(); got != goroutines*perG {
+		t.Fatalf("answered %d of %d requests across %d swaps", got, goroutines*perG, srv.Swaps())
+	}
+	if srv.Swaps() < 2 {
+		t.Fatalf("only %d swaps happened; the test did not exercise hot-swap", srv.Swaps())
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.MaxBatch != 64 || cfg.MaxLinger != 2*time.Millisecond {
+	if cfg.Partitions != 1 || cfg.MaxPending != 256 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
-	// Explicit values survive.
-	cfg = Config{MaxBatch: 3, MaxLinger: time.Second}.withDefaults()
-	if cfg.MaxBatch != 3 || cfg.MaxLinger != time.Second {
+	// Explicit values survive; a negative MaxPending disables the gate.
+	cfg = Config{Partitions: 4, MaxPending: 8}.withDefaults()
+	if cfg.Partitions != 4 || cfg.MaxPending != 8 {
 		t.Fatalf("explicit config clobbered: %+v", cfg)
+	}
+	if cfg = (Config{MaxPending: -1}).withDefaults(); cfg.MaxPending != 0 {
+		t.Fatalf("MaxPending -1 = %d, want 0 (gate off)", cfg.MaxPending)
 	}
 }

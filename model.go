@@ -244,9 +244,9 @@ func (m *Model) Score(p Pair) (PairScore, error) {
 }
 
 // scoreBatchChunk is the shard granularity of ScoreBatch: small enough
-// that a micro-batcher flush (default 64 pairs) spreads across cores,
-// large enough that the per-chunk scratch checkout and the one-pair side
-// cache still amortize.
+// that a client batch of 64 pairs spreads across cores, large enough that
+// the per-chunk scratch checkout and the one-pair side cache still
+// amortize.
 const scoreBatchChunk = 16
 
 // ScoreBatch risk-scores a batch of fresh candidate pairs, sharding the

@@ -17,8 +17,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// servingBenchBatch is the batch size of the ScoreBatch bench — the upper
-// end of the micro-batcher's default flush size (internal/server MaxBatch).
+// servingBenchBatch is the batch size of the ScoreBatch bench: a
+// client-assembled POST /v1/score/batch of 64 pairs.
 const servingBenchBatch = 64
 
 var (
@@ -74,8 +74,8 @@ func BenchmarkServeScore(b *testing.B) {
 	}
 }
 
-// BenchmarkServeScoreBatch measures batch scoring at the micro-batcher's
-// flush size; ns/pair is the number to compare across PRs.
+// BenchmarkServeScoreBatch measures batch scoring of servingBenchBatch
+// pairs; ns/pair is the number to compare across PRs.
 func BenchmarkServeScoreBatch(b *testing.B) {
 	m, pairs := servingSetup(b)
 	batch := pairs[:servingBenchBatch]
