@@ -8,7 +8,7 @@
 package learnrisk_test
 
 import (
-	"errors"
+	"context"
 	"testing"
 
 	learnrisk "repro"
@@ -19,6 +19,7 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/pipeline"
 	"repro/internal/rules"
 )
 
@@ -115,17 +116,10 @@ func BenchmarkFig13RiskTraining(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs, sts := lab.GenerateFeatures()
-	insts, bad := core.BuildInstances(compileRules(b, lab, rs).Apply(lab.ValidX), lab.ValidLab)
+	cfg := core.Config{Epochs: lab.Settings.RiskEpochs, Seed: lab.Settings.Seed}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model, err := core.New(core.BuildFeatures(rs, sts), core.Config{
-			Epochs: lab.Settings.RiskEpochs, Seed: lab.Settings.Seed,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := model.Fit(insts, bad); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
+		if _, err := pipeline.Fit(context.Background(), lab.Features, lab.ValidX, lab.ValidLab, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,53 +148,48 @@ func BenchmarkFig14ActiveLearning(b *testing.B) {
 // --- ablation benches (one design decision of the risk model each) ---
 
 // ablationLab prepares one shared setup for the ablation benches.
-func ablationLab(b *testing.B) (*experiments.Lab, []rules.Rule, []rules.Stat) {
+func ablationLab(b *testing.B) *experiments.Lab {
 	b.Helper()
 	lab, err := experiments.NewLab("DS", "3:2:5", benchSettings(9))
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs, sts := lab.GenerateFeatures()
-	return lab, rs, sts
+	return lab
 }
 
-func runRiskVariant(b *testing.B, lab *experiments.Lab, rs []rules.Rule, sts []rules.Stat, cfg core.Config) float64 {
+// runRiskVariant fits a risk model over f on the lab's validation part and
+// returns its AUROC on the test part.
+func runRiskVariant(b *testing.B, lab *experiments.Lab, f pipeline.Features, cfg core.Config) float64 {
 	b.Helper()
 	cfg.Epochs = lab.Settings.RiskEpochs
 	cfg.Seed = lab.Settings.Seed
-	model, err := core.New(core.BuildFeatures(rs, sts), cfg)
+	model, err := pipeline.Fit(context.Background(), f, lab.ValidX, lab.ValidLab, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rset := compileRules(b, lab, rs)
-	validInsts, validBad := core.BuildInstances(rset.Apply(lab.ValidX), lab.ValidLab)
-	if err := model.Fit(validInsts, validBad); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
-		b.Fatal(err)
-	}
-	testInsts, testBad := core.BuildInstances(rset.Apply(lab.TestX), lab.TestLab)
-	return eval.AUROC(model.RiskAll(testInsts), testBad)
+	return eval.AUROC(pipeline.Risks(model, f, lab.TestX, lab.TestLab), lab.Mislabels())
 }
 
-// compileRules compiles rs over the lab's metric width, failing the
-// benchmark on a schema/rule mismatch.
-func compileRules(b *testing.B, lab *experiments.Lab, rs []rules.Rule) *rules.RuleSet {
+// compileRules builds features from rs over the lab's training rows,
+// failing the benchmark on a schema/rule mismatch.
+func compileRules(b *testing.B, lab *experiments.Lab, rs []rules.Rule) pipeline.Features {
 	b.Helper()
-	rset, err := rules.Compile(rs, len(lab.Cat.Metrics))
+	f, err := pipeline.Compile(rs, len(lab.Cat.Metrics), lab.TrainX, lab.TrainY)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rset
+	return f
 }
 
 // BenchmarkAblationNoVariance drops the sigma term (risk = expectation
 // only), quantifying the paper's fluctuation-risk argument.
 func BenchmarkAblationNoVariance(b *testing.B) {
-	lab, rs, sts := ablationLab(b)
+	lab := ablationLab(b)
 	var full, ablated float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		full = runRiskVariant(b, lab, rs, sts, core.Config{})
-		ablated = runRiskVariant(b, lab, rs, sts, core.Config{NoVariance: true})
+		full = runRiskVariant(b, lab, lab.Features, core.Config{})
+		ablated = runRiskVariant(b, lab, lab.Features, core.Config{NoVariance: true})
 	}
 	b.ReportMetric(full, "AUROC-full")
 	b.ReportMetric(ablated, "AUROC-novariance")
@@ -209,12 +198,12 @@ func BenchmarkAblationNoVariance(b *testing.B) {
 // BenchmarkAblationTruncatedInference compares truncated-normal scoring
 // with the smooth surrogate used during training.
 func BenchmarkAblationTruncatedInference(b *testing.B) {
-	lab, rs, sts := ablationLab(b)
+	lab := ablationLab(b)
 	var truncated, surrogate float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		truncated = runRiskVariant(b, lab, rs, sts, core.Config{})
-		surrogate = runRiskVariant(b, lab, rs, sts, core.Config{UntruncatedInference: true})
+		truncated = runRiskVariant(b, lab, lab.Features, core.Config{})
+		surrogate = runRiskVariant(b, lab, lab.Features, core.Config{UntruncatedInference: true})
 	}
 	b.ReportMetric(truncated, "AUROC-truncated")
 	b.ReportMetric(surrogate, "AUROC-surrogate")
@@ -224,20 +213,19 @@ func BenchmarkAblationTruncatedInference(b *testing.B) {
 // two-sided CART-forest labeling rules (Section 7.3's finding: two-sided
 // rules have limited efficacy for risk).
 func BenchmarkAblationTwoSidedRules(b *testing.B) {
-	lab, oneSided, oneStats := ablationLab(b)
+	lab := ablationLab(b)
 	rows := make([]int, len(lab.TrainX))
 	for i := range rows {
 		rows[i] = i
 	}
 	forest := dtree.BuildForest(lab.TrainX, lab.TrainY, rows, lab.Cat.Names(), 10,
 		dtree.CARTConfig{MaxDepth: 3, Seed: 9})
-	twoSided := forest.Rules()
-	twoStats := compileRules(b, lab, twoSided).Stats(lab.TrainX, lab.TrainY)
+	twoSided := compileRules(b, lab, forest.Rules())
 	var one, two float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		one = runRiskVariant(b, lab, oneSided, oneStats, core.Config{})
-		two = runRiskVariant(b, lab, twoSided, twoStats, core.Config{})
+		one = runRiskVariant(b, lab, lab.Features, core.Config{})
+		two = runRiskVariant(b, lab, twoSided, core.Config{})
 	}
 	b.ReportMetric(one, "AUROC-onesided")
 	b.ReportMetric(two, "AUROC-twosided")
@@ -246,12 +234,13 @@ func BenchmarkAblationTwoSidedRules(b *testing.B) {
 // BenchmarkAblationNoRuleFeatures keeps only the classifier-output feature
 // (no interpretable rules), which degenerates toward the Baseline method.
 func BenchmarkAblationNoRuleFeatures(b *testing.B) {
-	lab, rs, sts := ablationLab(b)
+	lab := ablationLab(b)
+	noRules := compileRules(b, lab, nil)
 	var withRules, without float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		withRules = runRiskVariant(b, lab, rs, sts, core.Config{})
-		without = runRiskVariant(b, lab, nil, nil, core.Config{})
+		withRules = runRiskVariant(b, lab, lab.Features, core.Config{})
+		without = runRiskVariant(b, lab, noRules, core.Config{})
 	}
 	b.ReportMetric(withRules, "AUROC-withrules")
 	b.ReportMetric(without, "AUROC-norules")
@@ -275,17 +264,12 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 // BenchmarkRiskScoring measures per-pair scoring throughput of a trained
 // model (the serving-time cost of risk analysis).
 func BenchmarkRiskScoring(b *testing.B) {
-	lab, rs, sts := ablationLab(b)
-	model, err := core.New(core.BuildFeatures(rs, sts), core.Config{Epochs: 50, Seed: 9})
+	lab := ablationLab(b)
+	model, err := pipeline.Fit(context.Background(), lab.Features, lab.ValidX, lab.ValidLab, core.Config{Epochs: 50, Seed: 9}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rset := compileRules(b, lab, rs)
-	validInsts, validBad := core.BuildInstances(rset.Apply(lab.ValidX), lab.ValidLab)
-	if err := model.Fit(validInsts, validBad); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
-		b.Fatal(err)
-	}
-	testInsts, _ := core.BuildInstances(rset.Apply(lab.TestX), lab.TestLab)
+	testInsts, _ := core.BuildInstances(lab.Features.Set.Apply(lab.TestX), lab.TestLab)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		model.Risk(testInsts[i%len(testInsts)])
@@ -295,7 +279,8 @@ func BenchmarkRiskScoring(b *testing.B) {
 // BenchmarkRuleEvaluation measures rule-firing throughput (feature
 // extraction at serving time).
 func BenchmarkRuleEvaluation(b *testing.B) {
-	lab, rs, _ := ablationLab(b)
+	lab := ablationLab(b)
+	rs := lab.Features.Rules
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := lab.TestX[i%len(lab.TestX)]

@@ -17,7 +17,7 @@ import (
 	"repro/internal/featstore"
 	"repro/internal/metrics"
 	"repro/internal/par"
-	"repro/internal/rules"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
@@ -218,45 +218,28 @@ func scorePool(ctx context.Context, st *featstore.Store, m *classifier.Matcher,
 func learnRiskScores(ctx context.Context, st *featstore.Store, m *classifier.Matcher,
 	labeled, unlabeled []int, poolProbs []float64, cfg Config) ([]float64, error) {
 
-	w, cat := st.Workload(), st.Catalog()
+	w := st.Workload()
 	trainX := st.Rows(labeled)
-	y := make([]bool, len(labeled))
-	for k, i := range labeled {
-		y[k] = w.Pairs[i].Match
-	}
-	rs, err := dtree.GenerateRiskFeaturesCtx(ctx, trainX, y, cat.Names(), cfg.RuleGen)
-	if err != nil {
-		return nil, err
-	}
-	rset, err := rules.Compile(rs, st.Width())
-	if err != nil {
-		return nil, err
-	}
-	sts := rset.Stats(trainX, y)
-	feats := core.BuildFeatures(rs, sts)
-
-	model, err := core.New(feats, cfg.Risk)
-	if err != nil {
-		return nil, err
-	}
 	labTrain := m.LabelRows(w, labeled, trainX)
-	trainInsts, mislabeled := core.BuildInstances(rset.Apply(trainX), labTrain)
-	// A perfect classifier on the labeled set leaves nothing to rank on;
-	// fall back to entropy scores in that case.
-	if err := model.FitCtx(ctx, trainInsts, mislabeled, nil); err != nil {
-		if errors.Is(err, core.ErrNoTrainingSignal) {
-			out := make([]float64, len(unlabeled))
-			for k := range unlabeled {
-				out[k] = classifier.Entropy(poolProbs[k])
-			}
-			return out, nil
+	// A perfect classifier on the labeled set (or one wrong on every pair)
+	// leaves nothing to rank on; fall back to entropy scores in that case.
+	if bad := labTrain.MislabelCount(); bad == 0 || bad == len(labeled) {
+		out := make([]float64, len(unlabeled))
+		for k := range unlabeled {
+			out[k] = classifier.Entropy(poolProbs[k])
 		}
+		return out, nil
+	}
+	feats, err := pipeline.Generate(ctx, trainX, labTrain.Truth, st.Catalog().Names(), cfg.RuleGen)
+	if err != nil {
+		return nil, err
+	}
+	model, err := pipeline.Fit(ctx, feats, trainX, labTrain, cfg.Risk, nil)
+	if err != nil {
 		return nil, err
 	}
 	poolX := st.Rows(unlabeled)
-	labPool := m.LabelRows(w, unlabeled, poolX)
-	poolInsts, _ := core.BuildInstances(rset.Apply(poolX), labPool)
-	return model.RiskAll(poolInsts), nil
+	return pipeline.Risks(model, feats, poolX, m.LabelRows(w, unlabeled, poolX)), nil
 }
 
 // topK returns the k indices with the highest scores (deterministic

@@ -1,12 +1,15 @@
 package active
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/classifier"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/dtree"
+	"repro/internal/featstore"
 	"repro/internal/metrics"
 )
 
@@ -150,5 +153,45 @@ func TestSeedSplitStratified(t *testing.T) {
 	}
 	if !hasPos || !hasNeg {
 		t.Error("seed set must contain both classes")
+	}
+}
+
+// TestLearnRiskScoresWithoutSignalFallBackToEntropy: when the matcher labels
+// the labeled set without a single mistake, or gets every pair wrong, no
+// risk model can be fitted, and the LearnRisk selector scores the pool by
+// the entropy of its classifier probabilities.
+func TestLearnRiskScoresWithoutSignalFallBackToEntropy(t *testing.T) {
+	st := featstore.New(testW, testCat)
+	m, err := classifier.TrainRows(testW, testCat, pool[:100], st.Rows(pool[:100]), classifier.Config{Epochs: 15, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := m.LabelRows(testW, pool, st.Rows(pool))
+	var right, wrong []int
+	for k, i := range pool {
+		if lab.Mislabeled(k) {
+			wrong = append(wrong, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	if len(right) < 40 || len(wrong) == 0 {
+		t.Fatalf("fixture: %d correctly and %d wrongly labeled pool pairs", len(right), len(wrong))
+	}
+	unlabeled := test[:60]
+	poolRows := st.Rows(unlabeled)
+	for _, tc := range []struct {
+		name    string
+		labeled []int
+	}{{"no mistake", right[:40]}, {"no correct pair", wrong}} {
+		scores, err := scorePool(context.Background(), st, m, tc.labeled, unlabeled, LearnRisk, smallCfg(3).withDefaults())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for k, row := range poolRows {
+			if want := classifier.Entropy(m.ProbRow(row)); math.Float64bits(scores[k]) != math.Float64bits(want) {
+				t.Fatalf("%s: pool pair %d scored %v, want its entropy %v", tc.name, unlabeled[k], scores[k], want)
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package active
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sort"
 
@@ -11,7 +11,7 @@ import (
 	"repro/internal/dtree"
 	"repro/internal/featstore"
 	"repro/internal/metrics"
-	"repro/internal/rules"
+	"repro/internal/pipeline"
 )
 
 // RiskTrainConfig controls risk-aware classifier training, the second
@@ -66,39 +66,28 @@ func RiskAwareTrain(w *dataset.Workload, cat *metrics.Catalog, labeled, target [
 	cfg RiskTrainConfig) (*RiskTrainResult, error) {
 
 	cfg = cfg.withDefaults()
+	ctx := context.Background()
 	st := featstore.New(w, cat)
 	labeledX := st.Rows(labeled)
-	base, err := classifier.TrainRows(w, cat, labeled, labeledX, withSeed(cfg.Classifier, cfg.Seed))
-	if err != nil {
-		return nil, fmt.Errorf("active: base training: %w", err)
-	}
-
-	// Risk model from the labeled data (truth known there).
 	y := make([]bool, len(labeled))
 	for k, i := range labeled {
 		y[k] = w.Pairs[i].Match
 	}
-	rs := dtree.GenerateRiskFeatures(labeledX, y, cat.Names(), cfg.RuleGen)
-	rset, err := rules.Compile(rs, st.Width())
+	// Base classifier and risk features from the labeled data (truth known
+	// there), then the risk model fitted on the base classifier's labels.
+	base, feats, err := pipeline.MatcherAndFeatures(ctx, cat, labeledX, y, withSeed(cfg.Classifier, cfg.Seed), cfg.RuleGen, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("active: base training: %w", err)
 	}
-	sts := rset.Stats(labeledX, y)
-	model, err := core.New(core.BuildFeatures(rs, sts), cfg.Risk)
+	model, err := pipeline.Fit(ctx, feats, labeledX, base.LabelRows(w, labeled, labeledX), cfg.Risk, nil)
 	if err != nil {
-		return nil, err
-	}
-	labLabeled := base.LabelRows(w, labeled, labeledX)
-	insts, bad := core.BuildInstances(rset.Apply(labeledX), labLabeled)
-	if err := model.Fit(insts, bad); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
 		return nil, err
 	}
 
 	// Score the target pairs and adopt the safest machine labels.
 	targetX := st.Rows(target)
 	labTarget := base.LabelRows(w, target, targetX)
-	targetInsts, _ := core.BuildInstances(rset.Apply(targetX), labTarget)
-	risks := model.RiskAll(targetInsts)
+	risks := pipeline.Risks(model, feats, targetX, labTarget)
 
 	order := make([]int, len(target))
 	for k := range order {
@@ -107,36 +96,21 @@ func RiskAwareTrain(w *dataset.Workload, cat *metrics.Catalog, labeled, target [
 	sort.SliceStable(order, func(a, b int) bool { return risks[order[a]] < risks[order[b]] })
 	limit := int(cfg.PseudoFraction * float64(len(target)))
 
-	// Retrain on labeled (true labels) plus pseudo-labeled target pairs.
-	// The pseudo workload reuses the record tables; pseudo pairs carry the
-	// machine label as their (possibly wrong) ground truth. The metric rows
-	// of every pseudo pair are already in the store, so retraining reuses
-	// them instead of recomputing features.
-	pseudo := &dataset.Workload{Name: w.Name + "+pseudo", Left: w.Left, Right: w.Right}
-	var trainIdx []int
-	var trainRows [][]float64
-	for k, i := range labeled {
-		pseudo.Pairs = append(pseudo.Pairs, w.Pairs[i])
-		trainIdx = append(trainIdx, len(pseudo.Pairs)-1)
-		trainRows = append(trainRows, labeledX[k])
-	}
-	adopted := 0
+	// Retrain on labeled (true labels) plus pseudo-labeled target pairs,
+	// whose flags are the machine labels (possibly wrong). Their metric rows
+	// are already in the store.
+	rows := append([][]float64(nil), labeledX...)
 	for _, k := range order[:limit] {
 		if risks[k] > cfg.MaxRisk {
 			break
 		}
-		p := w.Pairs[target[k]]
-		p.Match = labTarget.Label[k] // machine label as pseudo ground truth
-		pseudo.Pairs = append(pseudo.Pairs, p)
-		trainIdx = append(trainIdx, len(pseudo.Pairs)-1)
-		trainRows = append(trainRows, targetX[k])
-		adopted++
+		rows = append(rows, targetX[k])
+		y = append(y, labTarget.Label[k])
 	}
 
-	retrainCfg := withSeed(cfg.Classifier, cfg.Seed+1)
-	retrained, err := classifier.TrainRows(pseudo, cat, trainIdx, trainRows, retrainCfg)
+	retrained, err := classifier.TrainRowsFlagsCtx(ctx, cat, rows, y, withSeed(cfg.Classifier, cfg.Seed+1), nil)
 	if err != nil {
 		return nil, fmt.Errorf("active: retraining: %w", err)
 	}
-	return &RiskTrainResult{Base: base, Retrained: retrained, PseudoLabels: adopted}, nil
+	return &RiskTrainResult{Base: base, Retrained: retrained, PseudoLabels: len(rows) - len(labeled)}, nil
 }

@@ -12,7 +12,7 @@
 //     //vetkit: function annotations (collected across ALL module packages,
 //     so a hot-path call into another package can check the callee's
 //     annotation), //vetkit:allow line suppressions, and a shared KV store
-//     for analyzers that need cross-package aggregation (expvarlint's
+//     for analyzers that need cross-package aggregation (metriclint's
 //     "registered exactly once").
 //   - The loader (load.go) type-checks packages offline from `go list
 //     -export` output, so the suite runs with no network and no module

@@ -1,13 +1,12 @@
-// Package metriclint keeps the obs.Registry metric surface consistent,
-// the way expvarlint does for raw expvar: every metric registered
-// anywhere in the tree (Registry.Counter, Gauge, Histogram, Func) must be
-// named by a snake_case string literal, and each name must be registered
-// exactly once across the whole program — a duplicate registration panics
-// at runtime, which a test that never constructs that exact server shape
-// will not catch.
+// Package metriclint keeps the obs.Registry metric surface consistent:
+// every metric registered anywhere in the tree (Registry.Counter, Gauge,
+// Histogram, Func) must be named by a snake_case string literal, and each
+// name must be registered exactly once across the whole program — a
+// duplicate registration panics at runtime, which a test that never
+// constructs that exact server shape will not catch. The registry mirrors
+// these names into expvar, so they are the tree's only expvar names.
 //
-// It adds one check expvarlint has no analogue for: registration is
-// forbidden inside //vetkit:hotpath functions. Registering takes the
+// Registration is also forbidden inside //vetkit:hotpath functions. Registering takes the
 // registry lock and allocates; hotpath code must only *observe* into
 // instruments it was handed at construction time.
 //

@@ -1,15 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"time"
-
 	"strings"
+	"time"
 
 	"repro/internal/active"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/dtree"
+	"repro/internal/eval"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
 
@@ -219,29 +221,26 @@ func Fig11(profile string, pairs, reps int, s Settings) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, sts := lab.GenerateFeatures()
-	_ = sts
+	model, err := pipeline.Fit(context.Background(), lab.Features, lab.ValidX, lab.ValidLab, lab.riskConfig(), nil)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig11Result{Dataset: profile, Reps: reps, PairsPer: pairs}
 	for rep := 0; rep < reps; rep++ {
 		// Subsample the test part; rows come straight from the lab's store.
 		sub := subsample(lab.Split.Test, pairs, s.Seed+uint64(rep)*13)
-		subX := rulesMatrix(lab, sub)
+		subX := lab.Store.Rows(sub)
 		subLab := lab.Matcher.LabelRows(lab.W, sub, subX)
 		bad := make([]bool, len(sub))
 		for k := range sub {
 			bad[k] = subLab.Mislabeled(k)
 		}
-
-		lrScores, err := learnRiskOn(lab, rs, sub, subX, subLab)
+		hcScores, err := lab.HoloCleanScores(subX, subLab)
 		if err != nil {
 			return nil, err
 		}
-		hcScores, _, err := holoCleanOn(lab, subX, subLab)
-		if err != nil {
-			return nil, err
-		}
-		res.LearnRisk += auroc(lrScores, bad)
-		res.HoloClean += auroc(hcScores, bad)
+		res.LearnRisk += eval.AUROC(pipeline.Risks(model, lab.Features, subX, subLab), bad)
+		res.HoloClean += eval.AUROC(hcScores, bad)
 	}
 	res.LearnRisk /= float64(reps)
 	res.HoloClean /= float64(reps)
@@ -279,7 +278,7 @@ func Fig12Random(profile string, fracs []float64, s Settings) ([]SensitivityPoin
 			return nil, err
 		}
 		out = append(out, SensitivityPoint{
-			Label: fmt.Sprintf("%g%%", f*100), Size: n, AUROC: auroc(scores, bad),
+			Label: fmt.Sprintf("%g%%", f*100), Size: n, AUROC: eval.AUROC(scores, bad),
 		})
 	}
 	return out, nil
@@ -316,7 +315,7 @@ func Fig12Active(profile string, sizes []int, s Settings) ([]SensitivityPoint, e
 			return nil, err
 		}
 		out = append(out, SensitivityPoint{
-			Label: fmt.Sprintf("#%d", n), Size: n, AUROC: auroc(scores, bad),
+			Label: fmt.Sprintf("#%d", n), Size: n, AUROC: eval.AUROC(scores, bad),
 		})
 	}
 	return out, nil
@@ -356,17 +355,16 @@ func Fig13RiskTraining(profile string, sizes []int, s Settings) ([]ScalabilityPo
 	if err != nil {
 		return nil, err
 	}
-	rs, sts := lab.GenerateFeatures()
 	var out []ScalabilityPoint
 	for _, n := range sizes {
 		if n > len(lab.Split.Valid) {
 			n = len(lab.Split.Valid)
 		}
 		idx := lab.Split.Valid[:n]
-		X := rulesMatrix(lab, idx)
+		X := lab.Store.Rows(idx)
 		labTrain := lab.Matcher.LabelRows(lab.W, idx, X)
 		start := time.Now()
-		if err := trainRiskModel(lab, rs, sts, X, labTrain); err != nil {
+		if _, err := pipeline.Fit(context.Background(), lab.Features, X, labTrain, lab.riskConfig(), nil); err != nil {
 			return nil, err
 		}
 		out = append(out, ScalabilityPoint{Size: n, Seconds: time.Since(start).Seconds()})
@@ -491,10 +489,6 @@ func subsample(idx []int, n int, seed uint64) []int {
 		out[k] = idx[j]
 	}
 	return out
-}
-
-func rulesMatrix(lab *Lab, idx []int) [][]float64 {
-	return lab.Store.Rows(idx)
 }
 
 func absf(x float64) float64 {

@@ -4,10 +4,16 @@
 // print.go renders them as the rows/series the paper reports. The bench
 // harness (bench_test.go at the repository root) and cmd/experiments both
 // drive this package.
+//
+// The LearnRisk method runs the training stages of internal/pipeline, the
+// ones the facade's Train runs: a Lab trains its classifier and generates
+// its risk features once, and every risk model is a pipeline.Fit over
+// them. Rows come from the lab's featstore.Store rather than Train's
+// streamed windows.
 package experiments
 
 import (
-	"errors"
+	"context"
 	"fmt"
 
 	"repro/internal/baselines"
@@ -19,7 +25,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/featstore"
 	"repro/internal/metrics"
-	"repro/internal/rules"
+	"repro/internal/pipeline"
 )
 
 // Settings scales the experiments. Quick is sized for unit tests and CI;
@@ -52,10 +58,11 @@ func Default() Settings {
 }
 
 // Lab is one prepared experimental setup: a generated workload, its split,
-// a trained classifier and its labelings — everything the five risk
-// methods consume. All metric matrices are views into the lab's feature
-// store, so repeated evaluations (subsample sweeps, ensemble members,
-// sensitivity curves) never recompute a pair's metrics.
+// a trained classifier with its labelings, and the risk features generated
+// from the classifier's training data — everything the five risk methods
+// consume. All metric matrices are views into the lab's feature store, so
+// repeated evaluations (subsample sweeps, ensemble members, sensitivity
+// curves) never recompute a pair's metrics.
 type Lab struct {
 	Settings Settings
 	W        *dataset.Workload
@@ -63,6 +70,7 @@ type Lab struct {
 	Store    *featstore.Store
 	Split    dataset.Split
 	Matcher  *classifier.Matcher
+	Features pipeline.Features
 	ValidLab classifier.Labeled
 	TestLab  classifier.Labeled
 	TrainX   [][]float64
@@ -72,7 +80,8 @@ type Lab struct {
 }
 
 // NewLab generates the profile's workload at the settings' scale, splits it
-// by ratio, and trains the classifier on the training part.
+// by ratio, and trains the classifier and generates the risk features on
+// the training part.
 func NewLab(profile, ratio string, s Settings) (*Lab, error) {
 	spec, ok := datagen.ByName(profile, s.Seed)
 	if !ok {
@@ -97,27 +106,27 @@ func newLabFrom(w *dataset.Workload, ratio string, s Settings) (*Lab, error) {
 func newLabFromSplit(w *dataset.Workload, cat *metrics.Catalog, split dataset.Split, s Settings) (*Lab, error) {
 	store := featstore.New(w, cat)
 	trainX := store.Rows(split.Train)
-	m, err := classifier.TrainRows(w, cat, split.Train, trainX, classifier.Config{
+	trainY := make([]bool, len(split.Train))
+	for k, i := range split.Train {
+		trainY[k] = w.Pairs[i].Match
+	}
+	m, feats, err := pipeline.MatcherAndFeatures(context.Background(), cat, trainX, trainY, classifier.Config{
 		Epochs: s.ClassifierEpochs, Seed: s.Seed,
-	})
+	}, s.RuleGen, nil)
 	if err != nil {
 		return nil, err
 	}
 	validX := store.Rows(split.Valid)
 	testX := store.Rows(split.Test)
-	lab := &Lab{
-		Settings: s, W: w, Cat: cat, Store: store, Split: split, Matcher: m,
+	return &Lab{
+		Settings: s, W: w, Cat: cat, Store: store, Split: split, Matcher: m, Features: feats,
 		ValidLab: m.LabelRows(w, split.Valid, validX),
 		TestLab:  m.LabelRows(w, split.Test, testX),
 		TrainX:   trainX,
 		ValidX:   validX,
 		TestX:    testX,
-	}
-	lab.TrainY = make([]bool, len(split.Train))
-	for k, i := range split.Train {
-		lab.TrainY[k] = w.Pairs[i].Match
-	}
-	return lab, nil
+		TrainY:   trainY,
+	}, nil
 }
 
 // Mislabels returns the ground-truth risk labels of the test part.
@@ -129,58 +138,26 @@ func (l *Lab) Mislabels() []bool {
 	return out
 }
 
-// GenerateFeatures runs risk-feature generation on the classifier training
-// data and returns the rules with their prior-expectation statistics.
-func (l *Lab) GenerateFeatures() ([]rules.Rule, []rules.Stat) {
-	rs, _, sts := l.generateCompiled()
-	return rs, sts
+// riskConfig is the risk-model configuration of every LearnRisk fit in
+// the lab.
+func (l *Lab) riskConfig() core.Config {
+	return core.Config{Epochs: l.Settings.RiskEpochs, Seed: l.Settings.Seed}
 }
 
-// generateCompiled is GenerateFeatures plus the compiled rule set, so
-// callers that go on to evaluate the rules don't compile twice.
-func (l *Lab) generateCompiled() ([]rules.Rule, *rules.RuleSet, []rules.Stat) {
-	rs := dtree.GenerateRiskFeatures(l.TrainX, l.TrainY, l.Cat.Names(), l.Settings.RuleGen)
-	rset, err := l.compile(rs)
-	if err != nil {
-		// Generated rules always fit the generating catalog; a mismatch is
-		// a programming error.
-		panic(err)
-	}
-	return rs, rset, rset.Stats(l.TrainX, l.TrainY)
-}
-
-// compile compiles rules against the lab's store width, enforcing the
-// schema/rule width invariant loudly.
-func (l *Lab) compile(rs []rules.Rule) (*rules.RuleSet, error) {
-	return rules.Compile(rs, l.Store.Width())
-}
-
-// LearnRiskScores runs the full LearnRisk method: features from the
-// training data, model trained on riskTrain (defaults to the validation
-// part when nil), scores for the test part.
+// LearnRiskScores runs the full LearnRisk method: the lab's risk features,
+// a model trained on riskTrain (defaults to the validation part when nil),
+// scores for the test part.
 func (l *Lab) LearnRiskScores(riskTrainIdx []int) ([]float64, error) {
-	rs, rset, sts := l.generateCompiled()
-	model, err := core.New(core.BuildFeatures(rs, sts), core.Config{
-		Epochs: l.Settings.RiskEpochs, Seed: l.Settings.Seed,
-	})
+	X, lab := l.ValidX, l.ValidLab
+	if riskTrainIdx != nil {
+		X = l.Store.Rows(riskTrainIdx)
+		lab = l.Matcher.LabelRows(l.W, riskTrainIdx, X)
+	}
+	model, err := pipeline.Fit(context.Background(), l.Features, X, lab, l.riskConfig(), nil)
 	if err != nil {
 		return nil, err
 	}
-	trainIdx := riskTrainIdx
-	var trainX [][]float64
-	var trainLab classifier.Labeled
-	if trainIdx == nil {
-		trainX, trainLab = l.ValidX, l.ValidLab
-	} else {
-		trainX = l.Store.Rows(trainIdx)
-		trainLab = l.Matcher.LabelRows(l.W, trainIdx, trainX)
-	}
-	insts, bad := core.BuildInstances(rset.Apply(trainX), trainLab)
-	if err := model.Fit(insts, bad); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
-		return nil, err
-	}
-	testInsts, _ := core.BuildInstances(rset.Apply(l.TestX), l.TestLab)
-	return model.RiskAll(testInsts), nil
+	return pipeline.Risks(model, l.Features, l.TestX, l.TestLab), nil
 }
 
 // BaselineScores runs the Baseline method [31] on the test part.
@@ -208,10 +185,11 @@ func (l *Lab) StaticRiskScores() []float64 {
 	return baselines.StaticRisk(l.TestLab, l.ValidLab, baselines.StaticRiskConfig{})
 }
 
-// HoloCleanScores runs the HoloClean adaptation on the test part.
-func (l *Lab) HoloCleanScores() ([]float64, error) {
-	scores, _, err := baselines.HoloClean(l.W, l.Split.Train, l.TrainX, l.TestX,
-		l.Cat.Names(), l.TestLab, baselines.HoloCleanConfig{Seed: l.Settings.Seed})
+// HoloCleanScores runs the HoloClean adaptation on the labeled pairs with
+// metric rows X.
+func (l *Lab) HoloCleanScores(X [][]float64, lab classifier.Labeled) ([]float64, error) {
+	scores, _, err := baselines.HoloClean(l.W, l.Split.Train, l.TrainX, X,
+		l.Cat.Names(), lab, baselines.HoloCleanConfig{Seed: l.Settings.Seed})
 	return scores, err
 }
 

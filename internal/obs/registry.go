@@ -117,7 +117,7 @@ func (r *Registry) MirrorExpvar() {
 }
 
 func (m *metric) publishExpvar() {
-	expvar.Publish(m.name, expvar.Func(m.scrapeValue)) //vetkit:allow expvarlint registry mirror republishes validated, uniqueness-checked names
+	expvar.Publish(m.name, expvar.Func(m.scrapeValue))
 }
 
 // scrapeValue returns the metric's current value for expvar rendering.

@@ -15,7 +15,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/featstore"
 	"repro/internal/par"
-	"repro/internal/rules"
+	"repro/internal/pipeline"
 )
 
 // candidateSeq returns the workload's candidate pairs as a lazy stream.
@@ -57,14 +57,15 @@ const streamEvalChunk = 64
 // rows. Memory never holds the test rows, and on a tables-only workload
 // never the candidate list either.
 //
-// Rule generation runs on its own goroutine beside classifier training;
-// both read the training rows and flags only. The context is checked
-// during both passes and plumbed through classifier training, rule
-// generation and risk-model fitting, each of which checks it between
-// epochs (or tree nodes): a canceled context aborts Train with an error
-// satisfying errors.Is(err, ctx.Err()). A classifier failure is reported
-// ahead of any rule-generation failure. opts.Progress, when set, receives
-// coarse progress per stage, always on the calling goroutine.
+// The training stages are internal/pipeline's: rule generation runs on its
+// own goroutine beside classifier training; both read the training rows and
+// flags only. The context is checked during both passes and plumbed through
+// classifier training, rule generation and risk-model fitting, each of
+// which checks it between epochs (or tree nodes): a canceled context aborts
+// Train with an error satisfying errors.Is(err, ctx.Err()). A classifier
+// failure is reported ahead of any rule-generation failure. opts.Progress,
+// when set, receives coarse progress per stage, always on the calling
+// goroutine.
 //
 // Pair indices in the model's split (TrainPairs, TestPairs, ...) are
 // stream positions: indices into the materialized pair list, or positions
@@ -139,60 +140,24 @@ func Train(ctx context.Context, w *Workload, opts Options) (*Model, error) {
 		trainY[k] = flags[i]
 	}
 
-	// Risk features from the classifier training data (Section 5). Rule
-	// generation reads only the training rows and flags, so it runs beside
-	// classifier training under a child context. However Train returns,
-	// rule generation is cancelled and joined first.
-	rulesCtx, cancelRules := context.WithCancel(ctx)
-	rulesDone := make(chan struct{})
-	var feats []rules.Rule
-	var rulesErr error
-	go func() {
-		defer close(rulesDone)
-		feats, rulesErr = dtree.GenerateRiskFeaturesCtx(rulesCtx, trainX, trainY, w.cat.Names(), dtree.OneSidedConfig{
-			MaxDepth: opts.RuleDepth,
-		})
-	}()
-	defer func() {
-		cancelRules()
-		<-rulesDone
-	}()
-
-	matcher, err := classifier.TrainRowsFlagsCtx(ctx, w.cat, trainX, trainY, classifier.Config{
+	// Risk features from the classifier training data (Section 5), then the
+	// risk model trained on the validation part (Section 4.3).
+	matcher, feats, err := pipeline.MatcherAndFeatures(ctx, w.cat, trainX, trainY, classifier.Config{
 		Epochs: opts.ClassifierEpochs, Seed: opts.Seed,
-	}, stageProgress(opts.Progress, "classifier"))
+	}, dtree.OneSidedConfig{MaxDepth: opts.RuleDepth}, opts.Progress)
 	if err != nil {
-		return nil, fmt.Errorf("learnrisk: classifier training: %w", err)
+		return nil, fmt.Errorf("learnrisk: %w", err)
 	}
-	<-rulesDone
-	if rulesErr != nil {
-		return nil, fmt.Errorf("learnrisk: rule generation: %w", rulesErr)
-	}
-	if opts.Progress != nil {
-		opts.Progress("rules", 1, 1)
-	}
-	rset, err := rules.Compile(feats, width)
-	if err != nil {
-		return nil, fmt.Errorf("learnrisk: rule compilation: %w", err)
-	}
-	stats := rset.Stats(trainX, trainY)
-	riskModel, err := core.New(core.BuildFeatures(feats, stats), core.Config{
-		Theta: opts.VaRConfidence, Epochs: opts.RiskEpochs, Seed: opts.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Risk-model training on the validation part (Section 4.3).
 	validTruth := make([]bool, len(split.Valid))
 	for k, i := range split.Valid {
 		validTruth[k] = flags[i]
 	}
 	validLab := matcher.LabelRowsTruth(split.Valid, validX, validTruth)
-	validInsts, validBad := core.BuildInstances(rset.Apply(validX), validLab)
-	err = riskModel.FitCtx(ctx, validInsts, validBad, stageProgress(opts.Progress, "risk"))
-	if err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
-		return nil, fmt.Errorf("learnrisk: risk training: %w", err)
+	riskModel, err := pipeline.Fit(ctx, feats, validX, validLab, core.Config{
+		Theta: opts.VaRConfidence, Epochs: opts.RiskEpochs, Seed: opts.Seed,
+	}, opts.Progress)
+	if err != nil {
+		return nil, fmt.Errorf("learnrisk: %w", err)
 	}
 
 	attrs := schemaAttrs(w)
@@ -205,19 +170,11 @@ func Train(ctx context.Context, w *Workload, opts Options) (*Model, error) {
 		opts:    opts,
 		cat:     w.cat,
 		matcher: matcher,
-		feats:   feats,
-		rset:    rset,
+		feats:   feats.Rules,
+		rset:    feats.Set,
 		risk:    riskModel,
 		split:   split,
 	}, nil
-}
-
-// stageProgress adapts the Options callback to one stage's epoch stream.
-func stageProgress(fn func(stage string, done, total int), stage string) func(done, total int) {
-	if fn == nil {
-		return nil
-	}
-	return func(done, total int) { fn(stage, done, total) }
 }
 
 // Evaluate labels the given workload pairs with the model's classifier,

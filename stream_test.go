@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +17,8 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/dtree"
+	"repro/internal/eval"
+	"repro/internal/experiments"
 	"repro/internal/featstore"
 	"repro/internal/rules"
 )
@@ -185,6 +189,64 @@ func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameReport(t, tc.name+" Evaluate vs store reference", want, got)
+	}
+}
+
+// TestLabLearnRiskMatchesRun ties the figure reproductions to the facade:
+// an experiments.Lab with Run's ratio, rule depth, epochs and seed yields
+// the same rules, the same risk for every test pair and the same AUROC
+// bits as Run.
+func TestLabLearnRiskMatchesRun(t *testing.T) {
+	s := experiments.Settings{
+		Scale: 0.03, Seed: 2, ClassifierEpochs: 15, RiskEpochs: 150,
+		RuleGen: dtree.OneSidedConfig{MaxDepth: 2},
+	}
+	for _, tc := range []struct{ profile, ratio string }{{"DS", "3:2:5"}, {"AB", "2:2:6"}, {"AG", "1:2:7"}} {
+		name := tc.profile + " " + tc.ratio
+		lab, err := experiments.NewLab(tc.profile, tc.ratio, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Generate(tc.profile, s.Scale, s.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(w, Options{
+			SplitRatio: tc.ratio, RuleDepth: s.RuleGen.MaxDepth,
+			ClassifierEpochs: s.ClassifierEpochs, RiskEpochs: s.RiskEpochs, Seed: s.Seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		labRules := make([]string, len(lab.Features.Rules))
+		for i, r := range lab.Features.Rules {
+			labRules[i] = r.String()
+		}
+		if got := rep.Features(); !slices.Equal(got, labRules) {
+			t.Fatalf("%s: Run's rules\n%q\ndiffer from the lab's\n%q", name, got, labRules)
+		}
+
+		scores, err := lab.LearnRiskScores(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		risk := make(map[int]float64, len(rep.Ranking))
+		for _, rp := range rep.Ranking {
+			risk[rp.PairIndex] = rp.Risk
+		}
+		if len(risk) != len(lab.TestLab.Idx) {
+			t.Fatalf("%s: Run ranks %d pairs, the lab's test part has %d", name, len(risk), len(lab.TestLab.Idx))
+		}
+		for k, i := range lab.TestLab.Idx {
+			got, ok := risk[i]
+			if !ok || math.Float64bits(got) != math.Float64bits(scores[k]) {
+				t.Fatalf("%s: pair %d: Run's risk %v (ranked %v), the lab's %v", name, i, got, ok, scores[k])
+			}
+		}
+		if lr := eval.AUROC(scores, lab.Mislabels()); math.Float64bits(lr) != math.Float64bits(rep.AUROC) {
+			t.Fatalf("%s: lab AUROC %v, Run's %v", name, lr, rep.AUROC)
+		}
 	}
 }
 
