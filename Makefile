@@ -55,7 +55,8 @@ test:
 # race covers the packages whose hot paths run under internal/par worker
 # pools (disjoint-write contracts), the facade's concurrent serving and
 # resolve paths (Model.Score/ScoreBatch/Resolve from many goroutines while
-# the match store mutates), the online match store itself (concurrent
+# the match store mutates; the partitioned legs, which build verdicts after
+# ranking while deletes race them), the online match store itself (concurrent
 # Add/Delete/probe across compaction), the durability layer (concurrent
 # WAL append / snapshot rotation / replay), the HTTP serving layer
 # (direct scoring + model hot-swap under load), and rule generation
@@ -66,7 +67,7 @@ race:
 	$(GO) test -race ./internal/par/... ./internal/featstore/... ./internal/rules/... ./internal/core/... ./internal/blocking/...
 	$(GO) test -race ./internal/server/... ./internal/match/... ./internal/wal/... ./internal/partition/... ./internal/obs/...
 	$(GO) test -race ./internal/nn/... ./internal/dtree/...
-	$(GO) test -race -run 'TestScoreConcurrent|TestScoreBatchConcurrent|TestResolveConcurrent|TestTrain' .
+	$(GO) test -race -run 'TestScoreConcurrent|TestScoreBatchConcurrent|TestResolveConcurrent|TestResolvePartitioned|TestTrain' .
 
 # cover enforces statement-coverage floors on the serving-grade packages:
 # the HTTP layer, the feature store, and the facade (golden

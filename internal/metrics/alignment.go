@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/strutil"
@@ -173,7 +175,7 @@ func SoundexMatch(a, b string) float64 {
 
 // TFIDFJaccard is a corpus-weighted Jaccard index: the IDF mass of the
 // shared tokens over the IDF mass of the token union. Rare shared tokens
-// count more than stop words — the soft version of DiffKeyToken's logic on
+// count more than stop words — the soft version of diff-key-token's logic on
 // the similarity side.
 func TFIDFJaccard(a, b string, c *Corpus) float64 {
 	sa := strutil.TokenSet(a)
@@ -185,14 +187,14 @@ func TFIDFJaccard(a, b string, c *Corpus) float64 {
 		return 0
 	}
 	var shared, union float64
-	for _, t := range sortedSetKeys(sa) {
+	for _, t := range slices.Sorted(maps.Keys(sa)) {
 		w := idfWeight(c, t)
 		union += w
 		if _, ok := sb[t]; ok {
 			shared += w
 		}
 	}
-	for _, t := range sortedSetKeys(sb) {
+	for _, t := range slices.Sorted(maps.Keys(sb)) {
 		if _, ok := sa[t]; !ok {
 			union += idfWeight(c, t)
 		}
@@ -201,12 +203,4 @@ func TFIDFJaccard(a, b string, c *Corpus) float64 {
 		return 1
 	}
 	return shared / union
-}
-
-func sortedSetKeys(m map[string]struct{}) []string {
-	counts := make(map[string]int, len(m))
-	for k := range m {
-		counts[k] = 1
-	}
-	return sortedKeys(counts)
 }

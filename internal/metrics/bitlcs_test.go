@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -123,24 +124,63 @@ func TestLCSRunesMatchesOracleQuick(t *testing.T) {
 	}
 }
 
-// TestLevenshteinLenMatchesOracleQuick property-tests the register-blocked
-// edit distance.
+// levSizes are the edge lengths of the sized edit-distance cases: empty,
+// tiny, and around multiples of 64 runes.
+var levSizes = []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 130, 191, 200}
+
+// TestLevenshteinLenMatchesOracleQuick pins the register-blocked edit
+// distance to the original DP, in both argument orders, with one shared
+// Scratch so buffer reuse is exercised: first on arbitrary strings (mostly
+// non-ASCII runes), then on small-alphabet strings of uniform random length
+// 0-149 (match-heavy), then on the levSizes lengths, both unrelated and a
+// few edits apart.
 func TestLevenshteinLenMatchesOracleQuick(t *testing.T) {
 	var s Scratch
-	f := func(a, b string) bool {
-		ra, rb := []rune(a), []rune(b)
-		return levenshteinLen(ra, rb, &s) == oracleLevenshtein(ra, rb)
+	check := func(ra, rb []rune) bool {
+		want := oracleLevenshtein(ra, rb)
+		return levenshteinLen(ra, rb, &s) == want && levenshteinLen(rb, ra, &s) == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(func(a, b string) bool { return check([]rune(a), []rune(b)) }, nil); err != nil {
 		t.Error(err)
 	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		ra, rb := randRunes(rng, rng.Intn(150)), randRunes(rng, rng.Intn(150))
-		if got, want := levenshteinLen(ra, rb, &s), oracleLevenshtein(ra, rb); got != want {
-			t.Fatalf("trial %d: got %d want %d", trial, got, want)
+		if !check(ra, rb) {
+			t.Fatalf("trial %d (%d, %d runes): got %d, %d (swapped) want %d", trial, len(ra), len(rb),
+				levenshteinLen(ra, rb, &s), levenshteinLen(rb, ra, &s), oracleLevenshtein(ra, rb))
 		}
 	}
+	sized := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(11)), Values: func(args []reflect.Value, rng *rand.Rand) {
+		ra := randRunes(rng, levSizes[rng.Intn(len(levSizes))])
+		rb := randRunes(rng, levSizes[rng.Intn(len(levSizes))])
+		if rng.Intn(2) == 0 {
+			rb = mutateRunes(rng, ra, rng.Intn(6))
+		}
+		args[0], args[1] = reflect.ValueOf(ra), reflect.ValueOf(rb)
+	}}
+	if err := quick.Check(check, sized); err != nil {
+		t.Error(err)
+	}
+}
+
+// mutateRunes returns a copy of r with n random single-rune edits
+// (insert, delete or substitute).
+func mutateRunes(rng *rand.Rand, r []rune, n int) []rune {
+	out := append([]rune(nil), r...)
+	for ; n > 0; n-- {
+		c := randRunes(rng, 1)[0]
+		i := rng.Intn(len(out) + 1)
+		switch op := rng.Intn(3); {
+		case op == 0 || len(out) == 0 || i == len(out):
+			out = append(out[:i], append([]rune{c}, out[i:]...)...)
+		case op == 1:
+			out = append(out[:i], out[i+1:]...)
+		default:
+			out[i] = c
+		}
+	}
+	return out
 }
 
 // TestRuneIndexVersionWrap forces the uint32 version counter across its

@@ -56,9 +56,8 @@ func (k Kind) String() string {
 // one kernel Catalog.Compute, the feature store and the serving path all
 // run; the Corpus (possibly nil) carries corpus statistics for TF-IDF and
 // key-token decisions. The *Scratch provides the DP/flag buffers of the
-// string cores; metrics that need none ignore it. The exported string
-// functions (JaroWinkler, CosineTFIDF, ...) are the reference forms the
-// package's tests pin each kernel against.
+// string cores; metrics that need none ignore it. The package's tests pin
+// each kernel against an independent string form.
 type Metric struct {
 	Name  string // e.g. "title.cosine_tfidf" or "year.diff"
 	Attr  int    // attribute index in the schema
@@ -86,7 +85,7 @@ func ForAttribute(name string, idx int, t AttrType) []Metric {
 		return []Metric{
 			mk("jaro_winkler", Similarity, pliftP(jaroWinklerP), NeedRunes),
 			mk("edit_sim", Similarity, pliftP(editSimilarityP), NeedRunes),
-			mk("jaccard", Similarity, pliftP(jaccardTokensP), NeedTokenSet),
+			mk("jaccard", Similarity, pliftP(jaccardTokensP), NeedTokenCounts),
 			mk("non_substring", Difference, pliftP(nonSubstringP), NeedNorm),
 			mk("non_prefix", Difference, pliftP(nonPrefixP), NeedNorm),
 			mk("non_suffix", Difference, pliftP(nonSuffixP), NeedNorm),
@@ -102,10 +101,10 @@ func ForAttribute(name string, idx int, t AttrType) []Metric {
 	case Text:
 		return []Metric{
 			mk("cosine_tfidf", Similarity, cosineTFIDFP, NeedTokenCounts),
-			mk("jaccard", Similarity, pliftP(jaccardTokensP), NeedTokenSet),
+			mk("jaccard", Similarity, pliftP(jaccardTokensP), NeedTokenCounts),
 			mk("lcs", Similarity, pliftP(lcsP), NeedRunes),
-			mk("overlap", Similarity, pliftP(overlapTokensP), NeedTokenSet),
-			mk("diff_key_token", Difference, diffKeyTokenP, NeedTokenSet),
+			mk("overlap", Similarity, pliftP(overlapTokensP), NeedTokenCounts),
+			mk("diff_key_token", Difference, diffKeyTokenP, NeedTokenCounts),
 		}
 	case Numeric:
 		return []Metric{
@@ -128,13 +127,8 @@ func ForAttribute(name string, idx int, t AttrType) []Metric {
 	}
 }
 
-// YearDiffOrExact is 1 when the values differ either numerically or as
+// yearDiffOrExactP is 1 when the values differ either numerically or as
 // normalized strings (used for categorical attributes).
-func YearDiffOrExact(a, b string) float64 {
-	var s Scratch
-	return yearDiffOrExactP(Prepare(a), Prepare(b), &s)
-}
-
 func yearDiffOrExactP(pa, pb *Prepared, s *Scratch) float64 {
 	if d := yearDiffP(pa, pb, s); d == 1 {
 		return 1

@@ -8,9 +8,9 @@ import (
 )
 
 // Corpus holds token document frequencies over a collection of attribute
-// values. It supplies IDF weights for CosineTFIDF and the key-token
-// decision for DiffKeyToken. Build one corpus per attribute from all values of
-// that attribute in the workload's records.
+// values. It supplies IDF weights for the TF-IDF cosine and the key-token
+// decision for diff-key-token. Build one corpus per attribute from all
+// values of that attribute in the workload's records.
 type Corpus struct {
 	docs     int
 	df       map[string]int

@@ -11,16 +11,12 @@ import (
 // They return 1 when a difference indicative of inequivalence is present and
 // 0 otherwise (or a count for the counting metrics), so that larger values
 // mean "more different" — the opposite orientation of similarity metrics.
-// As in similarity.go, each catalog metric has a string reference form and a
-// *Prepared core; the string form delegates to the core.
+// As in similarity.go, each catalog metric is one kernel over *Prepared
+// values.
 
-// NonSubstring is the entity-name difference metric: 1 if neither normalized
+// nonSubstringP is the entity-name difference metric: 1 if neither normalized
 // value is a substring of the other. Missing values are treated as
 // uninformative (0).
-func NonSubstring(a, b string) float64 {
-	return nonSubstringP(Prepare(a), Prepare(b), nil)
-}
-
 func nonSubstringP(pa, pb *Prepared, _ *Scratch) float64 {
 	na, nb := pa.Norm(), pb.Norm()
 	if na == "" || nb == "" {
@@ -32,11 +28,7 @@ func nonSubstringP(pa, pb *Prepared, _ *Scratch) float64 {
 	return 1
 }
 
-// NonPrefix is 1 if neither normalized value is a prefix of the other.
-func NonPrefix(a, b string) float64 {
-	return nonPrefixP(Prepare(a), Prepare(b), nil)
-}
-
+// nonPrefixP is 1 if neither normalized value is a prefix of the other.
 func nonPrefixP(pa, pb *Prepared, _ *Scratch) float64 {
 	na, nb := pa.Norm(), pb.Norm()
 	if na == "" || nb == "" {
@@ -48,11 +40,7 @@ func nonPrefixP(pa, pb *Prepared, _ *Scratch) float64 {
 	return 1
 }
 
-// NonSuffix is 1 if neither normalized value is a suffix of the other.
-func NonSuffix(a, b string) float64 {
-	return nonSuffixP(Prepare(a), Prepare(b), nil)
-}
-
+// nonSuffixP is 1 if neither normalized value is a suffix of the other.
 func nonSuffixP(pa, pb *Prepared, _ *Scratch) float64 {
 	na, nb := pa.Norm(), pb.Norm()
 	if na == "" || nb == "" {
@@ -64,14 +52,10 @@ func nonSuffixP(pa, pb *Prepared, _ *Scratch) float64 {
 	return 1
 }
 
-// AbbrNonSubstring is 1 if the first-letter abbreviation of one value is not
+// abbrNonSubstringP is 1 if the first-letter abbreviation of one value is not
 // a substring of the other value's abbreviation, and the abbreviation of one
 // value is also not a substring of the other full value (covers
 // "VLDB" vs "Very Large Data Bases").
-func AbbrNonSubstring(a, b string) float64 {
-	return abbrNonSubstringP(Prepare(a), Prepare(b), nil)
-}
-
 func abbrNonSubstringP(pa, pb *Prepared, _ *Scratch) float64 {
 	aa, ab := pa.Abbr(), pb.Abbr()
 	if aa == "" || ab == "" {
@@ -88,12 +72,8 @@ func abbrNonSubstringP(pa, pb *Prepared, _ *Scratch) float64 {
 	return 1
 }
 
-// DiffCardinality is the entity-set difference metric: 1 if the two sets
+// diffCardinalityP is the entity-set difference metric: 1 if the two sets
 // contain different numbers of entity names. Empty sets are uninformative.
-func DiffCardinality(a, b string) float64 {
-	return diffCardinalityP(Prepare(a), Prepare(b), nil)
-}
-
 func diffCardinalityP(pa, pb *Prepared, _ *Scratch) float64 {
 	ea, eb := pa.Entities(), pb.Entities()
 	if len(ea) == 0 || len(eb) == 0 {
@@ -105,16 +85,11 @@ func diffCardinalityP(pa, pb *Prepared, _ *Scratch) float64 {
 	return 0
 }
 
-// DistinctEntity counts the entity names that appear in exactly one of the
+// distinctEntityP counts the entity names that appear in exactly one of the
 // two sets, with fuzzy name matching (an entity counts as shared when some
 // entity on the other side has Jaro-Winkler similarity ≥ 0.9, which absorbs
 // initials and typos). This is the paper's distinct-entity metric from
 // Example 1.
-func DistinctEntity(a, b string) float64 {
-	var s Scratch
-	return distinctEntityP(Prepare(a), Prepare(b), &s)
-}
-
 func distinctEntityP(pa, pb *Prepared, s *Scratch) float64 {
 	if len(pa.Entities()) == 0 || len(pb.Entities()) == 0 {
 		return 0
@@ -146,7 +121,7 @@ func countUnmatchedP(from, against *Prepared, s *Scratch) int {
 // refer to the same entity: high string similarity, or matching surname with
 // compatible initials ("t brinkhoff" vs "thomas brinkhoff"). Entity names
 // from SplitEntities are already normalized, so their cached runes are
-// exactly what JaroWinkler would derive.
+// exactly what normalizing them again would give.
 func entityNamesMatchP(pa *Prepared, i int, pb *Prepared, j int, s *Scratch) bool {
 	if pa.Entities()[i] == pb.Entities()[j] {
 		return true
@@ -165,13 +140,9 @@ func entityNamesMatchP(pa *Prepared, i int, pb *Prepared, j int, s *Scratch) boo
 	return false
 }
 
-// YearDiff is the numeric difference metric specialized for year-like
+// yearDiffP is the numeric difference metric specialized for year-like
 // attributes: 1 if both values parse as numbers and differ, 0 otherwise.
 // It realizes the paper's running-example rule r_i[Year] != r_j[Year].
-func YearDiff(a, b string) float64 {
-	return yearDiffP(Prepare(a), Prepare(b), nil)
-}
-
 func yearDiffP(pa, pb *Prepared, _ *Scratch) float64 {
 	x, okA := pa.Num()
 	y, okB := pb.Num()
@@ -184,12 +155,8 @@ func yearDiffP(pa, pb *Prepared, _ *Scratch) float64 {
 	return 0
 }
 
-// NumericGap returns the relative numeric gap |x-y|/max(|x|,|y|) in [0,1];
+// numericGapP returns the relative numeric gap |x-y|/max(|x|,|y|) in [0,1];
 // 0 when either value is unparseable (uninformative) or both are zero.
-func NumericGap(a, b string) float64 {
-	return numericGapP(Prepare(a), Prepare(b), nil)
-}
-
 func numericGapP(pa, pb *Prepared, _ *Scratch) float64 {
 	x, okA := pa.Num()
 	y, okB := pb.Num()
@@ -207,29 +174,34 @@ func numericGapP(pa, pb *Prepared, _ *Scratch) float64 {
 	return g
 }
 
-// DiffKeyToken counts the key (discriminating) tokens contained by exactly
+// diffKeyTokenP counts the key (discriminating) tokens contained by exactly
 // one of the two text values. A token is discriminating when its corpus IDF
 // is at or above the corpus's key-token threshold; with a nil corpus every
 // token of length ≥ 4 counts as key. This is the paper's diff-key-token
 // metric for text-description attributes.
-func DiffKeyToken(a, b string, c *Corpus) float64 {
-	return diffKeyTokenP(Prepare(a), Prepare(b), c, nil)
-}
-
 func diffKeyTokenP(pa, pb *Prepared, c *Corpus, _ *Scratch) float64 {
-	sa, sb := pa.TokenSet(), pb.TokenSet()
-	if len(sa) == 0 || len(sb) == 0 {
+	ta, _ := pa.TokenCounts()
+	tb, _ := pb.TokenCounts()
+	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	count := 0
-	for t := range sa {
-		if _, shared := sb[t]; !shared && isKeyToken(t, c) {
-			count++
-		}
-	}
-	for t := range sb {
-		if _, shared := sa[t]; !shared && isKeyToken(t, c) {
-			count++
+	// Merge join: a token on one side only counts when it is key.
+	count, i, j := 0, 0, 0
+	for i < len(ta) || j < len(tb) {
+		switch d := mergeStep(ta, tb, i, j); {
+		case d < 0:
+			if isKeyToken(ta[i], c) {
+				count++
+			}
+			i++
+		case d > 0:
+			if isKeyToken(tb[j], c) {
+				count++
+			}
+			j++
+		default:
+			i++
+			j++
 		}
 	}
 	return float64(count)

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/strutil"
@@ -9,16 +9,16 @@ import (
 
 // Prepared caches every derived form of one attribute value that the basic
 // metrics consume: the normalized string, its runes, tokens (as strings and
-// as rune slices), token set and counts, entity-name split, first-letter
-// abbreviation, and numeric parse. Preparing a value once and sharing it
-// across all metrics of an attribute — and across every candidate pair the
-// value participates in — removes the dominant redundancy of metric
-// computation (normalization and tokenization used to run once per metric
-// per pair).
+// as rune slices), distinct tokens with their counts, entity-name split,
+// first-letter abbreviation, and numeric parse. Preparing a value once and
+// sharing it across all metrics of an attribute — and across every
+// candidate pair the value participates in — removes the dominant
+// redundancy of metric computation (normalization and tokenization used to
+// run once per metric per pair).
 //
 // The derived forms are computed lazily by the accessors, which makes a
-// Prepared cheap when only a few forms are needed (the string-function
-// wrappers in similarity.go / difference.go use this). Lazy computation is
+// Prepared cheap when only a few forms are needed (the string forms the
+// package's tests check the kernels against use this). Lazy computation is
 // NOT safe for concurrent use; call Materialize before sharing a Prepared
 // between goroutines, after which all accessors are read-only.
 type Prepared struct {
@@ -36,17 +36,13 @@ type Prepared struct {
 	tokenRunes    [][]rune
 	hasTokenRunes bool
 
-	tokenSet    map[string]struct{}
-	hasTokenSet bool
-
-	tokenCounts    map[string]int
-	sortedTokens   []string // sorted distinct tokens, for deterministic TF-IDF
+	tokenCounts    sortedBag
 	hasTokenCounts bool
 
 	entities     []string
 	entityRunes  [][]rune
 	entityFields [][]string
-	entitySet    map[string]struct{}
+	entitySet    sortedBag
 	hasEntities  bool
 
 	abbr    string
@@ -76,7 +72,6 @@ const (
 	NeedRunes
 	NeedTokens
 	NeedTokenRunes
-	NeedTokenSet
 	NeedTokenCounts
 	NeedEntities
 	NeedAbbr
@@ -140,48 +135,71 @@ func (p *Prepared) TokenRunes() [][]rune {
 	return p.tokenRunes
 }
 
-// TokenSet returns the set of distinct tokens.
-func (p *Prepared) TokenSet() map[string]struct{} {
-	if !p.hasTokenSet {
-		set := make(map[string]struct{})
-		for _, t := range p.Tokens() {
-			set[t] = struct{}{}
+// TokenCounts returns the token multiset in merge-join form: the distinct
+// tokens in ascending byte order and, in parallel, the count of each.
+func (p *Prepared) TokenCounts() (tokens []string, counts []int) {
+	if !p.hasTokenCounts {
+		p.tokenCounts.fill(p.Tokens())
+		p.hasTokenCounts = true
+	}
+	return p.tokenCounts.vals, p.tokenCounts.counts
+}
+
+// sortedBag is a multiset as two parallel slices: the distinct values in
+// ascending byte order and the count of each. The set metrics run as merge
+// joins over it, and its order is the float summation order of TF-IDF.
+type sortedBag struct {
+	vals   []string
+	counts []int
+}
+
+// fill makes b the multiset of src, reusing b's backing arrays.
+func (b *sortedBag) fill(src []string) {
+	b.vals = append(b.vals[:0], src...)
+	slices.Sort(b.vals)
+	b.counts = b.counts[:0]
+	n := 0
+	for _, v := range b.vals {
+		if n > 0 && v == b.vals[n-1] {
+			b.counts[n-1]++
+			continue
 		}
-		p.tokenSet = set
-		p.hasTokenSet = true
+		b.vals[n] = v
+		b.counts = append(b.counts, 1)
+		n++
 	}
-	return p.tokenSet
+	b.vals = b.vals[:n]
 }
 
-// TokenCounts returns the token multiset; SortedTokens returns its keys in
-// sorted order (the deterministic iteration order CosineTFIDF relies on).
-func (p *Prepared) TokenCounts() map[string]int {
-	p.ensureCounts()
-	return p.tokenCounts
+// mergeStep compares the heads of two ascending lists in a merge walk that
+// has not finished both: negative when a's head comes first or b is done,
+// positive when b's head comes first or a is done, zero when they match.
+func mergeStep(a, b []string, i, j int) int {
+	switch {
+	case i == len(a):
+		return 1
+	case j == len(b):
+		return -1
+	}
+	return strings.Compare(a[i], b[j])
 }
 
-// SortedTokens returns the distinct tokens in sorted order.
-func (p *Prepared) SortedTokens() []string {
-	p.ensureCounts()
-	return p.sortedTokens
-}
-
-func (p *Prepared) ensureCounts() {
-	if p.hasTokenCounts {
-		return
+// sharedCount returns how many values two ascending distinct lists share.
+func sharedCount(a, b []string) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
 	}
-	counts := make(map[string]int)
-	for _, t := range p.Tokens() {
-		counts[t]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	p.tokenCounts = counts
-	p.sortedTokens = keys
-	p.hasTokenCounts = true
+	return n
 }
 
 // Entities returns the entity-name split of the value; EntityRunes and
@@ -204,10 +222,10 @@ func (p *Prepared) EntityFields() [][]string {
 	return p.entityFields
 }
 
-// EntitySet returns the set of distinct entity names.
-func (p *Prepared) EntitySet() map[string]struct{} {
+// EntitySet returns the distinct entity names in ascending byte order.
+func (p *Prepared) EntitySet() []string {
 	p.ensureEntities()
-	return p.entitySet
+	return p.entitySet.vals
 }
 
 func (p *Prepared) ensureEntities() {
@@ -218,12 +236,11 @@ func (p *Prepared) ensureEntities() {
 	p.entities = es
 	p.entityRunes = make([][]rune, len(es))
 	p.entityFields = make([][]string, len(es))
-	p.entitySet = make(map[string]struct{}, len(es))
 	for i, e := range es {
 		p.entityRunes[i] = []rune(e)
 		p.entityFields[i] = strings.Fields(e)
-		p.entitySet[e] = struct{}{}
 	}
+	p.entitySet.fill(es)
 	p.hasEntities = true
 }
 
@@ -262,23 +279,20 @@ func (p *Prepared) Materialize() *Prepared { return p.MaterializeNeeds(NeedAll) 
 // MaterializeNeeds forces the requested derived forms (plus their
 // prerequisites) so concurrent readers of exactly those forms are safe.
 func (p *Prepared) MaterializeNeeds(needs Need) *Prepared {
-	if needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts|NeedCompact) != 0 {
+	if needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedCompact) != 0 {
 		p.Norm()
 	}
 	if needs&NeedRunes != 0 {
 		p.Runes()
 	}
-	if needs&(NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts) != 0 {
+	if needs&(NeedTokens|NeedTokenRunes|NeedTokenCounts) != 0 {
 		p.Tokens()
 	}
 	if needs&NeedTokenRunes != 0 {
 		p.TokenRunes()
 	}
-	if needs&NeedTokenSet != 0 {
-		p.TokenSet()
-	}
 	if needs&NeedTokenCounts != 0 {
-		p.ensureCounts()
+		p.TokenCounts()
 	}
 	if needs&NeedEntities != 0 {
 		p.ensureEntities()

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -22,12 +21,9 @@ import (
 // usual string immutability guarantee conditional, so the reuse contract
 // is strict and narrow:
 //
-//   - Every derived form of a reusable Prepared — strings, slices, map
-//     contents — is valid only until the next Reset. Nothing may retain
-//     them across Resets (the scoring path only writes float64s out).
-//   - The maps (token set/counts, entity set) are cleared at the start of
-//     each Reset, before any buffer is overwritten, so no map ever holds a
-//     key whose bytes have been reused.
+//   - Every derived form of a reusable Prepared — strings and slices — is
+//     valid only until the next Reset. Nothing may retain them across
+//     Resets (the scoring path only writes float64s out).
 //   - A reusable Prepared is owned by one goroutine at a time (the pooled
 //     scratch guarantees this); the derived forms are read-only between
 //     Resets.
@@ -40,9 +36,9 @@ type reuseState struct {
 	normBuf []byte
 	runes   []rune
 
-	tokens     []string
-	tokenRunes [][]rune
-	sorted     []string
+	tokens      []string
+	tokenRunes  [][]rune
+	tokenCounts sortedBag
 
 	entityBuf    []byte
 	entityEnds   []int
@@ -51,6 +47,7 @@ type reuseState struct {
 	entityRFlat  []rune
 	entityFields [][]string
 	entityFFlat  []string
+	entitySet    sortedBag
 
 	abbrBuf    []byte
 	compactBuf []byte
@@ -61,12 +58,7 @@ type reuseState struct {
 // computed into reusable buffers instead of fresh allocations. See the
 // file comment for the aliasing contract.
 func NewReusable() *Prepared {
-	return &Prepared{
-		scratch:     &reuseState{},
-		tokenSet:    make(map[string]struct{}),
-		tokenCounts: make(map[string]int),
-		entitySet:   make(map[string]struct{}),
-	}
+	return &Prepared{scratch: &reuseState{}}
 }
 
 // bview is the unsafe view of a byte-buffer range as a string. The caller
@@ -89,18 +81,11 @@ func (p *Prepared) Reset(raw string, needs Need) {
 	if st == nil {
 		panic("metrics: Reset on a Prepared not built by NewReusable")
 	}
-	// Clear the maps before any buffer is overwritten: their keys may alias
-	// the previous cycle's bytes.
-	clear(p.tokenSet)
-	clear(p.tokenCounts)
-	clear(p.entitySet)
-	tokenSet, tokenCounts, entitySet := p.tokenSet, p.tokenCounts, p.entitySet
-	*p = Prepared{raw: raw, scratch: st,
-		tokenSet: tokenSet, tokenCounts: tokenCounts, entitySet: entitySet}
+	*p = Prepared{raw: raw, scratch: st}
 
-	wantNorm := needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts|NeedAbbr|NeedCompact) != 0
+	wantNorm := needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedAbbr|NeedCompact) != 0
 	wantRunes := needs&(NeedRunes|NeedTokenRunes) != 0
-	wantTokens := needs&(NeedTokens|NeedTokenRunes|NeedTokenSet|NeedTokenCounts|NeedAbbr) != 0
+	wantTokens := needs&(NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedAbbr) != 0
 	wantTokenRunes := needs&NeedTokenRunes != 0
 
 	if wantNorm {
@@ -116,22 +101,9 @@ func (p *Prepared) Reset(raw string, needs Need) {
 	if wantTokens {
 		p.resetTokens(wantTokenRunes)
 	}
-	if needs&NeedTokenSet != 0 {
-		for _, t := range p.tokens {
-			p.tokenSet[t] = struct{}{}
-		}
-		p.hasTokenSet = true
-	}
 	if needs&NeedTokenCounts != 0 {
-		for _, t := range p.tokens {
-			p.tokenCounts[t]++
-		}
-		st.sorted = st.sorted[:0]
-		for t := range p.tokenCounts {
-			st.sorted = append(st.sorted, t)
-		}
-		sort.Strings(st.sorted)
-		p.sortedTokens = st.sorted
+		st.tokenCounts.fill(p.tokens)
+		p.tokenCounts = st.tokenCounts
 		p.hasTokenCounts = true
 	}
 	if needs&NeedEntities != 0 {
@@ -218,7 +190,6 @@ func (p *Prepared) resetEntities() {
 		e := bview(st.entityBuf[start:end])
 		start = end
 		st.entities = append(st.entities, e)
-		p.entitySet[e] = struct{}{}
 
 		rlo := len(st.entityRFlat)
 		st.entityRFlat = appendRunes(st.entityRFlat, e)
@@ -234,6 +205,8 @@ func (p *Prepared) resetEntities() {
 	}
 	p.entityRunes = st.entityRunes
 	p.entityFields = st.entityFields
+	st.entitySet.fill(st.entities)
+	p.entitySet = st.entitySet
 	p.hasEntities = true
 }
 

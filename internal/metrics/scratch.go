@@ -8,8 +8,7 @@ package metrics
 // value seen and are then reused.
 //
 // A Scratch is owned by one goroutine at a time; the zero value is ready to
-// use. The exported string metric functions allocate a fresh Scratch per
-// call, which reproduces their historical allocation behavior.
+// use.
 type Scratch struct {
 	ia, ib []int32
 	ba, bb []bool

@@ -8,43 +8,22 @@
 // diff-key-token, ...). All metrics return float64 so that the decision-tree
 // rule generator can threshold them uniformly.
 //
-// Every catalog metric has two entry points: the exported string function
-// (the reference form, kept for tests and external callers) and an
-// unexported core over *Prepared values. The string functions are thin
-// wrappers around the cores, so the two paths agree bit-for-bit; the
-// feature-store pipeline uses the prepared cores to avoid re-normalizing and
-// re-tokenizing the same value for every metric and every candidate pair.
+// Every catalog metric is one kernel over *Prepared values (Metric.PFn):
+// the feature store and the serving path prepare each value once and share
+// it across every metric and candidate pair. The package's tests hold an
+// independent string form of each metric as the oracle the kernels must
+// match bit for bit.
 package metrics
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/strutil"
 )
 
-// Levenshtein returns the edit distance between the normalized forms of a
-// and b, in rune operations (insert, delete, substitute).
-func Levenshtein(a, b string) int {
-	var s Scratch
-	return levenshteinRunes([]rune(strutil.Normalize(a)), []rune(strutil.Normalize(b)), &s)
-}
-
-// levenshteinRunes dispatches to the register-blocked DP (bitlcs.go),
-// which produces the exact classic-DP distance.
-func levenshteinRunes(ra, rb []rune, s *Scratch) int {
-	return levenshteinLen(ra, rb, s)
-}
-
-// EditSimilarity returns 1 - Levenshtein(a,b)/max(len(a),len(b)), a
-// similarity in [0,1]. Two empty values are maximally similar.
-func EditSimilarity(a, b string) float64 {
-	var s Scratch
-	return editSimilarityP(Prepare(a), Prepare(b), &s)
-}
-
+// editSimilarityP returns 1 - Levenshtein(a,b)/max(len(a),len(b)) over the
+// normalized runes, a similarity in [0,1]. Two empty values are maximally
+// similar.
 func editSimilarityP(pa, pb *Prepared, s *Scratch) float64 {
 	ra, rb := pa.Runes(), pb.Runes()
 	m := len(ra)
@@ -54,15 +33,10 @@ func editSimilarityP(pa, pb *Prepared, s *Scratch) float64 {
 	if m == 0 {
 		return 1
 	}
-	return 1 - float64(levenshteinRunes(ra, rb, s))/float64(m)
+	return 1 - float64(levenshteinLen(ra, rb, s))/float64(m)
 }
 
-// Jaro returns the Jaro similarity of the normalized values, in [0,1].
-func Jaro(a, b string) float64 {
-	var s Scratch
-	return jaroRunes([]rune(strutil.Normalize(a)), []rune(strutil.Normalize(b)), &s)
-}
-
+// jaroRunes returns the Jaro similarity of two rune strings, in [0,1].
 func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
@@ -121,17 +95,12 @@ func jaroRunes(ra, rb []rune, s *Scratch) float64 {
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
 }
 
-// JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
-// scale of 0.1 and a maximum rewarded prefix of 4 runes.
-func JaroWinkler(a, b string) float64 {
-	var s Scratch
-	return jaroWinklerRunes([]rune(strutil.Normalize(a)), []rune(strutil.Normalize(b)), &s)
-}
-
 func jaroWinklerP(pa, pb *Prepared, s *Scratch) float64 {
 	return jaroWinklerRunes(pa.Runes(), pb.Runes(), s)
 }
 
+// jaroWinklerRunes returns the Jaro-Winkler similarity with the standard
+// prefix scale of 0.1 and a maximum rewarded prefix of 4 runes.
 func jaroWinklerRunes(ra, rb []rune, s *Scratch) float64 {
 	j := jaroRunes(ra, rb, s)
 	p := 0
@@ -144,82 +113,50 @@ func jaroWinklerRunes(ra, rb []rune, s *Scratch) float64 {
 	return j + float64(p)*0.1*(1-j)
 }
 
-// JaccardTokens returns the Jaccard index of the token sets of a and b.
-// Two empty token sets are maximally similar.
-func JaccardTokens(a, b string) float64 {
-	return jaccardTokensP(Prepare(a), Prepare(b), nil)
-}
-
+// jaccardTokensP returns the Jaccard index of the token sets. Two empty
+// token sets are maximally similar.
 func jaccardTokensP(pa, pb *Prepared, _ *Scratch) float64 {
-	return jaccardSets(pa.TokenSet(), pb.TokenSet())
+	ta, _ := pa.TokenCounts()
+	tb, _ := pb.TokenCounts()
+	return jaccardSorted(ta, tb)
 }
 
-// JaccardEntities returns the Jaccard index of the entity-name sets of two
+// jaccardEntitiesP returns the Jaccard index of the entity-name sets of two
 // entity-set values such as author lists (the paper's entity-based
 // JaccardIndex in Example 1).
-func JaccardEntities(a, b string) float64 {
-	return jaccardEntitiesP(Prepare(a), Prepare(b), nil)
-}
-
 func jaccardEntitiesP(pa, pb *Prepared, _ *Scratch) float64 {
-	return jaccardSets(pa.EntitySet(), pb.EntitySet())
+	return jaccardSorted(pa.EntitySet(), pb.EntitySet())
 }
 
-func jaccardSets(sa, sb map[string]struct{}) float64 {
-	if len(sa) == 0 && len(sb) == 0 {
+// jaccardSorted is the Jaccard index of two ascending distinct lists.
+func jaccardSorted(a, b []string) float64 {
+	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+	inter := sharedCount(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// OverlapTokens returns |A∩B| / min(|A|,|B|) over token sets (the overlap
+// overlapTokensP returns |A∩B| / min(|A|,|B|) over token sets (the overlap
 // coefficient). Empty-vs-empty is 1; empty-vs-nonempty is 0.
-func OverlapTokens(a, b string) float64 {
-	return overlapTokensP(Prepare(a), Prepare(b), nil)
-}
-
 func overlapTokensP(pa, pb *Prepared, _ *Scratch) float64 {
-	sa, sb := pa.TokenSet(), pb.TokenSet()
-	if len(sa) == 0 && len(sb) == 0 {
+	ta, _ := pa.TokenCounts()
+	tb, _ := pb.TokenCounts()
+	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
-	if len(sa) == 0 || len(sb) == 0 {
+	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	m := len(sa)
-	if len(sb) < m {
-		m = len(sb)
-	}
-	return float64(inter) / float64(m)
-}
-
-// LCS returns the length of the longest common subsequence of the normalized
-// values, normalized by the length of the longer value, yielding [0,1].
-func LCS(a, b string) float64 {
-	var s Scratch
-	return lcsRunes([]rune(strutil.Normalize(a)), []rune(strutil.Normalize(b)), &s)
+	return float64(sharedCount(ta, tb)) / float64(min(len(ta), len(tb)))
 }
 
 func lcsP(pa, pb *Prepared, s *Scratch) float64 {
 	return lcsRunes(pa.Runes(), pb.Runes(), s)
 }
 
+// lcsRunes returns the length of the longest common subsequence of two
+// rune strings, normalized by the length of the longer one, yielding [0,1].
 func lcsRunes(ra, rb []rune, s *Scratch) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
@@ -247,15 +184,9 @@ func lcsRunes(ra, rb []rune, s *Scratch) float64 {
 	return float64(l) / float64(m)
 }
 
-// MongeElkan returns the Monge-Elkan similarity: the average over tokens of a
-// of the best Jaro-Winkler match against tokens of b. Asymmetric by
-// definition; SymMongeElkan averages both directions.
-func MongeElkan(a, b string) float64 {
-	var s Scratch
-	return mongeElkanP(Prepare(a), Prepare(b), &s)
-}
-
-// mongeElkanP relies on tokens being normalization fixed points (a token is
+// mongeElkanP returns the Monge-Elkan similarity: the average over tokens
+// of a of the best Jaro-Winkler match against tokens of b. Asymmetric by
+// definition; symMongeElkanP averages both directions. It relies on tokens being normalization fixed points (a token is
 // a run of lowercase letters/digits, so Normalize(token) == token), which
 // lets the inner Jaro-Winkler run on the cached token runes directly.
 func mongeElkanP(pa, pb *Prepared, s *Scratch) float64 {
@@ -279,23 +210,13 @@ func mongeElkanP(pa, pb *Prepared, s *Scratch) float64 {
 	return sum / float64(len(ta))
 }
 
-// SymMongeElkan is the symmetric mean of MongeElkan in both directions.
-func SymMongeElkan(a, b string) float64 {
-	var s Scratch
-	return symMongeElkanP(Prepare(a), Prepare(b), &s)
-}
-
 func symMongeElkanP(pa, pb *Prepared, s *Scratch) float64 {
 	return (mongeElkanP(pa, pb, s) + mongeElkanP(pb, pa, s)) / 2
 }
 
-// NumericSimilarity parses a and b as numbers and returns
+// numericSimilarityP parses a and b as numbers and returns
 // 1 - |x-y|/max(|x|,|y|), clamped to [0,1]. Unparseable or absent values
 // yield 0 unless both are absent (1: vacuously equal).
-func NumericSimilarity(a, b string) float64 {
-	return numericSimilarityP(Prepare(a), Prepare(b), nil)
-}
-
 func numericSimilarityP(pa, pb *Prepared, _ *Scratch) float64 {
 	x, okA := pa.Num()
 	y, okB := pb.Num()
@@ -329,37 +250,43 @@ func parseNumber(s string) (float64, error) {
 	return strconv.ParseFloat(cleaned, 64)
 }
 
-// CosineTFIDF returns the TF-IDF-weighted cosine similarity of the token
-// vectors of a and b under the supplied corpus statistics. A nil corpus
-// degrades to uniform IDF (plain cosine).
-func CosineTFIDF(a, b string, c *Corpus) float64 {
-	return cosineTFIDFP(Prepare(a), Prepare(b), c, nil)
-}
-
+// cosineTFIDFP returns the TF-IDF-weighted cosine similarity of the token
+// vectors under the supplied corpus statistics. A nil corpus degrades to
+// uniform IDF (plain cosine).
 func cosineTFIDFP(pa, pb *Prepared, c *Corpus, _ *Scratch) float64 {
-	ca, cb := pa.TokenCounts(), pb.TokenCounts()
-	if len(ca) == 0 && len(cb) == 0 {
+	ta, ca := pa.TokenCounts()
+	tb, cb := pb.TokenCounts()
+	if len(ta) == 0 && len(tb) == 0 {
 		return 1
 	}
-	if len(ca) == 0 || len(cb) == 0 {
+	if len(ta) == 0 || len(tb) == 0 {
 		return 0
 	}
-	// Accumulate in sorted token order: float addition is not associative,
-	// and map iteration order would make the result run-dependent, breaking
-	// the repository's bit-reproducibility guarantee.
+	// One merge walk over both ascending token lists. Float addition is not
+	// associative, so each sum keeps a fixed order: na over a's tokens, nb
+	// over b's, dot over the shared ones, each in ascending token order.
 	dot, na, nb := 0.0, 0.0, 0.0
-	for _, t := range pa.SortedTokens() {
-		w := idfWeight(c, t)
-		va := float64(ca[t]) * w
-		na += va * va
-		if fb, ok := cb[t]; ok {
-			dot += va * float64(fb) * w
+	i, j := 0, 0
+	for i < len(ta) || j < len(tb) {
+		switch d := mergeStep(ta, tb, i, j); {
+		case d < 0:
+			va := float64(ca[i]) * idfWeight(c, ta[i])
+			na += va * va
+			i++
+		case d > 0:
+			vb := float64(cb[j]) * idfWeight(c, tb[j])
+			nb += vb * vb
+			j++
+		default:
+			w := idfWeight(c, ta[i])
+			va := float64(ca[i]) * w
+			na += va * va
+			dot += va * float64(cb[j]) * w
+			vb := float64(cb[j]) * w
+			nb += vb * vb
+			i++
+			j++
 		}
-	}
-	for _, t := range pb.SortedTokens() {
-		w := idfWeight(c, t)
-		vb := float64(cb[t]) * w
-		nb += vb * vb
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -372,13 +299,4 @@ func idfWeight(c *Corpus, token string) float64 {
 		return 1
 	}
 	return c.IDF(token)
-}
-
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -13,7 +13,7 @@ type Stage uint8
 const (
 	// Resolve path.
 	StageProbeTokenize  Stage = iota // probe tokenization / candidate generation
-	StageScore                       // per-candidate scoring
+	StageScore                       // candidate scoring: probability ranking + the k survivors' verdicts
 	StageScatter                     // partitioned scatter wall time (all legs)
 	StageScatterSlowest              // slowest single partition leg
 	StageTopKMerge                   // order-stable top-k merge

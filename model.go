@@ -282,6 +282,17 @@ func (m *Model) scorePair(p Pair, s *scoreScratch) PairScore {
 	return PairScore{Prob: inst.Prob, Match: inst.Label, Risk: a.Risk, Mu: a.Mu, Sigma: a.Sigma}
 }
 
+// probPair is the ranking half of scorePair: the pair's metric row and
+// classifier probability, without rule firing or risk assessment. Resolve
+// ranks every candidate on it; the computation is scorePair's, so the
+// probability is bit-identical to the verdict's Prob.
+//
+//vetkit:hotpath
+func (m *Model) probPair(p Pair, s *scoreScratch) float64 {
+	s.row = featstore.ComputeRowAppend(m.cat, s.row[:0], p.Left, p.Right, s.fs)
+	return m.matcher.ProbRowScratch(s.row, s.prob)
+}
+
 // instFromRow is the one place a metric row becomes a risk-model instance:
 // classifier output, induced machine label, fired rule set. Score,
 // ScoreBatch and ExplainPair all share it, so labels and explanations can

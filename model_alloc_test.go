@@ -2,6 +2,8 @@ package learnrisk
 
 import (
 	"testing"
+
+	"repro/internal/match"
 )
 
 // Allocation-regression guards for the serving hot path (run by `make
@@ -11,7 +13,9 @@ import (
 //     absorbs every buffer the pair evaluation touches;
 //   - steady-state Model.ScoreBatch: a small per-call bound that does NOT
 //     grow with the batch size (the result slice plus the internal/par
-//     chunk dispatch), zero allocations per pair.
+//     chunk dispatch), zero allocations per pair;
+//   - steady-state flat Model.Resolve: 1 alloc/op, its result slice,
+//     however many candidates the probe ranks.
 //
 // testing.AllocsPerRun pins GOMAXPROCS to 1 for the measurement, which
 // makes the ScoreBatch bound deterministic (no worker goroutine spawns);
@@ -91,5 +95,67 @@ func TestScoreBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > scoreBatchAllocBound {
 		t.Fatalf("steady-state ScoreBatch(%d pairs) allocates %v/call, bound %d", len(double), allocs, scoreBatchAllocBound)
+	}
+}
+
+// resolveAllocProbes is how many probes TestResolveSteadyStateAllocs
+// resolves per cycle; each ranks between 300 and 490 candidates.
+const resolveAllocProbes = 4
+
+// TestResolveSteadyStateAllocs pins the flat resolve path: once the pooled
+// scratch has grown, Resolve allocates only its result slice. Neither the
+// ranking pass over hundreds of candidates nor the survivors' verdicts may
+// allocate per candidate. The partitioned path is not pinned: its count
+// moves with pool refills under AllocsPerRun.
+func TestResolveSteadyStateAllocs(t *testing.T) {
+	w, err := Generate("AB", 0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Train(t.Context(), w, Options{RiskEpochs: 50, ClassifierEpochs: 5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.NewMatchStore(match.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range w.inner.Right.Records {
+		if _, err := st.Add(r.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var probes [][]string
+	var ps match.ProbeScratch
+	for _, r := range w.inner.Left.Records {
+		ids, err := st.AppendCandidatesSkip(nil, r.Values, &ps, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) >= 300 && len(ids) <= 490 {
+			probes = append(probes, r.Values)
+		}
+		if len(probes) == resolveAllocProbes {
+			break
+		}
+	}
+	if len(probes) < resolveAllocProbes {
+		t.Fatalf("found %d probes with 300-490 candidates, want %d", len(probes), resolveAllocProbes)
+	}
+	resolveAll := func() {
+		for _, p := range probes {
+			res, err := m.Resolve(st, p, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 5 {
+				t.Fatalf("resolve returned %d results, want 5", len(res))
+			}
+		}
+	}
+	resolveAll() // warm the pooled scratch buffers
+	if allocs := testing.AllocsPerRun(20, resolveAll); allocs != resolveAllocProbes {
+		t.Fatalf("steady-state Resolve over %d probes allocates %v per cycle, want %d (the result slices)",
+			resolveAllocProbes, allocs, resolveAllocProbes)
 	}
 }

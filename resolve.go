@@ -12,9 +12,11 @@ import (
 
 // The online resolve path: a trained Model plus a match.Store answer "here
 // is a new record — who does it match?" without batch rebuilds. Candidates
-// come from the store's incremental blocking index, every (probe,
-// candidate) pair is scored through the same pooled zero-allocation scratch
-// Score uses, and a bounded top-k heap keeps only the k best verdicts.
+// come from the store's incremental blocking index and rank by classifier
+// probability alone: every (probe, candidate) pair gets its metric row and
+// probability through the same pooled zero-allocation scratch Score uses,
+// a bounded top-k heap keeps the k best, and only those k get the full
+// verdict, with rule firing and the risk assessment of their label.
 
 // Trace is a request-scoped stage timer (an alias for obs.Trace, see
 // MatchConfig for the aliasing rationale). A nil *Trace disables all
@@ -66,13 +68,13 @@ func (m *Model) OpenDurableMatchStore(dir string, cfg MatchConfig, opts DurableM
 
 // resolveScratch is one resolve worker's reusable state: the probe scratch
 // of the candidate index, the scoring scratch of the zero-alloc path, the
-// per-probe candidate/score buffers and the bounded top-k heap.
+// per-probe candidate buffers and the bounded top-k heap.
 type resolveScratch struct {
 	ps     match.ProbeScratch
 	ss     *scoreScratch
 	ids    []uint64
-	kept   []uint64
-	scores []PairScore
+	kept   []uint64   // record ID by ranking position
+	vals   [][]string // record values by ranking position
 	topk   match.TopK
 	sorted []match.Scored
 }
@@ -106,10 +108,11 @@ func (m *Model) checkResolve(st *MatchStore, probe []string, k int) error {
 // Resolve finds the k best-scoring matches for one probe record among the
 // store's live records: the incremental blocking index generates the
 // candidate set (identical to a from-scratch batch blocking run over the
-// surviving records), every candidate is risk-scored on the zero-alloc
-// serving path with the probe-side preparation cached across candidates,
-// and a bounded heap keeps the k highest classifier probabilities (ties
-// toward the lower record ID). Fewer than k results means fewer candidates
+// surviving records), every candidate's classifier probability is computed
+// on the zero-alloc serving path with the probe-side preparation cached
+// across candidates, a bounded heap keeps the k highest (ties toward the
+// lower record ID), and those k are risk-scored into full verdicts, each
+// equal to Score on its pair. Fewer than k results means fewer candidates
 // shared enough blocking tokens. Safe for concurrent use, including
 // concurrently with Add/Delete on the store.
 func (m *Model) Resolve(st *MatchStore, probe []string, k int) ([]MatchResult, error) {
@@ -117,9 +120,9 @@ func (m *Model) Resolve(st *MatchStore, probe []string, k int) ([]MatchResult, e
 }
 
 // ResolveTraced is Resolve with request-scoped stage timing: candidate
-// generation on StageProbeTokenize, per-candidate scoring on StageScore,
-// and the bounded-heap ranking on StageTopKMerge. A nil trace records
-// nothing and takes no timestamps.
+// generation on StageProbeTokenize, the per-candidate ranking pass and the
+// survivors' verdicts on StageScore, and sorting the bounded heap on
+// StageTopKMerge. A nil trace records nothing and takes no timestamps.
 func (m *Model) ResolveTraced(st *MatchStore, probe []string, k int, tr *Trace) ([]MatchResult, error) {
 	if err := m.checkResolve(st, probe, k); err != nil {
 		return nil, err
@@ -160,23 +163,35 @@ func (m *Model) resolveInto(st *MatchStore, probe []string, k int, s *resolveScr
 	return m.resolveTracedInto(st, probe, k, nil, s, nil)
 }
 
-// resolveTracedInto ranks one (already-validated) probe, minus the skip
+// resolveTracedInto resolves one (already-validated) probe, minus the skip
 // list's globally pruned tokens, into full verdicts: the flat resolve, and
-// one partition's leg of a partitioned resolve.
+// one partition's leg of a partitioned resolve. The survivors of the
+// ranking are scored from the value slices the ranking fetched, so a
+// record deleted after it was ranked keeps its verdict.
 func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) []MatchResult {
 	m.rankInto(st, probe, k, skip, s, tr)
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
 	out := make([]MatchResult, len(s.sorted))
 	for i, e := range s.sorted {
-		out[i] = MatchResult{ID: s.kept[e.ID], Score: s.scores[e.ID]}
+		out[i] = MatchResult{ID: s.kept[e.ID], Score: m.scorePair(Pair{Left: probe, Right: s.vals[e.ID]}, s.ss)}
+	}
+	// The pooled scratch must not keep deleted records reachable.
+	clear(s.vals)
+	if tr != nil {
+		tr.Add(obs.StageScore, time.Since(t0))
 	}
 	return out
 }
 
 // rankInto is the shared resolve core: candidates from the incremental
-// index (minus the skip list's globally pruned tokens), every candidate
-// scored on the zero-alloc path, the k best retained. It leaves the
-// verdicts in the scratch — s.sorted holds scratch positions best-first,
-// s.kept/s.scores map a position back to the record ID and its full score.
+// index (minus the skip list's globally pruned tokens), each ranked by its
+// classifier probability on the zero-alloc path, the k best retained. It
+// leaves the ranking in the scratch — s.sorted holds scratch positions
+// best-first, s.kept/s.vals map a position back to the record ID and the
+// values it was ranked on.
 func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) {
 	var t0 time.Time
 	if tr != nil {
@@ -197,19 +212,18 @@ func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s
 	}
 	s.topk.Reset(k)
 	s.kept = s.kept[:0]
-	s.scores = s.scores[:0]
+	s.vals = s.vals[:0]
 	for _, id := range s.ids {
 		vals, ok := st.Get(id)
 		if !ok {
 			continue // deleted between probe and fetch; skip
 		}
-		sc := m.scorePair(Pair{Left: probe, Right: vals}, s.ss)
-		pos := uint64(len(s.scores))
+		pos := uint64(len(s.vals))
 		s.kept = append(s.kept, id)
-		s.scores = append(s.scores, sc)
+		s.vals = append(s.vals, vals)
 		// Candidates arrive in ascending ID order, so the scratch position
 		// preserves the ID tie-break.
-		s.topk.Offer(match.Scored{ID: pos, Rank: sc.Prob})
+		s.topk.Offer(match.Scored{ID: pos, Rank: m.probPair(Pair{Left: probe, Right: vals}, s.ss)})
 	}
 	if tr != nil {
 		now := time.Now()
