@@ -10,10 +10,12 @@ import (
 	"repro/internal/wal"
 )
 
-// The PR6 durability benchmarks (make bench-pr6 → BENCH_PR6.json):
-// replay throughput on restart (records/sec, the re-warm a durable store
-// avoids doing over HTTP) and the per-record ingest overhead of the WAL at
-// each fsync policy against the in-memory store as baseline.
+// The durability benchmarks: replay throughput on restart (records/sec,
+// the re-warm a durable store avoids doing over HTTP) and the per-record
+// ingest overhead of the WAL at each fsync policy against the in-memory
+// store as baseline. Run them with:
+//
+//	go test -run '^$' -bench Durable -benchmem .
 
 const durableBenchRecords = 5000
 

@@ -14,7 +14,7 @@
 //
 //	// The serving path risk-scores fresh candidate pairs concurrently,
 //	// without retraining.
-//	scores := model.ScoreBatch(pairs)
+//	scores, _ := model.ScoreBatch(pairs)
 //
 //	// The artifact persists: train once, serve anywhere.
 //	model.Save(f)

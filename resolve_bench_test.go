@@ -1,9 +1,11 @@
 // Online-resolve benchmarks: a warm incremental index probed per record vs
 // the naive alternative — rebuilding batch blocking from scratch for every
-// probe — at 10k+ stored records. cmd/bench records them into
-// BENCH_PR5.json (Makefile bench-pr5): resolve latency (mean, p50, p99),
-// candidates per probe, and the warm-vs-rebuild speedup the acceptance
-// criterion pins at >= 10x.
+// probe — at 10k+ stored records, plus the warm path with stage tracing on.
+// They report resolve latency (mean, p50, p99) and candidates per probe;
+// compare the warm and rebuild ns/op for the speedup, and the untraced and
+// traced warm ns/op for the tracing cost. Run them with:
+//
+//	go test -run '^$' -bench OnlineResolve -benchmem .
 package learnrisk_test
 
 import (
@@ -19,6 +21,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/match"
+	"repro/internal/obs"
 )
 
 const resolveBenchK = 10
@@ -94,19 +97,36 @@ func reportLatencies(b *testing.B, samples []time.Duration) {
 // BenchmarkOnlineResolveWarm10k is the production shape: the index is warm
 // and each probe pays only its posting-list walk plus candidate scoring.
 func BenchmarkOnlineResolveWarm10k(b *testing.B) {
+	benchResolveWarm(b, nil)
+}
+
+// BenchmarkOnlineResolveWarm10kTraced is the same loop with a live trace:
+// clock reads around tokenize/score/merge and atomic stage accumulation.
+// A nil trace's timing branches return before reading the clock, so the
+// ns/op gap between the two is what tracing costs.
+func BenchmarkOnlineResolveWarm10kTraced(b *testing.B) {
+	tr := obs.NewTrace(1)
+	benchResolveWarm(b, tr)
+	if tr.Total() <= 0 {
+		b.Fatal("trace recorded nothing — the traced path was not exercised")
+	}
+}
+
+// benchResolveWarm resolves the probes in turn against the warm store,
+// threading tr through ResolveTraced (Resolve is ResolveTraced with a nil
+// trace).
+func benchResolveWarm(b *testing.B, tr *obs.Trace) {
 	m, st := resolveBenchSetup(b)
 	probes := resolveProbes
 	samples := make([]time.Duration, 0, b.N)
-	candidates := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		res, err := m.Resolve(st, probes[i%len(probes)], resolveBenchK)
+		_, err := m.ResolveTraced(st, probes[i%len(probes)], resolveBenchK, tr)
 		samples = append(samples, time.Since(t0))
 		if err != nil {
 			b.Fatal(err)
 		}
-		candidates += len(res)
 	}
 	b.StopTimer()
 	reportLatencies(b, samples)

@@ -1,9 +1,8 @@
-// Serving-path benchmarks: steady-state Score, ScoreBatch and candidate
-// blocking — the hot path of the HTTP service (internal/server) and of
-// bring-your-own-table workloads. cmd/bench records them into
-// BENCH_PR4.json (see Makefile bench-pr4 / bench-pr4-baseline), so the
-// before/after of the zero-allocation scoring path is captured the same
-// way BENCH_PR1.json captured the training-path rework.
+// Serving-path benchmarks: steady-state Score, ScoreBatch, ExplainPair and
+// candidate blocking — the hot path of the HTTP service (internal/server)
+// and of bring-your-own-table workloads. Run them with:
+//
+//	go test -run '^$' -bench Serve -benchmem .
 package learnrisk_test
 
 import (

@@ -13,12 +13,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// The batch-pipeline benchmarks measure the PR's acceptance criterion: the
-// streamed blocking -> featstore path against the materialized one on a
-// 100k+-record workload (AB at scale 2: ~106k records, ~219k candidate
-// pairs), comparing peak heap growth and wall time for the same fold over
-// every metric row. Run them through `make bench-pr8`, which records both
-// into BENCH_PR8.json.
+// The batch-pipeline benchmarks compare the streamed blocking -> featstore
+// path against the materialized one on a 100k+-record workload (AB at
+// scale 2: ~106k records, ~219k candidate pairs): peak heap growth (peakB)
+// and wall time for the same fold over every metric row. Run them with:
+//
+//	go test -run '^$' -bench BatchPipeline -benchmem -benchtime 3x .
 var (
 	batchOnce        sync.Once
 	batchLeft        *dataset.Table
