@@ -59,7 +59,9 @@ gobench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # race covers the packages whose hot paths run under internal/par worker
-# pools (disjoint-write contracts), the facade's concurrent serving and
+# pools (disjoint-write contracts; among them classifier training and
+# labeling, the Uncertainty and TrustScore baselines, and active learning's
+# pool scoring), the facade's concurrent serving and
 # resolve paths (Model.Score/ScoreBatch/Resolve from many goroutines while
 # the match store mutates; the partitioned legs, which build verdicts after
 # ranking while deletes race them), the online match store itself (concurrent
@@ -73,6 +75,7 @@ race:
 	$(GO) test -race ./internal/par/... ./internal/featstore/... ./internal/rules/... ./internal/core/... ./internal/blocking/...
 	$(GO) test -race ./internal/server/... ./internal/match/... ./internal/wal/... ./internal/partition/... ./internal/obs/...
 	$(GO) test -race ./internal/nn/... ./internal/dtree/...
+	$(GO) test -race ./internal/classifier/... ./internal/baselines/... ./internal/active/...
 	$(GO) test -race -run 'TestScoreConcurrent|TestScoreBatchConcurrent|TestResolveConcurrent|TestResolvePartitioned|TestTrain' .
 
 # cover enforces statement-coverage floors on the serving-grade packages:

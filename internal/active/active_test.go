@@ -162,7 +162,7 @@ func TestSeedSplitStratified(t *testing.T) {
 // the entropy of its classifier probabilities.
 func TestLearnRiskScoresWithoutSignalFallBackToEntropy(t *testing.T) {
 	st := featstore.New(testW, testCat)
-	m, err := classifier.TrainRows(testW, testCat, pool[:100], st.Rows(pool[:100]), classifier.Config{Epochs: 15, Seed: 3})
+	m, err := classifier.TrainRowsCtx(context.Background(), testW, testCat, pool[:100], st.Rows(pool[:100]), classifier.Config{Epochs: 15, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,13 @@ import (
 	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/dtree"
+	"repro/internal/featstore"
 )
+
+// labelTest labels the test pairs with m from their metric rows.
+func labelTest(m *classifier.Matcher) classifier.Labeled {
+	return m.LabelRows(testW, test, featstore.New(testW, testCat).Rows(test))
+}
 
 func riskTrainCfg(seed uint64) RiskTrainConfig {
 	return RiskTrainConfig{
@@ -35,8 +41,8 @@ func TestRiskAwareTrain(t *testing.T) {
 	if res.PseudoLabels > len(target) {
 		t.Errorf("adopted %d pseudo-labels from %d targets", res.PseudoLabels, len(target))
 	}
-	baseF1 := res.Base.Label(testW, test).F1()
-	newF1 := res.Retrained.Label(testW, test).F1()
+	baseF1 := labelTest(res.Base).F1()
+	newF1 := labelTest(res.Retrained).F1()
 	t.Logf("base F1 %.3f -> retrained F1 %.3f with %d pseudo-labels", baseF1, newF1, res.PseudoLabels)
 	// Self-training on low-risk labels must not collapse the classifier.
 	if newF1 < baseF1-0.15 {
@@ -60,7 +66,7 @@ func TestRiskAwareTrainPseudoLabelQuality(t *testing.T) {
 		t.Skip("filter adopted nothing at MaxRisk=0.2")
 	}
 	// Sanity proxy: the retrained classifier should still beat chance.
-	acc := res.Retrained.Label(testW, test).Accuracy()
+	acc := labelTest(res.Retrained).Accuracy()
 	if acc < 0.7 {
 		t.Errorf("retrained accuracy %.3f", acc)
 	}

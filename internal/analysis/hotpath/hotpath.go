@@ -47,15 +47,14 @@ var Analyzer = &analysis.Analyzer{
 // stdlib packages whose relevant functions do not allocate, plus internal
 // packages whose hot entry points are pinned by their own alloc tests.
 var TrustedPackages = map[string]bool{
-	"math":                     true,
-	"math/bits":                true,
-	"sort":                     true, // Search* only reached from hot paths
-	"slices":                   true,
-	"sync":                     true,
-	"sync/atomic":              true,
-	"hash/maphash":             true,
-	"repro/internal/stats":     true, // pure math; pinned by make allocs
-	"repro/internal/calibrate": true, // bucket lookups, no allocation
+	"math":                 true,
+	"math/bits":            true,
+	"sort":                 true, // Search* only reached from hot paths
+	"slices":               true,
+	"sync":                 true,
+	"sync/atomic":          true,
+	"hash/maphash":         true,
+	"repro/internal/stats": true, // pure math; pinned by make allocs
 }
 
 // TrustedFuncs are individually trusted callees (exact types.Func.FullName
@@ -66,7 +65,6 @@ var TrustedFuncs = map[string]bool{
 	"(*repro/internal/blocking.TokenScratch).Tokenize": true,
 	"(*repro/internal/blocking.TokenScratch).Token":    true,
 	"(*repro/internal/core.Model).Influence":           true,
-	"(repro/internal/metrics.Metric).PreparedValue":    true,
 	"(*repro/internal/metrics.Prepared).Reset":         true, // pinned by TestResetSteadyStateAllocs
 	"(*repro/internal/metrics.Prepared).Raw":           true, // accessor
 	"(repro/internal/classifier.Calibration).Bucket":   true, // binary search over a fixed table

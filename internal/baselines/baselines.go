@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"repro/internal/classifier"
-	"repro/internal/dataset"
 	"repro/internal/par"
 	"repro/internal/stats"
 )
@@ -27,23 +26,12 @@ func Baseline(l classifier.Labeled) []float64 {
 	return out
 }
 
-// Uncertainty scores risk with a bootstrap ensemble [40]: the equivalence
-// probability p̂ of a pair is the fraction of ensemble members voting
-// matching, and the risk is the uncertainty score p̂(1-p̂). With 20 members
-// the score takes at most 21 distinct values, which produces the "highly
-// regular ROC curves" the paper notes.
-func Uncertainty(e *classifier.Ensemble, w *dataset.Workload, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for k, i := range idx {
-		p := e.VoteProb(w, i)
-		out[k] = p * (1 - p)
-	}
-	return out
-}
-
-// UncertaintyRows is Uncertainty over precomputed full-catalog metric rows:
-// each pair's features are computed once and shared by every ensemble
-// member, in parallel across pairs.
+// UncertaintyRows scores risk with a bootstrap ensemble [40] over
+// precomputed full-catalog metric rows: the equivalence probability p̂ of a
+// pair is the fraction of ensemble members voting matching, and the risk
+// is the uncertainty score p̂(1-p̂). With 20 members the score takes at
+// most 21 distinct values, which produces the "highly regular ROC curves"
+// the paper notes. Pairs are scored in parallel.
 func UncertaintyRows(e *classifier.Ensemble, rows [][]float64) []float64 {
 	out := make([]float64, len(rows))
 	par.For(len(rows), func(k int) {
@@ -140,26 +128,9 @@ func (t *TrustScorer) Risk(x []float64, predictedMatch bool) float64 {
 	return rhoY / (rhoY + rhoN)
 }
 
-// TrustScores runs TrustScore end to end: reference sets from the matcher's
-// hidden representations of the training pairs, risks for the labeled test
-// pairs.
-func TrustScores(m *classifier.Matcher, w *dataset.Workload, trainIdx []int, l classifier.Labeled, k int) []float64 {
-	reps := make([][]float64, len(trainIdx))
-	truth := make([]bool, len(trainIdx))
-	for j, i := range trainIdx {
-		reps[j] = m.Hidden(w, i)
-		truth[j] = w.Pairs[i].Match
-	}
-	scorer := NewTrustScorer(reps, truth, k)
-	out := make([]float64, len(l.Idx))
-	for j, i := range l.Idx {
-		out[j] = scorer.Risk(m.Hidden(w, i), l.Label[j])
-	}
-	return out
-}
-
-// TrustScoresRows is TrustScores over precomputed full-catalog metric rows
-// for the training reference set and the labeled test set; hidden
+// TrustScoresRows runs TrustScore end to end over precomputed full-catalog
+// metric rows: reference sets from the matcher's hidden representations of
+// the training rows, risks for the labeled test rows. Hidden
 // representations and k-NN risks are computed in parallel.
 func TrustScoresRows(m *classifier.Matcher, trainRows [][]float64, trainTruth []bool,
 	l classifier.Labeled, testRows [][]float64, k int) []float64 {

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,14 +9,15 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/featstore"
 	"repro/internal/metrics"
-	"repro/internal/rules"
 )
 
 var (
 	testW     *dataset.Workload
 	testCat   *metrics.Catalog
 	testSplit dataset.Split
+	testStore *featstore.Store
 	testM     *classifier.Matcher
 	testLab   classifier.Labeled
 )
@@ -28,12 +30,23 @@ func init() {
 		panic(err)
 	}
 	testSplit = sp
-	m, err := classifier.Train(testW, testCat, sp.Train, classifier.Config{Epochs: 30, Seed: 4})
+	testStore = featstore.New(testW, testCat)
+	m, err := classifier.TrainRowsCtx(context.Background(), testW, testCat, sp.Train, testStore.Rows(sp.Train),
+		classifier.Config{Epochs: 30, Seed: 4}, nil)
 	if err != nil {
 		panic(err)
 	}
 	testM = m
-	testLab = m.Label(testW, sp.Test)
+	testLab = m.LabelRows(testW, sp.Test, testStore.Rows(sp.Test))
+}
+
+// truths returns the ground truth of the workload's pairs at idx.
+func truths(idx []int) []bool {
+	out := make([]bool, len(idx))
+	for k, i := range idx {
+		out[k] = testW.Pairs[i].Match
+	}
+	return out
 }
 
 func mislabels(l classifier.Labeled) []bool {
@@ -66,11 +79,12 @@ func TestBaselineScores(t *testing.T) {
 }
 
 func TestUncertaintyScores(t *testing.T) {
-	e, err := classifier.TrainEnsemble(testW, testCat, testSplit.Train, 7, classifier.Config{Epochs: 10, Seed: 6})
+	e, err := classifier.TrainEnsembleRows(testW, testCat, testSplit.Train, testStore.Rows(testSplit.Train), 7,
+		classifier.Config{Epochs: 10, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := Uncertainty(e, testW, testSplit.Test)
+	scores := UncertaintyRows(e, testStore.Rows(testSplit.Test))
 	distinct := map[float64]bool{}
 	for _, s := range scores {
 		if s < 0 || s > 0.25 {
@@ -139,7 +153,8 @@ func TestTrustScorerDegenerateSets(t *testing.T) {
 }
 
 func TestTrustScoresEndToEnd(t *testing.T) {
-	scores := TrustScores(testM, testW, testSplit.Train, testLab, 5)
+	scores := TrustScoresRows(testM, testStore.Rows(testSplit.Train), truths(testSplit.Train),
+		testLab, testStore.Rows(testSplit.Test), 5)
 	if len(scores) != len(testLab.Idx) {
 		t.Fatal("score count mismatch")
 	}
@@ -150,7 +165,7 @@ func TestTrustScoresEndToEnd(t *testing.T) {
 }
 
 func TestStaticRisk(t *testing.T) {
-	valid := testM.Label(testW, testSplit.Valid)
+	valid := testM.LabelRows(testW, testSplit.Valid, testStore.Rows(testSplit.Valid))
 	scores := StaticRisk(testLab, valid, StaticRiskConfig{})
 	if len(scores) != len(testLab.Idx) {
 		t.Fatal("score count mismatch")
@@ -195,8 +210,8 @@ func TestStaticRiskPosteriorShiftsWithEvidence(t *testing.T) {
 }
 
 func TestHoloClean(t *testing.T) {
-	trainX := rules.Matrix(testW, testCat, testSplit.Train)
-	testX := rules.Matrix(testW, testCat, testSplit.Test)
+	trainX := testStore.Rows(testSplit.Train)
+	testX := testStore.Rows(testSplit.Test)
 	scores, labelRules, err := HoloClean(testW, testSplit.Train, trainX, testX,
 		testCat.Names(), testLab, HoloCleanConfig{Trees: 5, Epochs: 20})
 	if err != nil {
@@ -223,7 +238,7 @@ func TestHoloCleanErrors(t *testing.T) {
 	if _, _, err := HoloClean(testW, nil, nil, nil, nil, classifier.Labeled{}, HoloCleanConfig{}); err == nil {
 		t.Error("empty training rows should fail")
 	}
-	testX := rules.Matrix(testW, testCat, testSplit.Test[:2])
+	testX := testStore.Rows(testSplit.Test[:2])
 	if _, _, err := HoloClean(testW, testSplit.Train, nil, testX, testCat.Names(),
 		testLab, HoloCleanConfig{}); err == nil {
 		t.Error("misaligned test rows should fail")

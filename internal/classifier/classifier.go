@@ -59,54 +59,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// FeatureVector computes the similarity feature vector of pair i of the
-// workload under the catalog: every metric value, with unbounded counting
-// metrics squashed to [0,1] by x/(1+x) so the network sees a stable scale.
-func FeatureVector(w *dataset.Workload, cat *metrics.Catalog, i int) []float64 {
-	a, b := w.Values(i)
-	raw := cat.Compute(a, b)
-	for j, v := range raw {
-		if v > 1 {
-			raw[j] = v / (1 + v)
-		}
-	}
-	return raw
-}
-
-// FeatureMatrix computes feature vectors for the given pair indices (rows
-// in parallel, identical to the serial loop).
-func FeatureMatrix(w *dataset.Workload, cat *metrics.Catalog, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	par.For(len(idx), func(k int) {
-		out[k] = FeatureVector(w, cat, idx[k])
-	})
-	return out
-}
-
 // Matcher is the trained ER classifier: it labels pairs as matching when
 // its output probability reaches 0.5. A trained Matcher is immutable and
 // safe for concurrent use.
 type Matcher struct {
 	net      *nn.Network
-	cat      *metrics.Catalog
-	view     *metrics.Catalog // the metric subset the network consumes
-	viewCols []int            // view metric positions within the full catalog
-	useDiff  bool             // whether the view includes difference metrics
+	viewCols []int // positions within the full catalog of the metrics the network consumes
+	useDiff  bool  // whether the view includes difference metrics
 }
 
-// similarityView returns a catalog restricted to similarity metrics
-// (sharing the corpora) plus each kept metric's column index in the full
-// catalog.
-func similarityView(cat *metrics.Catalog) (*metrics.Catalog, []int) {
-	view := &metrics.Catalog{Corpora: cat.Corpora}
+// similarityCols returns the column index in the full catalog of each
+// similarity metric.
+func similarityCols(cat *metrics.Catalog) []int {
 	var cols []int
 	for i, m := range cat.Metrics {
 		if m.Kind == metrics.Similarity {
-			view.Metrics = append(view.Metrics, m)
 			cols = append(cols, i)
 		}
 	}
-	return view, cols
+	return cols
 }
 
 func identityCols(n int) []int {
@@ -119,21 +90,21 @@ func identityCols(n int) []int {
 
 // newMatcher builds the untrained matcher shell for the catalog and config.
 func newMatcher(cat *metrics.Catalog, cfg Config) (*Matcher, error) {
-	m := &Matcher{cat: cat, useDiff: cfg.UseDifferenceMetrics}
+	m := &Matcher{useDiff: cfg.UseDifferenceMetrics}
 	if cfg.UseDifferenceMetrics {
-		m.view, m.viewCols = cat, identityCols(len(cat.Metrics))
+		m.viewCols = identityCols(len(cat.Metrics))
 	} else {
-		m.view, m.viewCols = similarityView(cat)
+		m.viewCols = similarityCols(cat)
 	}
-	if len(m.view.Metrics) == 0 {
+	if len(m.viewCols) == 0 {
 		return nil, errors.New("classifier: catalog has no usable metrics")
 	}
 	return m, nil
 }
 
 // InputFromRow projects a full-catalog metric row onto the matcher's view
-// and applies the [0,1] squash — the exact vector FeatureVector computes
-// from raw values. The result is freshly allocated.
+// and squashes unbounded counting metrics to [0,1] by x/(1+x), so the
+// network sees a stable scale. The result is freshly allocated.
 func (m *Matcher) InputFromRow(row []float64) []float64 {
 	return m.InputFromRowInto(make([]float64, len(m.viewCols)), row)
 }
@@ -207,7 +178,7 @@ func (m *Matcher) fit(ctx context.Context, xs [][]float64, match []bool, cfg Con
 		}
 	}
 	net, err := nn.New(nn.Config{
-		Inputs: len(m.view.Metrics), Hidden: cfg.Hidden, LR: cfg.LR,
+		Inputs: len(m.viewCols), Hidden: cfg.Hidden, LR: cfg.LR,
 		Epochs: cfg.Epochs, Batch: cfg.Batch, L2: cfg.L2,
 		Dropout: cfg.Dropout, Adam: true, Seed: cfg.Seed,
 	})
@@ -229,38 +200,12 @@ func matchFlags(w *dataset.Workload, idx []int) []bool {
 	return out
 }
 
-// Train fits a matcher on the workload's pairs at the given indices,
-// computing the feature vectors directly.
-func Train(w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, cfg Config) (*Matcher, error) {
-	cfg = cfg.withDefaults()
-	if len(trainIdx) == 0 {
-		return nil, errors.New("classifier: empty training set")
-	}
-	m, err := newMatcher(cat, cfg)
-	if err != nil {
-		return nil, err
-	}
-	xs := FeatureMatrix(w, m.view, trainIdx)
-	if err := m.fit(context.Background(), xs, matchFlags(w, trainIdx), cfg, nil); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// TrainRows fits a matcher from precomputed full-catalog metric rows (one
-// per trainIdx entry, as served by the feature store). It produces exactly
-// the matcher Train would: the network inputs are the view projection of
-// the rows, which is bit-identical to computing the view's metrics
-// directly.
-func TrainRows(w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, rows [][]float64, cfg Config) (*Matcher, error) {
-	return TrainRowsCtx(context.Background(), w, cat, trainIdx, rows, cfg, nil)
-}
-
-// TrainRowsCtx is TrainRows with cooperative cancellation and progress
-// reporting. The context is checked between training epochs: cancellation
-// aborts with ctx.Err(). progress (optional) receives (epochsDone,
-// epochsTotal) after each epoch. With a background context and nil progress
-// it is exactly TrainRows.
+// TrainRowsCtx fits a matcher on the workload's pairs at trainIdx from
+// their precomputed full-catalog metric rows (one per trainIdx entry, as
+// served by the feature store); the network inputs are the rows' view
+// projections. The context is checked between training epochs:
+// cancellation aborts with ctx.Err(). progress (optional) receives
+// (epochsDone, epochsTotal) after each epoch.
 func TrainRowsCtx(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, rows [][]float64, cfg Config, progress func(done, total int)) (*Matcher, error) {
 	if len(trainIdx) == 0 {
 		return nil, errors.New("classifier: empty training set")
@@ -322,7 +267,7 @@ func RestoreMatcher(cat *metrics.Catalog, s MatcherSnapshot) (*Matcher, error) {
 	if len(s.Net.Layers) == 0 {
 		return nil, errors.New("classifier: snapshot has no trained network")
 	}
-	if got, want := s.Net.Inputs, len(m.view.Metrics); got != want {
+	if got, want := s.Net.Inputs, len(m.viewCols); got != want {
 		return nil, fmt.Errorf("classifier: snapshot expects %d input metrics, catalog view has %d", got, want)
 	}
 	net, err := nn.Restore(s.Net)
@@ -333,31 +278,18 @@ func RestoreMatcher(cat *metrics.Catalog, s MatcherSnapshot) (*Matcher, error) {
 	return m, nil
 }
 
-// Prob returns the matcher's equivalence probability for pair i.
-func (m *Matcher) Prob(w *dataset.Workload, i int) float64 {
-	return m.net.Predict(FeatureVector(w, m.view, i))
-}
-
 // ProbRow returns the equivalence probability from a precomputed
 // full-catalog metric row.
 func (m *Matcher) ProbRow(row []float64) float64 {
 	return m.net.Predict(m.InputFromRow(row))
 }
 
-// Hidden returns the matcher's last hidden-layer representation for pair i
-// (the embedding space used by the TrustScore baseline).
-func (m *Matcher) Hidden(w *dataset.Workload, i int) []float64 {
-	return m.net.Hidden(FeatureVector(w, m.view, i))
-}
-
-// HiddenRow returns the hidden representation from a precomputed
+// HiddenRow returns the matcher's last hidden-layer representation (the
+// embedding space used by the TrustScore baseline) from a precomputed
 // full-catalog metric row.
 func (m *Matcher) HiddenRow(row []float64) []float64 {
 	return m.net.Hidden(m.InputFromRow(row))
 }
-
-// Catalog returns the metric catalog the matcher was trained with.
-func (m *Matcher) Catalog() *metrics.Catalog { return m.cat }
 
 // Labeled carries a machine labeling of a set of pairs: the classifier
 // probabilities, the induced binary labels, and the ground truth — all that
@@ -369,26 +301,8 @@ type Labeled struct {
 	Truth []bool    // ground-truth equivalence
 }
 
-// Label labels the pairs at the given workload indices.
-func (m *Matcher) Label(w *dataset.Workload, idx []int) Labeled {
-	l := Labeled{
-		Idx:   append([]int(nil), idx...),
-		Prob:  make([]float64, len(idx)),
-		Label: make([]bool, len(idx)),
-		Truth: make([]bool, len(idx)),
-	}
-	for k, i := range idx {
-		p := m.Prob(w, i)
-		l.Prob[k] = p
-		l.Label[k] = p >= 0.5
-		l.Truth[k] = w.Pairs[i].Match
-	}
-	return l
-}
-
-// LabelRows labels the pairs at the given indices from precomputed
-// full-catalog metric rows (one per index), in parallel. The result is
-// identical to Label.
+// LabelRows labels the pairs at the given workload indices from
+// precomputed full-catalog metric rows (one per index), in parallel.
 func (m *Matcher) LabelRows(w *dataset.Workload, idx []int, rows [][]float64) Labeled {
 	truth := make([]bool, len(idx))
 	for k, i := range idx {
@@ -469,24 +383,15 @@ type Ensemble struct {
 	members []*Matcher
 }
 
-// TrainEnsemble trains k bootstrap members. Members that fail to train
-// (single-class resample) are retried with a fresh resample a bounded
-// number of times; an error is returned if no member can be trained.
-func TrainEnsemble(w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, k int, cfg Config) (*Ensemble, error) {
-	return trainEnsemble(w, cat, trainIdx, nil, k, cfg)
-}
-
-// TrainEnsembleRows is TrainEnsemble over precomputed full-catalog metric
-// rows (one per trainIdx entry): every bootstrap resample reuses the rows
-// instead of recomputing each member's feature matrix from scratch.
+// TrainEnsembleRows trains k bootstrap members from precomputed
+// full-catalog metric rows (one per trainIdx entry): every bootstrap
+// resample reuses the rows. Members that fail to train (single-class
+// resample) are retried with a fresh resample a bounded number of times;
+// an error is returned if no member can be trained.
 func TrainEnsembleRows(w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, rows [][]float64, k int, cfg Config) (*Ensemble, error) {
 	if len(rows) != len(trainIdx) {
 		return nil, fmt.Errorf("classifier: %d rows for %d training indices", len(rows), len(trainIdx))
 	}
-	return trainEnsemble(w, cat, trainIdx, rows, k, cfg)
-}
-
-func trainEnsemble(w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, rows [][]float64, k int, cfg Config) (*Ensemble, error) {
 	cfg = cfg.withDefaults()
 	if k <= 0 {
 		k = 20
@@ -497,26 +402,15 @@ func trainEnsemble(w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, ro
 	for len(e.members) < k && attempts < 4*k {
 		attempts++
 		resample := make([]int, len(trainIdx))
-		var resampleRows [][]float64
-		if rows != nil {
-			resampleRows = make([][]float64, len(trainIdx))
-		}
+		resampleRows := make([][]float64, len(trainIdx))
 		for j := range resample {
 			pick := rng.Intn(len(trainIdx))
 			resample[j] = trainIdx[pick]
-			if rows != nil {
-				resampleRows[j] = rows[pick]
-			}
+			resampleRows[j] = rows[pick]
 		}
 		memberCfg := cfg
 		memberCfg.Seed = cfg.Seed + uint64(attempts)
-		var m *Matcher
-		var err error
-		if rows != nil {
-			m, err = TrainRows(w, cat, resample, resampleRows, memberCfg)
-		} else {
-			m, err = Train(w, cat, resample, memberCfg)
-		}
+		m, err := TrainRowsCtx(context.Background(), w, cat, resample, resampleRows, memberCfg, nil)
 		if err != nil {
 			continue
 		}
@@ -531,22 +425,11 @@ func trainEnsemble(w *dataset.Workload, cat *metrics.Catalog, trainIdx []int, ro
 // Size returns the number of trained members.
 func (e *Ensemble) Size() int { return len(e.members) }
 
-// VoteProb returns the fraction of members labeling pair i matching —
-// the Uncertainty baseline's equivalence probability estimate. With 20
-// members this takes one of 21 distinct values, reproducing the paper's
-// observation about Uncertainty's "highly regular ROC curves".
-func (e *Ensemble) VoteProb(w *dataset.Workload, i int) float64 {
-	votes := 0
-	for _, m := range e.members {
-		if m.Prob(w, i) >= 0.5 {
-			votes++
-		}
-	}
-	return float64(votes) / float64(len(e.members))
-}
-
-// VoteProbRow is VoteProb from a precomputed full-catalog metric row: the
-// pair's features are computed once and every member scores the same row.
+// VoteProbRow returns the fraction of members labeling the pair of a
+// precomputed full-catalog metric row matching — the Uncertainty
+// baseline's equivalence probability estimate. With 20 members this takes
+// one of 21 distinct values, reproducing the paper's observation about
+// Uncertainty's "highly regular ROC curves".
 func (e *Ensemble) VoteProbRow(row []float64) float64 {
 	votes := 0
 	for _, m := range e.members {

@@ -1,20 +1,23 @@
 package classifier
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/featstore"
 	"repro/internal/metrics"
 )
 
-// testWorkload caches a small generated workload and its split for all
-// tests in the package.
+// testWorkload caches a small generated workload, its split and its metric
+// rows for all tests in the package.
 var (
 	testW     *dataset.Workload
 	testCat   *metrics.Catalog
 	testSplit dataset.Split
+	testStore *featstore.Store
 )
 
 func init() {
@@ -25,36 +28,82 @@ func init() {
 		panic(err)
 	}
 	testSplit = sp
+	testStore = featstore.New(testW, testCat)
+}
+
+func trainRows(idx []int, cfg Config) (*Matcher, error) {
+	return TrainRowsCtx(context.Background(), testW, testCat, idx, testStore.Rows(idx), cfg, nil)
 }
 
 func trainTestMatcher(t *testing.T) *Matcher {
 	t.Helper()
-	m, err := Train(testW, testCat, testSplit.Train, Config{Epochs: 30, Seed: 2})
+	m, err := trainRows(testSplit.Train, Config{Epochs: 30, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func TestFeatureVector(t *testing.T) {
-	v := FeatureVector(testW, testCat, 0)
-	if len(v) != len(testCat.Metrics) {
-		t.Fatalf("feature width %d, want %d", len(v), len(testCat.Metrics))
-	}
-	for j, x := range v {
-		if x < 0 || x > 1 || math.IsNaN(x) {
-			t.Errorf("feature %s = %f outside [0,1]", testCat.Metrics[j].Name, x)
+func labelRows(m *Matcher, idx []int) Labeled {
+	return m.LabelRows(testW, idx, testStore.Rows(idx))
+}
+
+// featureVector computes the network input of pair i directly: every
+// metric of cat on the pair's values, through a fresh scratch, with
+// unbounded counting metrics squashed to [0,1] by x/(1+x). With cat
+// restricted to a matcher's view it is the reference for InputFromRow.
+func featureVector(w *dataset.Workload, cat *metrics.Catalog, i int) []float64 {
+	a, b := w.Values(i)
+	raw := featstore.ComputeRowAppend(cat, nil, a, b, featstore.NewServeScratch(cat))
+	for j, v := range raw {
+		if v > 1 {
+			raw[j] = v / (1 + v)
 		}
 	}
-	m := FeatureMatrix(testW, testCat, []int{0, 1, 2})
-	if len(m) != 3 {
-		t.Fatalf("FeatureMatrix rows = %d", len(m))
+	return raw
+}
+
+// TestFeatureVector checks that InputFromRow, the projection of a
+// full-catalog row, is bit for bit the view's metrics computed directly
+// and squashed into [0,1], for the similarity view and the full one.
+func TestFeatureVector(t *testing.T) {
+	sim := &metrics.Catalog{Corpora: testCat.Corpora}
+	for _, m := range testCat.Metrics {
+		if m.Kind == metrics.Similarity {
+			sim.Metrics = append(sim.Metrics, m)
+		}
+	}
+	idx := testSplit.Test[:50]
+	rows := testStore.Rows(idx)
+	for _, tc := range []struct {
+		cfg  Config
+		view *metrics.Catalog
+	}{{Config{}, sim}, {Config{UseDifferenceMetrics: true}, testCat}} {
+		m, err := newMatcher(testCat, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range idx {
+			want := featureVector(testW, tc.view, i)
+			got := m.InputFromRow(rows[k])
+			if len(got) != len(want) {
+				t.Fatalf("pair %d: input width %d, want %d", i, len(got), len(want))
+			}
+			for j, x := range got {
+				if x != want[j] {
+					t.Fatalf("pair %d: feature %s = %v, direct %v", i, tc.view.Metrics[j].Name, x, want[j])
+				}
+				if x < 0 || x > 1 || math.IsNaN(x) {
+					t.Errorf("pair %d: feature %s = %f outside [0,1]", i, tc.view.Metrics[j].Name, x)
+				}
+			}
+		}
 	}
 }
 
 func TestTrainedMatcherBeatsChance(t *testing.T) {
 	m := trainTestMatcher(t)
-	l := m.Label(testW, testSplit.Test)
+	l := labelRows(m, testSplit.Test)
 	acc := l.Accuracy()
 	if acc < 0.72 {
 		t.Errorf("test accuracy %.3f < 0.72; the substitute classifier is too weak", acc)
@@ -69,7 +118,7 @@ func TestTrainedMatcherBeatsChance(t *testing.T) {
 
 func TestLabeledInvariants(t *testing.T) {
 	m := trainTestMatcher(t)
-	l := m.Label(testW, testSplit.Valid)
+	l := labelRows(m, testSplit.Valid)
 	if len(l.Idx) != len(testSplit.Valid) {
 		t.Fatal("Label dropped pairs")
 	}
@@ -90,7 +139,7 @@ func TestLabeledInvariants(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(testW, testCat, nil, Config{}); err == nil {
+	if _, err := trainRows(nil, Config{}); err == nil {
 		t.Error("empty training set should fail")
 	}
 	// Single-class training set.
@@ -103,22 +152,22 @@ func TestTrainErrors(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Train(testW, testCat, negOnly, Config{}); err == nil {
+	if _, err := trainRows(negOnly, Config{}); err == nil {
 		t.Error("single-class training set should fail")
 	}
 }
 
 func TestMatcherDeterminism(t *testing.T) {
-	a, err := Train(testW, testCat, testSplit.Train[:60], Config{Epochs: 10, Seed: 5})
+	a, err := trainRows(testSplit.Train[:60], Config{Epochs: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Train(testW, testCat, testSplit.Train[:60], Config{Epochs: 10, Seed: 5})
+	b, err := trainRows(testSplit.Train[:60], Config{Epochs: 10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		if a.Prob(testW, i) != b.Prob(testW, i) {
+	for _, row := range testStore.Rows([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		if a.ProbRow(row) != b.ProbRow(row) {
 			t.Fatal("same seed, different matcher")
 		}
 	}
@@ -126,7 +175,7 @@ func TestMatcherDeterminism(t *testing.T) {
 
 func TestHiddenRepresentation(t *testing.T) {
 	m := trainTestMatcher(t)
-	h := m.Hidden(testW, 0)
+	h := m.HiddenRow(testStore.Rows([]int{0})[0])
 	if len(h) == 0 {
 		t.Fatal("empty hidden representation")
 	}
@@ -135,13 +184,11 @@ func TestHiddenRepresentation(t *testing.T) {
 			t.Fatal("NaN in hidden representation")
 		}
 	}
-	if m.Catalog() != testCat {
-		t.Error("Catalog accessor mismatch")
-	}
 }
 
 func TestEnsemble(t *testing.T) {
-	e, err := TrainEnsemble(testW, testCat, testSplit.Train[:100], 5, Config{Epochs: 8, Seed: 7})
+	trainIdx := testSplit.Train[:100]
+	e, err := TrainEnsembleRows(testW, testCat, trainIdx, testStore.Rows(trainIdx), 5, Config{Epochs: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +196,15 @@ func TestEnsemble(t *testing.T) {
 		t.Fatal("no members")
 	}
 	distinct := map[float64]bool{}
-	for _, i := range testSplit.Test[:50] {
-		p := e.VoteProb(testW, i)
+	for _, row := range testStore.Rows(testSplit.Test[:50]) {
+		p := e.VoteProbRow(row)
 		if p < 0 || p > 1 {
-			t.Fatalf("VoteProb = %f", p)
+			t.Fatalf("VoteProbRow = %f", p)
 		}
 		// Vote probabilities are quantized to multiples of 1/size.
 		q := p * float64(e.Size())
 		if math.Abs(q-math.Round(q)) > 1e-9 {
-			t.Fatalf("VoteProb %f not a multiple of 1/%d", p, e.Size())
+			t.Fatalf("VoteProbRow %f not a multiple of 1/%d", p, e.Size())
 		}
 		distinct[p] = true
 	}
@@ -179,7 +226,7 @@ func TestCalibration(t *testing.T) {
 	}
 
 	m := trainTestMatcher(t)
-	l := m.Label(testW, testSplit.Valid)
+	l := labelRows(m, testSplit.Valid)
 	rates, counts := c.MatchRates(l)
 	if len(rates) != 10 || len(counts) != 10 {
 		t.Fatal("wrong bucket count")

@@ -177,10 +177,16 @@ func TestSchemaCatalog(t *testing.T) {
 	if cat.Corpora[0].Docs() != 6 {
 		t.Errorf("title corpus docs = %d, want 6", cat.Corpora[0].Docs())
 	}
-	vals := cat.Compute(w.Left.Records[0].Values, w.Right.Records[0].Values)
-	if len(vals) != len(cat.Metrics) {
-		t.Error("Compute arity mismatch")
+	needs := cat.AttrNeeds()
+	if len(needs) != len(w.Left.Schema.Attrs) {
+		t.Fatalf("catalog covers %d attributes, schema has %d", len(needs), len(w.Left.Schema.Attrs))
 	}
+	pa, pb := make([]metrics.Prepared, len(needs)), make([]metrics.Prepared, len(needs))
+	for a, n := range needs {
+		pa[a].Reset(w.Left.Records[0].Values[a], n)
+		pb[a].Reset(w.Right.Records[0].Values[a], n)
+	}
+	cat.ComputePreparedInto(make([]float64, len(cat.Metrics)), pa, pb, nil)
 }
 
 func TestCSVRoundTrip(t *testing.T) {

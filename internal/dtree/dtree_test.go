@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/featstore"
 	"repro/internal/rules"
 	"repro/internal/stats"
 )
@@ -231,7 +232,7 @@ func TestOneSidedOnGeneratedWorkload(t *testing.T) {
 	w := datagen.MustGenerate(datagen.DS(31), 0.015)
 	cat := w.Left.Schema.Catalog(w.Left, w.Right)
 	idx := allRows(len(w.Pairs))
-	X := rules.Matrix(w, cat, idx)
+	X := featstore.New(w, cat).Rows(idx)
 	y := make([]bool, len(idx))
 	for i, p := range w.Pairs {
 		y[i] = p.Match

@@ -1,42 +1,19 @@
 package featstore
 
-import (
-	"strconv"
-	"strings"
-
-	"repro/internal/metrics"
-	"repro/internal/par"
-)
-
-// RawPair is one candidate pair given by raw attribute values, the input of
-// the serving path: pairs that arrive after training, outside any stored
-// workload.
-type RawPair struct {
-	Left  []string
-	Right []string
-}
-
-// ComputeRow computes the full-catalog metric row of one raw pair. Each
-// side's values are prepared once for the whole row (the metrics.Prepared
-// fast path). Safe for concurrent use: all scratch is per-call and the
-// catalog is read-only.
-func ComputeRow(cat *metrics.Catalog, left, right []string) []float64 {
-	return cat.Compute(left, right)
-}
+import "repro/internal/metrics"
 
 // ServeScratch is the reusable working state of one serving worker: a pair
-// of reusable prepared-attribute rows (metrics.NewReusable, reset per
-// pair with exactly the derived forms the catalog's metrics read), the
-// per-metric DP scratch, and a one-pair side cache. With a ServeScratch,
-// ComputeRowAppend computes metric rows with zero heap allocations in
-// steady state.
+// of prepared-attribute rows (reset per pair with exactly the derived
+// forms the catalog's metrics read), the per-metric DP scratch, and a
+// one-pair side cache. With a ServeScratch, ComputeRowAppend computes
+// metric rows with zero heap allocations in steady state.
 //
 // A ServeScratch is bound to the catalog it was built for and is owned by
 // one goroutine at a time (the facade pools them). The side cache retains
 // references to the most recent pair's value slices.
 type ServeScratch struct {
 	needs        []metrics.Need
-	pa, pb       []*metrics.Prepared
+	pa, pb       []metrics.Prepared
 	ms           metrics.Scratch
 	lastL, lastR []string
 }
@@ -44,36 +21,25 @@ type ServeScratch struct {
 // NewServeScratch builds a ServeScratch for the catalog.
 func NewServeScratch(cat *metrics.Catalog) *ServeScratch {
 	n := cat.NumAttrs()
-	s := &ServeScratch{
+	return &ServeScratch{
 		needs: cat.AttrNeeds(),
-		pa:    make([]*metrics.Prepared, n),
-		pb:    make([]*metrics.Prepared, n),
+		pa:    make([]metrics.Prepared, n),
+		pb:    make([]metrics.Prepared, n),
 	}
-	for i := 0; i < n; i++ {
-		s.pa[i] = metrics.NewReusable()
-		s.pb[i] = metrics.NewReusable()
-	}
-	return s
 }
 
-// resetSide re-points one side's reusable prepared row at new raw values,
-// skipping the work entirely when the values are identical to the side's
-// previous pair (the "one query against K candidates" serving shape, and
+// resetSide re-points one side's prepared row at new raw values, skipping
+// the work entirely when the values are identical to the side's previous
+// pair (the "one query against K candidates" serving shape, and
 // consecutive batch pairs sharing a record). last retains the value slice
 // contents for that comparison.
 //
 //vetkit:hotpath
-func (s *ServeScratch) resetSide(prep []*metrics.Prepared, last *[]string, vals []string) {
+func (s *ServeScratch) resetSide(prep []metrics.Prepared, last *[]string, vals []string) {
 	if sameValues(*last, vals) {
 		return
 	}
-	for i, p := range prep {
-		if i < len(vals) {
-			p.Reset(vals[i], s.needs[i])
-		} else {
-			p.Reset("", s.needs[i])
-		}
-	}
+	resetRow(prep, vals, s.needs)
 	*last = append((*last)[:0], vals...)
 }
 
@@ -90,11 +56,11 @@ func sameValues(a, b []string) bool {
 	return true
 }
 
-// ComputeRowAppend is the append-into variant of ComputeRow: it appends the
-// pair's full-catalog metric row to dst and returns the extended slice,
-// computing every derived value through the scratch's reusable buffers.
-// The row values are bit-identical to ComputeRow's. Steady state (buffers
-// grown, dst capacity sufficient) performs zero heap allocations.
+// ComputeRowAppend appends the full-catalog metric row of one raw pair to
+// dst and returns the extended slice, computing every derived value
+// through the scratch's reusable buffers. Sides shorter than the catalog's
+// attribute count score as if padded with "". Steady state (buffers grown,
+// dst capacity sufficient) performs zero heap allocations.
 //
 //vetkit:hotpath
 func ComputeRowAppend(cat *metrics.Catalog, dst []float64, left, right []string, s *ServeScratch) []float64 {
@@ -111,67 +77,4 @@ func ComputeRowAppend(cat *metrics.Catalog, dst []float64, left, right []string,
 	}
 	cat.ComputePreparedInto(dst[base:], s.pa, s.pb, &s.ms)
 	return dst
-}
-
-// ComputeRows computes the metric rows of a batch of raw pairs in parallel.
-// Like the workload store, it memoizes value preparation across the batch:
-// a record that appears in many pairs (one query against K candidates, the
-// common serving shape) is normalized/tokenized once, not K times. Rows are
-// identical to per-pair ComputeRow calls.
-func ComputeRows(cat *metrics.Catalog, pairs []RawPair) [][]float64 {
-	if len(pairs) == 0 {
-		return nil
-	}
-	needs := cat.AttrNeeds()
-
-	// Collect the distinct sides (by value identity) so each record is
-	// prepared exactly once however many pairs reference it. The dedup key
-	// length-prefixes every value, so the encoding is injective whatever
-	// bytes (including separators) the values contain; each pair remembers
-	// its sides' indices so the scoring loop never touches keys again.
-	keyOf := func(vals []string) string {
-		var b strings.Builder
-		for _, v := range vals {
-			b.WriteString(strconv.Itoa(len(v)))
-			b.WriteByte(':')
-			b.WriteString(v)
-		}
-		return b.String()
-	}
-	sideIdx := make(map[string]int)
-	var uniq [][]string
-	add := func(vals []string) int {
-		k := keyOf(vals)
-		if i, ok := sideIdx[k]; ok {
-			return i
-		}
-		i := len(uniq)
-		sideIdx[k] = i
-		uniq = append(uniq, vals)
-		return i
-	}
-	leftIdx := make([]int, len(pairs))
-	rightIdx := make([]int, len(pairs))
-	for i, p := range pairs {
-		leftIdx[i] = add(p.Left)
-		rightIdx[i] = add(p.Right)
-	}
-	prepared := make([][]*metrics.Prepared, len(uniq))
-	par.For(len(uniq), func(k int) {
-		row := cat.PrepareRow(uniq[k])
-		for a, p := range row {
-			p.MaterializeNeeds(needs[a])
-		}
-		prepared[k] = row
-	})
-
-	width := len(cat.Metrics)
-	backing := make([]float64, len(pairs)*width)
-	out := make([][]float64, len(pairs))
-	par.For(len(pairs), func(i int) {
-		dst := backing[i*width : (i+1)*width : (i+1)*width]
-		cat.ComputePreparedInto(dst, prepared[leftIdx[i]], prepared[rightIdx[i]], nil)
-		out[i] = dst
-	})
-	return out
 }

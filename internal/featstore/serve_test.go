@@ -2,54 +2,6 @@ package featstore
 
 import "testing"
 
-// TestComputeRowsMatchesComputeRow is the serving path's equivalence
-// contract: batch rows are bit-identical to per-pair computation.
-func TestComputeRowsMatchesComputeRow(t *testing.T) {
-	w, cat := testWorkload(t)
-	var pairs []RawPair
-	for i := 0; i < 30 && i < len(w.Pairs); i++ {
-		l, r := w.Values(i)
-		pairs = append(pairs, RawPair{Left: l, Right: r})
-	}
-	// Repeat a pair so the prepared-value memoization path is exercised.
-	pairs = append(pairs, pairs[0], pairs[3])
-
-	rows := ComputeRows(cat, pairs)
-	if len(rows) != len(pairs) {
-		t.Fatalf("%d rows for %d pairs", len(rows), len(pairs))
-	}
-	for k, p := range pairs {
-		want := ComputeRow(cat, p.Left, p.Right)
-		for j := range want {
-			if rows[k][j] != want[j] {
-				t.Fatalf("pair %d col %d (%s): batch=%v direct=%v",
-					k, j, cat.Metrics[j].Name, rows[k][j], want[j])
-			}
-		}
-	}
-}
-
-// TestComputeRowsDedupKeyInjective guards the memoization key against
-// collisions: records whose values concatenate identically but split
-// differently across attributes must not share prepared forms.
-func TestComputeRowsDedupKeyInjective(t *testing.T) {
-	_, cat := testWorkload(t) // DS schema: title, authors, venue, year
-	a := []string{"a\x00", "b", "c", "1999"}
-	b := []string{"a", "\x00b", "c", "1999"}
-	right := []string{"a", "b", "c", "1999"}
-	pairs := []RawPair{{Left: a, Right: right}, {Left: b, Right: right}}
-	rows := ComputeRows(cat, pairs)
-	for k, p := range pairs {
-		want := ComputeRow(cat, p.Left, p.Right)
-		for j := range want {
-			if rows[k][j] != want[j] {
-				t.Fatalf("pair %d col %d (%s): batch=%v direct=%v — dedup key collision",
-					k, j, cat.Metrics[j].Name, rows[k][j], want[j])
-			}
-		}
-	}
-}
-
 // TestStoreLazyChunkAllocation verifies that touching a few rows of a large
 // workload allocates only their chunks.
 func TestStoreLazyChunkAllocation(t *testing.T) {
@@ -76,8 +28,9 @@ func TestStoreLazyChunkAllocation(t *testing.T) {
 }
 
 // TestComputeRowAppendMatchesComputeRow pins the zero-allocation serving
-// row against the reference path, including buffer-reuse pollution (the
-// same scratch serving many different pairs) and the one-pair side cache.
+// row against a fresh scratch per pair, including buffer-reuse pollution
+// (the same scratch serving many different pairs) and the one-pair side
+// cache.
 func TestComputeRowAppendMatchesComputeRow(t *testing.T) {
 	w, cat := testWorkload(t)
 	s := NewServeScratch(cat)
@@ -89,7 +42,7 @@ func TestComputeRowAppendMatchesComputeRow(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l, r := w.Values(i)
 		row = ComputeRowAppend(cat, row[:0], l, r, s)
-		want := ComputeRow(cat, l, r)
+		want := directRow(cat, l, r)
 		if len(row) != len(want) {
 			t.Fatalf("pair %d: %d cols, want %d", i, len(row), len(want))
 		}
@@ -109,8 +62,8 @@ func TestComputeRowAppendMatchesComputeRow(t *testing.T) {
 	}
 }
 
-// TestComputeRowAppendShortSides mirrors PrepareRow's missing-value
-// padding: sides narrower than the schema score as empty-padded.
+// TestComputeRowAppendShortSides pins the missing-value padding: sides
+// narrower than the schema score as empty-padded.
 func TestComputeRowAppendShortSides(t *testing.T) {
 	w, cat := testWorkload(t)
 	s := NewServeScratch(cat)
@@ -119,7 +72,7 @@ func TestComputeRowAppendShortSides(t *testing.T) {
 	padded := make([]string, len(l))
 	copy(padded, short)
 	got := ComputeRowAppend(cat, nil, short, r, s)
-	want := ComputeRow(cat, padded, r)
+	want := directRow(cat, padded, r)
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("col %d (%s): short=%v padded=%v", j, cat.Metrics[j].Name, got[j], want[j])

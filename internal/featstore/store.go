@@ -3,18 +3,21 @@
 //
 //   - Streamer folds a lazy candidate-pair stream in bounded windows. The
 //     facade's batch pipeline (Train, Run, Evaluate) runs on it.
-//   - ComputeRow, ComputeRows and ComputeRowAppend compute the rows of raw
-//     pairs, for the serving path.
+//   - ComputeRowAppend computes the row of one raw pair through a reusable
+//     ServeScratch, for the serving path.
 //   - Store is the columnar metric store of a materialized workload:
 //     every pair's row computed lazily, at most once, into chunked
 //     row-major backing that callers take index views of. The experiment
 //     lab (internal/experiments) and active learning (internal/active)
 //     reuse its rows across overlapping subsamples and retraining rounds.
 //
-// Store and Streamer memoize the per-record value preparation
-// (normalization, tokenization, entity splits) that dominates metric cost,
-// so a record shared by many candidate pairs is prepared once per workload
-// or once per window. All three shapes produce bit-identical rows.
+// All three prepare a record the same way: resetRow re-points a row of
+// metrics.Prepared values at the record's attribute values, deriving
+// exactly the forms the catalog's metrics read. Store prepares each record
+// once per workload, Streamer once per window, and ServeScratch skips a
+// side whose values repeat the previous pair's, so a record shared by many
+// candidate pairs is normalized and tokenized once. All three shapes
+// produce bit-identical rows.
 package featstore
 
 import (
@@ -42,9 +45,9 @@ type Store struct {
 	chunks [][]float64 // row-major backing, chunkRows rows per chunk, allocated lazily
 	ready  []bool      // per pair
 
-	needs []metrics.Need        // per attribute, derived once from the catalog
-	prepL [][]*metrics.Prepared // per left-table record, per attribute; nil = not yet prepared
-	prepR [][]*metrics.Prepared // per right-table record, per attribute; nil = not yet prepared
+	needs []metrics.Need       // per attribute, derived once from the catalog
+	prepL [][]metrics.Prepared // per left-table record, per attribute; nil = not yet prepared
+	prepR [][]metrics.Prepared // per right-table record, per attribute; nil = not yet prepared
 }
 
 // chunkRows is the row granularity of lazy backing allocation: a store over
@@ -77,19 +80,16 @@ func (s *Store) Catalog() *metrics.Catalog { return s.cat }
 // Width returns the number of metric columns.
 func (s *Store) Width() int { return s.width }
 
-// NumPairs returns the number of candidate pairs the store covers.
-func (s *Store) NumPairs() int { return len(s.w.Pairs) }
-
-// prepareFor materializes the prepared attribute values of exactly the
-// records the given (missing) pairs reference, in parallel over records.
+// prepareFor prepares the attribute values of exactly the records the
+// given (missing) pairs reference, in parallel over records.
 // Each record value is prepared at most once no matter how many candidate
 // pairs reference it, and records never requested are never prepared — a
 // store over a large workload costs only what is actually read.
 func (s *Store) prepareFor(missing []int) {
 	if s.prepL == nil {
 		s.needs = s.cat.AttrNeeds()
-		s.prepL = make([][]*metrics.Prepared, len(s.w.Left.Records))
-		s.prepR = make([][]*metrics.Prepared, len(s.w.Right.Records))
+		s.prepL = make([][]metrics.Prepared, len(s.w.Left.Records))
+		s.prepR = make([][]metrics.Prepared, len(s.w.Right.Records))
 	}
 	var left, right []int
 	seenL := make(map[int]struct{})
@@ -109,30 +109,16 @@ func (s *Store) prepareFor(missing []int) {
 			}
 		}
 	}
-	prep := func(t *dataset.Table, rows [][]*metrics.Prepared, idx []int) {
+	prep := func(t *dataset.Table, rows [][]metrics.Prepared, idx []int) {
 		par.For(len(idx), func(k int) {
 			i := idx[k]
-			row := s.cat.PrepareRow(t.Records[i].Values)
-			for a, p := range row {
-				p.MaterializeNeeds(s.needs[a])
-			}
+			row := make([]metrics.Prepared, len(s.needs))
+			resetRow(row, t.Records[i].Values, s.needs)
 			rows[i] = row
 		})
 	}
 	prep(s.w.Left, s.prepL, left)
 	prep(s.w.Right, s.prepR, right)
-}
-
-// Row returns the metric row of pair i (computing it if needed). The
-// returned slice is a view into the store; callers must not modify it.
-func (s *Store) Row(i int) []float64 {
-	if !s.ready[i] {
-		s.prepareFor([]int{i})
-		s.ensureChunk(i)
-		s.fill(i)
-		s.ready[i] = true
-	}
-	return s.view(i)
 }
 
 // Rows returns views of the metric rows of the given pair indices,
@@ -171,15 +157,6 @@ func (s *Store) Rows(idx []int) [][]float64 {
 	return out
 }
 
-// All returns views of every pair's metric row.
-func (s *Store) All() [][]float64 {
-	idx := make([]int, s.NumPairs())
-	for i := range idx {
-		idx[i] = i
-	}
-	return s.Rows(idx)
-}
-
 // ensureChunk allocates the backing chunk holding pair i's row if needed.
 func (s *Store) ensureChunk(i int) {
 	c := i / chunkRows
@@ -201,4 +178,19 @@ func (s *Store) fill(i int) {
 func (s *Store) view(i int) []float64 {
 	off := (i % chunkRows) * s.width
 	return s.chunks[i/chunkRows][off : off+s.width : off+s.width]
+}
+
+// resetRow re-points a prepared row (one metrics.Prepared per catalog
+// attribute) at one record's values, deriving for each attribute exactly
+// the forms needs names; attributes past the end of vals are "".
+//
+//vetkit:hotpath
+func resetRow(row []metrics.Prepared, vals []string, needs []metrics.Need) {
+	for a := range row {
+		v := ""
+		if a < len(vals) {
+			v = vals[a]
+		}
+		row[a].Reset(v, needs[a])
+	}
 }

@@ -15,19 +15,31 @@ func testWorkload(t testing.TB) (*dataset.Workload, *metrics.Catalog) {
 	return w, w.Left.Schema.Catalog(w.Left, w.Right)
 }
 
-// TestRowsMatchDirectCompute is the store's core equivalence contract:
-// every stored row is bit-identical to cat.Compute on the pair's values.
-func TestRowsMatchDirectCompute(t *testing.T) {
-	w, cat := testWorkload(t)
-	s := New(w, cat)
+// allPairs returns every pair index of w.
+func allPairs(w *dataset.Workload) []int {
 	idx := make([]int, len(w.Pairs))
 	for i := range idx {
 		idx[i] = i
 	}
+	return idx
+}
+
+// directRow computes one pair's row through a fresh ServeScratch, sharing
+// no prepared record with any other pair.
+func directRow(cat *metrics.Catalog, left, right []string) []float64 {
+	return ComputeRowAppend(cat, nil, left, right, NewServeScratch(cat))
+}
+
+// TestRowsMatchDirectCompute is the store's core equivalence contract:
+// every stored row is bit-identical to the pair's row computed directly.
+func TestRowsMatchDirectCompute(t *testing.T) {
+	w, cat := testWorkload(t)
+	s := New(w, cat)
+	idx := allPairs(w)
 	rows := s.Rows(idx)
 	for k, i := range idx {
 		a, b := w.Values(i)
-		want := cat.Compute(a, b)
+		want := directRow(cat, a, b)
 		got := rows[k]
 		if len(got) != len(want) {
 			t.Fatalf("row %d width %d, want %d", i, len(got), len(want))
@@ -55,8 +67,8 @@ func TestRowsAreStableViews(t *testing.T) {
 	if &again[0][0] != &first[1][0] {
 		t.Error("repeated request should return the same view")
 	}
-	if got := s.Row(3); &got[0] != &first[0][0] {
-		t.Error("Row and Rows should agree on backing storage")
+	if got := s.Rows([]int{3})[0]; &got[0] != &first[0][0] {
+		t.Error("a single-index request should return the same view")
 	}
 	computed := 0
 	for _, r := range s.ready {
@@ -87,9 +99,9 @@ func TestRowsParallelWorkers(t *testing.T) {
 	w, cat := testWorkload(t)
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
-	par8 := New(w, cat).All()
+	par8 := New(w, cat).Rows(allPairs(w))
 	runtime.GOMAXPROCS(1)
-	serial := New(w, cat).All()
+	serial := New(w, cat).Rows(allPairs(w))
 	for i := range serial {
 		for j := range serial[i] {
 			if par8[i][j] != serial[i][j] {
@@ -114,7 +126,7 @@ func BenchmarkStoreFill(b *testing.B) {
 	w, cat := testWorkload(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		New(w, cat).All()
+		New(w, cat).Rows(allPairs(w))
 	}
 }
 
@@ -124,7 +136,7 @@ func BenchmarkDirectCompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for p := range w.Pairs {
 			a, bb := w.Values(p)
-			cat.Compute(a, bb)
+			directRow(cat, a, bb)
 		}
 	}
 }

@@ -27,8 +27,8 @@ const streamFillChunk = 64
 // reset in place — the serving path's pooled scratch), and the per-worker
 // metric DP buffers. Nothing grows with the stream length.
 //
-// Row values are bit-identical to Store's (and so to ComputeRow's): the
-// same catalog evaluation over the same prepared forms, with per-window
+// Row values are bit-identical to Store's (and so to ComputeRowAppend's):
+// the same catalog evaluation over the same prepared forms, with per-window
 // record deduplication standing in for the store's whole-workload
 // prepare-once memoization.
 //
@@ -57,7 +57,7 @@ type streamSide struct {
 	t     *dataset.Table
 	slot  []int32
 	stamp []int32
-	pool  [][]*metrics.Prepared
+	pool  [][]metrics.Prepared
 	used  int
 	dist  []int32
 }
@@ -85,9 +85,6 @@ func NewStreamer(cat *metrics.Catalog, left, right *dataset.Table, window int) *
 		},
 	}
 }
-
-// Window returns the streamer's window size.
-func (st *Streamer) Window() int { return st.window }
 
 // Run consumes the pair stream in windows, computes the metric rows of the
 // kept pairs of each window, and hands each window to sink. The stream
@@ -203,11 +200,7 @@ func (sd *streamSide) claim(ri int, epoch int32, nattrs int) {
 	}
 	sd.stamp[ri] = epoch
 	if sd.used == len(sd.pool) {
-		row := make([]*metrics.Prepared, nattrs)
-		for a := range row {
-			row[a] = metrics.NewReusable()
-		}
-		sd.pool = append(sd.pool, row)
+		sd.pool = append(sd.pool, make([]metrics.Prepared, nattrs))
 	}
 	sd.slot[ri] = int32(sd.used)
 	sd.dist = append(sd.dist, int32(ri))
@@ -220,14 +213,6 @@ func (sd *streamSide) claim(ri int, epoch int32, nattrs int) {
 func (sd *streamSide) prepare(needs []metrics.Need) {
 	par.For(len(sd.dist), func(k int) {
 		ri := int(sd.dist[k])
-		row := sd.pool[sd.slot[ri]]
-		vals := sd.t.Records[ri].Values
-		for a, p := range row {
-			if a < len(vals) {
-				p.Reset(vals[a], needs[a])
-			} else {
-				p.Reset("", needs[a])
-			}
-		}
+		resetRow(sd.pool[sd.slot[ri]], sd.t.Records[ri].Values, needs)
 	})
 }

@@ -26,11 +26,7 @@ func pairSeq(pairs []dataset.Pair) iter.Seq[dataset.Pair] {
 func TestStreamerMatchesStore(t *testing.T) {
 	w, cat := testWorkload(t)
 	store := New(w, cat)
-	idx := make([]int, len(w.Pairs))
-	for i := range idx {
-		idx[i] = i
-	}
-	want := store.Rows(idx)
+	want := store.Rows(allPairs(w))
 	for _, window := range []int{0, 1, 7, len(w.Pairs), len(w.Pairs) + 100} {
 		st := NewStreamer(cat, w.Left, w.Right, window)
 		seen := 0
@@ -81,7 +77,7 @@ func TestStreamerKeepSkipsRows(t *testing.T) {
 				}
 				continue
 			}
-			want := store.Row(i)
+			want := store.Rows([]int{i})[0]
 			for c := range want {
 				if row[c] != want[c] {
 					t.Fatalf("kept row %d col %d: %v != %v", i, c, row[c], want[c])

@@ -53,11 +53,12 @@ func (k Kind) String() string {
 
 // Metric is a named basic metric bound to one attribute of a schema. PFn
 // computes the metric on the two attribute values' Prepared forms — the
-// one kernel Catalog.Compute, the feature store and the serving path all
-// run; the Corpus (possibly nil) carries corpus statistics for TF-IDF and
-// key-token decisions. The *Scratch provides the DP/flag buffers of the
-// string cores; metrics that need none ignore it. The package's tests pin
-// each kernel against an independent string form.
+// one kernel Catalog.ComputePreparedInto runs for the feature store and
+// the serving path; the Corpus (possibly nil) carries corpus statistics
+// for TF-IDF and key-token decisions. The *Scratch provides the DP/flag
+// buffers of the string cores; metrics that need none ignore it. Needs
+// must name every form PFn reads: Reset leaves the others empty. The
+// package's tests pin each kernel against an independent string form.
 type Metric struct {
 	Name  string // e.g. "title.cosine_tfidf" or "year.diff"
 	Attr  int    // attribute index in the schema
@@ -173,65 +174,13 @@ func (c *Catalog) AttrNeeds() []Need {
 	return out
 }
 
-// emptyPrepared is the shared, fully materialized Prepared of the empty
-// string, used for missing attribute values.
-var emptyPrepared = Prepare("").Materialize()
-
-// PrepareRow wraps the attribute values of one record as Prepared values,
-// padded with empty values up to the catalog's attribute count. The result
-// is not materialized; call Materialize on each entry before sharing across
-// goroutines.
-func (c *Catalog) PrepareRow(vals []string) []*Prepared {
-	n := c.NumAttrs()
-	out := make([]*Prepared, n)
-	for i := range out {
-		if i < len(vals) {
-			out[i] = Prepare(vals[i])
-		} else {
-			out[i] = emptyPrepared
-		}
-	}
-	return out
-}
-
-// Compute evaluates every metric in the catalog on one record pair, given
-// the two records' attribute value slices. The result has one entry per
-// metric, in catalog order. Each attribute value is prepared (normalized,
-// tokenized, ...) at most once for the whole row.
-func (c *Catalog) Compute(a, b []string) []float64 {
-	out := make([]float64, len(c.Metrics))
-	pa := make([]*Prepared, c.NumAttrs())
-	pb := make([]*Prepared, c.NumAttrs())
-	var s Scratch
-	for i, m := range c.Metrics {
-		var corpus *Corpus
-		if m.Attr < len(c.Corpora) {
-			corpus = c.Corpora[m.Attr]
-		}
-		out[i] = m.PFn(rowPrepared(pa, a, m.Attr), rowPrepared(pb, b, m.Attr), corpus, &s)
-	}
-	return out
-}
-
-// rowPrepared lazily fills the per-row Prepared cache for one attribute.
-func rowPrepared(cache []*Prepared, vals []string, attr int) *Prepared {
-	if cache[attr] == nil {
-		if attr < len(vals) {
-			cache[attr] = Prepare(vals[attr])
-		} else {
-			cache[attr] = emptyPrepared
-		}
-	}
-	return cache[attr]
-}
-
 // ComputePreparedInto evaluates every metric into dst (len(c.Metrics)) given
-// already-prepared attribute rows (as produced by PrepareRow). The prepared
-// values must be materialized if the call happens concurrently. s provides
-// the per-worker metric scratch; nil allocates a fresh one for the call.
+// the two records' prepared attribute rows (NumAttrs entries each, Reset
+// with at least AttrNeeds). s provides the per-worker metric scratch; nil
+// allocates a fresh one for the call.
 //
 //vetkit:hotpath
-func (c *Catalog) ComputePreparedInto(dst []float64, pa, pb []*Prepared, s *Scratch) {
+func (c *Catalog) ComputePreparedInto(dst []float64, pa, pb []Prepared, s *Scratch) {
 	if s == nil {
 		s = &Scratch{} //vetkit:allow hotpath nil-scratch convenience path, cold
 	}
@@ -240,7 +189,7 @@ func (c *Catalog) ComputePreparedInto(dst []float64, pa, pb []*Prepared, s *Scra
 		if m.Attr < len(c.Corpora) {
 			corpus = c.Corpora[m.Attr]
 		}
-		dst[i] = m.PFn(pa[m.Attr], pb[m.Attr], corpus, s) //vetkit:allow hotpath metric kernels are alloc-free by contract (reuse tests pin them)
+		dst[i] = m.PFn(&pa[m.Attr], &pb[m.Attr], corpus, s) //vetkit:allow hotpath metric kernels are alloc-free by contract (reuse tests pin them)
 	}
 }
 

@@ -56,7 +56,7 @@ func TestCatalogCompute(t *testing.T) {
 	}
 	a := []string{"spatial join processing", "1998"}
 	b := []string{"spatial join processing", "1999"}
-	vals := cat.Compute(a, b)
+	vals := computeRow(cat, a, b)
 	if len(vals) != len(cat.Metrics) {
 		t.Fatalf("got %d values, want %d", len(vals), len(cat.Metrics))
 	}
@@ -76,12 +76,34 @@ func TestCatalogCompute(t *testing.T) {
 func TestCatalogComputeShortRecords(t *testing.T) {
 	// Records shorter than the schema must not panic; missing values are "".
 	cat := &Catalog{Metrics: ForAttribute("x", 3, EntityName)}
-	vals := cat.Compute([]string{"only one"}, nil)
+	vals := computeRow(cat, []string{"only one"}, nil)
 	for i, v := range vals {
 		if v != 0 && cat.Metrics[i].Kind == Difference {
 			t.Errorf("missing attrs should be uninformative, metric %s = %f", cat.Metrics[i].Name, v)
 		}
 	}
+}
+
+// computeRow evaluates the catalog on one record pair the way the feature
+// store does: each attribute value Reset once with its attribute's needs,
+// values missing from a short record as "".
+func computeRow(c *Catalog, a, b []string) []float64 {
+	needs := c.AttrNeeds()
+	pa, pb := make([]Prepared, len(needs)), make([]Prepared, len(needs))
+	for i, n := range needs {
+		pa[i].Reset(valueAt(a, i), n)
+		pb[i].Reset(valueAt(b, i), n)
+	}
+	out := make([]float64, len(c.Metrics))
+	c.ComputePreparedInto(out, pa, pb, nil)
+	return out
+}
+
+func valueAt(vals []string, i int) string {
+	if i < len(vals) {
+		return vals[i]
+	}
+	return ""
 }
 
 func TestCorpusIDFAndKeyTokens(t *testing.T) {

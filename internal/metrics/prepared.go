@@ -2,68 +2,71 @@ package metrics
 
 import (
 	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/strutil"
 )
 
-// Prepared caches every derived form of one attribute value that the basic
+// Prepared holds every derived form of one attribute value that the basic
 // metrics consume: the normalized string, its runes, tokens (as strings and
 // as rune slices), distinct tokens with their counts, entity-name split,
-// first-letter abbreviation, and numeric parse. Preparing a value once and
-// sharing it across all metrics of an attribute — and across every
-// candidate pair the value participates in — removes the dominant
+// first-letter abbreviation, compact form and numeric parse. Preparing a
+// value once and sharing it across all metrics of an attribute — and across
+// every candidate pair the value participates in — removes the dominant
 // redundancy of metric computation (normalization and tokenization used to
 // run once per metric per pair).
 //
-// The derived forms are computed lazily by the accessors, which makes a
-// Prepared cheap when only a few forms are needed (the string forms the
-// package's tests check the kernels against use this). Lazy computation is
-// NOT safe for concurrent use; call Materialize before sharing a Prepared
-// between goroutines, after which all accessors are read-only.
+// Reset is the one derivation of the forms: it re-points the Prepared at a
+// raw value and computes the forms its needs name into buffers the
+// Prepared owns and reuses, with zero heap allocations in steady state. The
+// zero Prepared is ready to Reset. The accessors are plain reads of the
+// last Reset; a form its needs left out reads as empty (Num as 0, false).
+//
+// The string-typed forms (norm, entities, abbr, compact) are views over the
+// byte buffers, built with unsafe.String, so the contract is strict:
+//
+//   - Every form — strings and slices — is valid only until the next
+//     Reset. Nothing may retain one across Resets (the metric kernels only
+//     write float64s out).
+//   - A Prepared is read-only between Resets, so sharing it among
+//     goroutines after Reset returns is safe; one goroutine at a time may
+//     Reset it.
+//
+// The package's tests pin every kernel over Reset forms against an
+// independent string form of its metric.
 type Prepared struct {
 	raw string
 
-	norm    string
-	hasNorm bool
+	norm        string   // view over normBuf
+	runes       []rune   // runes of norm
+	tokens      []string // substrings of norm
+	tokenRunes  [][]rune // subslices of runes
+	tokenCounts sortedBag
 
-	runes    []rune
-	hasRunes bool
-
-	tokens    []string
-	hasTokens bool
-
-	tokenRunes    [][]rune
-	hasTokenRunes bool
-
-	tokenCounts    sortedBag
-	hasTokenCounts bool
-
-	entities     []string
-	entityRunes  [][]rune
-	entityFields [][]string
+	entities     []string   // views over entityBuf
+	entityRunes  [][]rune   // subslices of entityRFlat
+	entityFields [][]string // subslices of entityFFlat
 	entitySet    sortedBag
-	hasEntities  bool
 
-	abbr    string
-	hasAbbr bool
+	abbr    string // view over abbrBuf
+	compact string // view over compactBuf: norm with spaces removed
 
-	compact    string // normalized form with spaces removed
-	hasCompact bool
+	num   float64
+	numOK bool
 
-	num    float64
-	numOK  bool
-	hasNum bool
-
-	// scratch, when non-nil, marks a reusable Prepared built by
-	// NewReusable: Reset recomputes the derived forms into the scratch's
-	// growable buffers (see reuse.go for the aliasing contract).
-	scratch *reuseState
+	// Backing of the views above, grown by Reset and kept across Resets.
+	normBuf, entityBuf, abbrBuf, compactBuf, numBuf []byte
+	entityEnds                                      []int
+	entityRFlat                                     []rune
+	entityFFlat                                     []string
 }
 
 // Need is a bitmask of the derived forms a metric consumes; catalogs
-// aggregate them per attribute so the feature store materializes only what
-// its metrics will read.
+// aggregate them per attribute so the feature store derives only what its
+// metrics will read.
 type Need uint16
 
 // Derived-form bits.
@@ -78,72 +81,54 @@ const (
 	NeedCompact
 	NeedNum
 
-	// NeedAll materializes every form.
+	// NeedAll derives every form.
 	NeedAll Need = 1<<iota - 1
 )
-
-// Prepare wraps a raw attribute value. Derived forms are computed on first
-// use.
-func Prepare(s string) *Prepared { return &Prepared{raw: s} }
 
 // Raw returns the original value.
 func (p *Prepared) Raw() string { return p.raw }
 
 // Norm returns the strutil-normalized form.
-func (p *Prepared) Norm() string {
-	if !p.hasNorm {
-		p.norm = strutil.Normalize(p.raw)
-		p.hasNorm = true
-	}
-	return p.norm
-}
+func (p *Prepared) Norm() string { return p.norm }
 
 // Runes returns the normalized form as runes.
-func (p *Prepared) Runes() []rune {
-	if !p.hasRunes {
-		p.runes = []rune(p.Norm())
-		p.hasRunes = true
-	}
-	return p.runes
-}
+func (p *Prepared) Runes() []rune { return p.runes }
 
 // Tokens returns the normalized whitespace tokens.
-func (p *Prepared) Tokens() []string {
-	if !p.hasTokens {
-		n := p.Norm()
-		if n == "" {
-			p.tokens = []string{}
-		} else {
-			p.tokens = strings.Fields(n)
-		}
-		p.hasTokens = true
-	}
-	return p.tokens
-}
+func (p *Prepared) Tokens() []string { return p.tokens }
 
 // TokenRunes returns each token as a rune slice (tokens are already
 // normalized, so these are the rune forms the string metrics would derive).
-func (p *Prepared) TokenRunes() [][]rune {
-	if !p.hasTokenRunes {
-		ts := p.Tokens()
-		p.tokenRunes = make([][]rune, len(ts))
-		for i, t := range ts {
-			p.tokenRunes[i] = []rune(t)
-		}
-		p.hasTokenRunes = true
-	}
-	return p.tokenRunes
-}
+func (p *Prepared) TokenRunes() [][]rune { return p.tokenRunes }
 
 // TokenCounts returns the token multiset in merge-join form: the distinct
 // tokens in ascending byte order and, in parallel, the count of each.
 func (p *Prepared) TokenCounts() (tokens []string, counts []int) {
-	if !p.hasTokenCounts {
-		p.tokenCounts.fill(p.Tokens())
-		p.hasTokenCounts = true
-	}
 	return p.tokenCounts.vals, p.tokenCounts.counts
 }
+
+// Entities returns the entity-name split of the value; EntityRunes and
+// EntityFields the per-entity rune and field forms used by fuzzy entity
+// matching.
+func (p *Prepared) Entities() []string { return p.entities }
+
+// EntityRunes returns each entity name as runes.
+func (p *Prepared) EntityRunes() [][]rune { return p.entityRunes }
+
+// EntityFields returns each entity name's whitespace fields.
+func (p *Prepared) EntityFields() [][]string { return p.entityFields }
+
+// EntitySet returns the distinct entity names in ascending byte order.
+func (p *Prepared) EntitySet() []string { return p.entitySet.vals }
+
+// Abbr returns the first-letter abbreviation of the value.
+func (p *Prepared) Abbr() string { return p.abbr }
+
+// Compact returns the normalized form with spaces removed.
+func (p *Prepared) Compact() string { return p.compact }
+
+// Num returns the numeric parse of the value and whether it succeeded.
+func (p *Prepared) Num() (float64, bool) { return p.num, p.numOK }
 
 // sortedBag is a multiset as two parallel slices: the distinct values in
 // ascending byte order and the count of each. The set metrics run as merge
@@ -202,109 +187,239 @@ func sharedCount(a, b []string) int {
 	return n
 }
 
-// Entities returns the entity-name split of the value; EntityRunes and
-// EntityFields the per-entity rune and field forms used by fuzzy entity
-// matching.
-func (p *Prepared) Entities() []string {
-	p.ensureEntities()
-	return p.entities
+// bview is the unsafe view of a byte-buffer range as a string. The caller
+// owns b and promises not to mutate it while the string is reachable — the
+// Reset contract above.
+func bview(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
-// EntityRunes returns each entity name as runes.
-func (p *Prepared) EntityRunes() [][]rune {
-	p.ensureEntities()
-	return p.entityRunes
-}
+// Reset re-points p at a new raw value and computes the forms named by
+// needs, prerequisites included, into p's buffers. Every other form reads
+// as empty until the next Reset.
+func (p *Prepared) Reset(raw string, needs Need) {
+	// Truncate every form first; the buffers keep their capacity.
+	p.raw, p.norm, p.abbr, p.compact = raw, "", "", ""
+	p.runes, p.tokens, p.tokenRunes = p.runes[:0], p.tokens[:0], p.tokenRunes[:0]
+	p.entities, p.entityRunes, p.entityFields = p.entities[:0], p.entityRunes[:0], p.entityFields[:0]
+	p.tokenCounts.fill(nil)
+	p.entitySet.fill(nil)
+	p.num, p.numOK = 0, false
 
-// EntityFields returns each entity name's whitespace fields.
-func (p *Prepared) EntityFields() [][]string {
-	p.ensureEntities()
-	return p.entityFields
-}
+	wantNorm := needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedAbbr|NeedCompact) != 0
+	wantRunes := needs&(NeedRunes|NeedTokenRunes) != 0
+	wantTokens := needs&(NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedAbbr) != 0
+	wantTokenRunes := needs&NeedTokenRunes != 0
 
-// EntitySet returns the distinct entity names in ascending byte order.
-func (p *Prepared) EntitySet() []string {
-	p.ensureEntities()
-	return p.entitySet.vals
-}
-
-func (p *Prepared) ensureEntities() {
-	if p.hasEntities {
-		return
+	if wantNorm {
+		p.normBuf = strutil.AppendNormalized(p.normBuf[:0], raw)
+		p.norm = bview(p.normBuf)
 	}
-	es := strutil.SplitEntities(p.raw)
-	p.entities = es
-	p.entityRunes = make([][]rune, len(es))
-	p.entityFields = make([][]string, len(es))
-	for i, e := range es {
-		p.entityRunes[i] = []rune(e)
-		p.entityFields[i] = strings.Fields(e)
+	if wantRunes {
+		p.runes = appendRunes(p.runes, p.norm)
 	}
-	p.entitySet.fill(es)
-	p.hasEntities = true
-}
-
-// Abbr returns the first-letter abbreviation of the value.
-func (p *Prepared) Abbr() string {
-	if !p.hasAbbr {
-		p.abbr = strutil.Abbreviation(p.raw)
-		p.hasAbbr = true
-	}
-	return p.abbr
-}
-
-// Compact returns the normalized form with spaces removed.
-func (p *Prepared) Compact() string {
-	if !p.hasCompact {
-		p.compact = strings.ReplaceAll(p.Norm(), " ", "")
-		p.hasCompact = true
-	}
-	return p.compact
-}
-
-// Num returns the numeric parse of the value and whether it succeeded.
-func (p *Prepared) Num() (float64, bool) {
-	if !p.hasNum {
-		v, err := parseNumber(p.raw)
-		p.num, p.numOK = v, err == nil
-		p.hasNum = true
-	}
-	return p.num, p.numOK
-}
-
-// Materialize forces every derived form so the Prepared can subsequently be
-// read concurrently.
-func (p *Prepared) Materialize() *Prepared { return p.MaterializeNeeds(NeedAll) }
-
-// MaterializeNeeds forces the requested derived forms (plus their
-// prerequisites) so concurrent readers of exactly those forms are safe.
-func (p *Prepared) MaterializeNeeds(needs Need) *Prepared {
-	if needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedCompact) != 0 {
-		p.Norm()
-	}
-	if needs&NeedRunes != 0 {
-		p.Runes()
-	}
-	if needs&(NeedTokens|NeedTokenRunes|NeedTokenCounts) != 0 {
-		p.Tokens()
-	}
-	if needs&NeedTokenRunes != 0 {
-		p.TokenRunes()
+	if wantTokens {
+		p.resetTokens(wantTokenRunes)
 	}
 	if needs&NeedTokenCounts != 0 {
-		p.TokenCounts()
+		p.tokenCounts.fill(p.tokens)
 	}
 	if needs&NeedEntities != 0 {
-		p.ensureEntities()
+		p.resetEntities()
 	}
 	if needs&NeedAbbr != 0 {
-		p.Abbr()
+		p.abbrBuf = p.abbrBuf[:0]
+		for _, t := range p.tokens {
+			r, _ := utf8.DecodeRuneInString(t)
+			p.abbrBuf = utf8.AppendRune(p.abbrBuf, r)
+		}
+		p.abbr = bview(p.abbrBuf)
 	}
 	if needs&NeedCompact != 0 {
-		p.Compact()
+		p.compactBuf = p.compactBuf[:0]
+		for i := 0; i < len(p.norm); i++ {
+			if p.norm[i] != ' ' {
+				p.compactBuf = append(p.compactBuf, p.norm[i])
+			}
+		}
+		p.compact = bview(p.compactBuf)
 	}
 	if needs&NeedNum != 0 {
-		p.Num()
+		p.num, p.numOK = parseNumberReuse(raw, &p.numBuf)
 	}
-	return p
+}
+
+// resetTokens splits the normalized form into tokens, substrings of
+// p.norm. Token runes (when requested) are subslices of p.runes, which
+// tokenization walks in lockstep with the byte positions.
+func (p *Prepared) resetTokens(withRunes bool) {
+	bs, rs := -1, 0 // start of the current token (byte index, rune index)
+	ri := 0
+	for bi, r := range p.norm {
+		if r == ' ' {
+			if bs >= 0 {
+				p.tokens = append(p.tokens, p.norm[bs:bi])
+				if withRunes {
+					p.tokenRunes = append(p.tokenRunes, p.runes[rs:ri])
+				}
+				bs = -1
+			}
+		} else if bs < 0 {
+			bs, rs = bi, ri
+		}
+		ri++
+	}
+	if bs >= 0 {
+		p.tokens = append(p.tokens, p.norm[bs:])
+		if withRunes {
+			p.tokenRunes = append(p.tokenRunes, p.runes[rs:ri])
+		}
+	}
+}
+
+// resetEntities computes the entity split and its per-entity rune and
+// field views.
+func (p *Prepared) resetEntities() {
+	p.entityBuf, p.entityEnds = strutil.AppendEntitySplit(p.entityBuf[:0], p.entityEnds[:0], p.raw)
+	p.entityRFlat = p.entityRFlat[:0]
+	p.entityFFlat = p.entityFFlat[:0]
+	start := 0
+	for _, end := range p.entityEnds {
+		e := bview(p.entityBuf[start:end])
+		start = end
+		p.entities = append(p.entities, e)
+
+		rlo := len(p.entityRFlat)
+		p.entityRFlat = appendRunes(p.entityRFlat, e)
+		p.entityRunes = append(p.entityRunes, p.entityRFlat[rlo:len(p.entityRFlat):len(p.entityRFlat)])
+
+		flo := len(p.entityFFlat)
+		p.entityFFlat = appendSpaceFields(p.entityFFlat, e)
+		p.entityFields = append(p.entityFields, p.entityFFlat[flo:len(p.entityFFlat):len(p.entityFFlat)])
+	}
+	p.entitySet.fill(p.entities)
+}
+
+// appendRunes appends the runes of s to dst.
+func appendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
+}
+
+// appendSpaceFields appends the space-separated fields of an
+// already-normalized string (single ASCII spaces, no leading/trailing) to
+// dst; the fields are substrings of s. Matches strings.Fields on such
+// input.
+func appendSpaceFields(dst []string, s string) []string {
+	start := -1
+	for i := 0; i < len(s); i++ {
+		if s[i] == ' ' {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// parseNumberReuse parses a numeric attribute value without failure
+// allocations: the currency/thousands cleanup writes into the reusable
+// buf, and a full syntax check runs before strconv.ParseFloat so the common
+// non-numeric value (a text attribute fed to a numeric metric) never
+// constructs a *strconv.NumError. The tests pin accept/reject and values
+// against the direct strings.Replacer + ParseFloat parse.
+func parseNumberReuse(s string, buf *[]byte) (float64, bool) {
+	var cleaned string
+	if strings.ContainsAny(s, "$,£€") {
+		b := (*buf)[:0]
+		for _, r := range s {
+			switch r {
+			case '$', ',', '£', '€':
+			default:
+				b = utf8.AppendRune(b, r)
+			}
+		}
+		*buf = b
+		cleaned = strings.TrimSpace(bview(b))
+	} else {
+		cleaned = strings.TrimSpace(s)
+	}
+	if !floatSyntaxPlausible(cleaned) {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(cleaned, 64)
+	return v, err == nil
+}
+
+// floatSyntaxPlausible reports whether s could be accepted by
+// strconv.ParseFloat. It is exact for the plain decimal grammar and for
+// inf/infinity/nan; strings with digit-separating underscores or a hex
+// prefix are passed through as plausible (ParseFloat decides — those are
+// vanishingly rare in attribute data, and a failed parse merely allocates
+// the error it always used to). It never returns false for a string
+// ParseFloat accepts.
+func floatSyntaxPlausible(s string) bool {
+	if len(s) == 0 {
+		return false
+	}
+	rest := s
+	if rest[0] == '+' || rest[0] == '-' {
+		rest = rest[1:]
+	}
+	if strings.EqualFold(rest, "inf") || strings.EqualFold(rest, "infinity") || strings.EqualFold(rest, "nan") {
+		return true
+	}
+	if strings.ContainsRune(rest, '_') {
+		return true // underscore placement rules: let ParseFloat decide
+	}
+	if len(rest) > 1 && rest[0] == '0' && (rest[1] == 'x' || rest[1] == 'X') {
+		return true // hex float: let ParseFloat decide
+	}
+	// Plain decimal: digits [ '.' digits ] [ (e|E) [sign] digits ], at
+	// least one digit in the mantissa.
+	i, sawDigit := 0, false
+	for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
+		i++
+		sawDigit = true
+	}
+	if i < len(rest) && rest[i] == '.' {
+		i++
+		for i < len(rest) && rest[i] >= '0' && rest[i] <= '9' {
+			i++
+			sawDigit = true
+		}
+	}
+	if !sawDigit {
+		return false
+	}
+	if i == len(rest) {
+		return true
+	}
+	if rest[i] != 'e' && rest[i] != 'E' {
+		return false
+	}
+	i++
+	if i < len(rest) && (rest[i] == '+' || rest[i] == '-') {
+		i++
+	}
+	if i == len(rest) {
+		return false
+	}
+	for ; i < len(rest); i++ {
+		if rest[i] < '0' || rest[i] > '9' {
+			return false
+		}
+	}
+	return true
 }

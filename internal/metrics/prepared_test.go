@@ -81,25 +81,33 @@ func allCatalogMetrics() []Metric {
 	return out
 }
 
+// resetAs resets p to raw with exactly needs, after first resetting it to
+// other with every form, so that neither a buffer left over from another
+// value nor a form missing from needs can pass unnoticed.
+func resetAs(p *Prepared, raw, other string, needs Need) *Prepared {
+	p.Reset(other, NeedAll)
+	p.Reset(raw, needs)
+	return p
+}
+
 // TestPreparedMatchesStringPath verifies that every catalog metric's
-// prepared core returns bit-identical results to its string reference form,
-// with and without a corpus.
+// kernel, over two values Reset with exactly the metric's declared Needs,
+// returns bit-identical results to its string reference form, with and
+// without a corpus. It is also the check that each metric's Needs names
+// every form its kernel reads.
 func TestPreparedMatchesStringPath(t *testing.T) {
 	corpus := NewCorpus(messyValues, 0.5)
+	var pa, pb Prepared
+	var s Scratch
 	for _, m := range allCatalogMetrics() {
 		ref := refOf(t, m)
 		for _, c := range []*Corpus{nil, corpus} {
 			for _, a := range messyValues {
 				for _, b := range messyValues {
 					want := ref(a, b, c)
-					got := m.PFn(Prepare(a), Prepare(b), c, &Scratch{})
+					got := m.PFn(resetAs(&pa, a, b, m.Needs), resetAs(&pb, b, a, m.Needs), c, &s)
 					if want != got {
 						t.Fatalf("%s(%q, %q) prepared=%v reference=%v", m.Name, a, b, got, want)
-					}
-					// Materialized values must agree too (the store path).
-					got = m.PFn(Prepare(a).Materialize(), Prepare(b).Materialize(), c, &Scratch{})
-					if want != got {
-						t.Fatalf("%s(%q, %q) materialized=%v reference=%v", m.Name, a, b, got, want)
 					}
 				}
 			}
@@ -110,16 +118,21 @@ func TestPreparedMatchesStringPath(t *testing.T) {
 // TestPreparedMatchesStringPathQuick property-tests the same equivalence on
 // arbitrary strings.
 func TestPreparedMatchesStringPathQuick(t *testing.T) {
+	corpus := NewCorpus(messyValues, 0.5)
 	ms := allCatalogMetrics()
 	refs := make([]func(a, b string, c *Corpus) float64, len(ms))
 	for i, m := range ms {
 		refs[i] = refOf(t, m)
 	}
+	var pa, pb Prepared
+	var s Scratch
 	f := func(a, b string) bool {
-		pa, pb := Prepare(a), Prepare(b)
 		for i, m := range ms {
-			if refs[i](a, b, nil) != m.PFn(pa, pb, nil, &Scratch{}) {
-				return false
+			for _, c := range []*Corpus{nil, corpus} {
+				got := m.PFn(resetAs(&pa, a, b, m.Needs), resetAs(&pb, b, a, m.Needs), c, &s)
+				if refs[i](a, b, c) != got {
+					return false
+				}
 			}
 		}
 		return true
@@ -129,8 +142,9 @@ func TestPreparedMatchesStringPathQuick(t *testing.T) {
 	}
 }
 
-// TestComputeUsesSharedPreparation guards the per-row caching contract:
-// Compute must agree with metric-by-metric evaluation.
+// TestComputeUsesSharedPreparation guards the per-row sharing contract:
+// a row whose attributes are each Reset once, with the needs of all their
+// metrics, agrees with metric-by-metric evaluation of the string forms.
 func TestComputeUsesSharedPreparation(t *testing.T) {
 	cat := &Catalog{Corpora: make([]*Corpus, 2)}
 	cat.Metrics = append(cat.Metrics, ForAttribute("name", 0, EntityName)...)
@@ -139,34 +153,20 @@ func TestComputeUsesSharedPreparation(t *testing.T) {
 
 	a := []string{"Very Large Data Bases", "1999"}
 	b := []string{"VLDB", "2001"}
-	got := cat.Compute(a, b)
+	got := computeRow(cat, a, b)
 	for i, m := range cat.Metrics {
 		var c *Corpus
 		if m.Attr < len(cat.Corpora) {
 			c = cat.Corpora[m.Attr]
 		}
 		if want := refOf(t, m)(a[m.Attr], b[m.Attr], c); got[i] != want {
-			t.Errorf("Compute[%d] (%s) = %v, want %v", i, m.Name, got[i], want)
+			t.Errorf("row[%d] (%s) = %v, want %v", i, m.Name, got[i], want)
 		}
 	}
 
-	// Short value slices behave as empty strings (legacy guard).
-	short := cat.Compute([]string{"only name"}, nil)
+	// Short value slices behave as empty strings.
+	short := computeRow(cat, []string{"only name"}, nil)
 	if len(short) != len(cat.Metrics) {
 		t.Fatalf("width %d, want %d", len(short), len(cat.Metrics))
-	}
-
-	// ComputePreparedInto agrees with Compute.
-	dst := make([]float64, len(cat.Metrics))
-	pa, pb := cat.PrepareRow(a), cat.PrepareRow(b)
-	for i := range pa {
-		pa[i].Materialize()
-		pb[i].Materialize()
-	}
-	cat.ComputePreparedInto(dst, pa, pb, nil)
-	for i := range dst {
-		if dst[i] != got[i] {
-			t.Errorf("ComputePreparedInto[%d] = %v, want %v", i, dst[i], got[i])
-		}
 	}
 }

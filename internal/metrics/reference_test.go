@@ -4,16 +4,55 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/strutil"
 )
 
 // The string forms of the catalog metrics: the oracle table stringRef
 // (prepared_test.go) pins every prepared kernel against. Most prepare
-// their inputs and call the kernel, so they pin the lazy Prepare path
-// against the reusable one. The set metrics — token and entity Jaccard,
-// overlap, diff-key-token and TF-IDF cosine — compute over Go maps
-// instead, independently of the merge joins they check.
+// their inputs with oraclePrepared and call the kernel, so they pin
+// Reset's forms against a direct derivation of each. The set metrics —
+// token and entity Jaccard, overlap, diff-key-token and TF-IDF cosine —
+// compute over Go maps instead, independently of the merge joins they
+// check.
+
+// oraclePrepared derives every form of raw directly from the strutil
+// string functions, independently of Reset and its buffers.
+func oraclePrepared(raw string) *Prepared {
+	p := &Prepared{raw: raw, norm: strutil.Normalize(raw)}
+	p.runes = []rune(p.norm)
+	p.tokens = strings.Fields(p.norm)
+	p.tokenRunes = make([][]rune, len(p.tokens))
+	for i, t := range p.tokens {
+		p.tokenRunes[i] = []rune(t)
+	}
+	p.tokenCounts.fill(p.tokens)
+	es := strutil.SplitEntities(raw)
+	p.entities = es
+	p.entityRunes = make([][]rune, len(es))
+	p.entityFields = make([][]string, len(es))
+	for i, e := range es {
+		p.entityRunes[i] = []rune(e)
+		p.entityFields[i] = strings.Fields(e)
+	}
+	p.entitySet.fill(es)
+	p.abbr = strutil.Abbreviation(raw)
+	p.compact = strings.ReplaceAll(p.norm, " ", "")
+	v, err := parseNumber(raw)
+	p.num, p.numOK = v, err == nil
+	return p
+}
+
+// numberCleaner strips currency symbols and thousands separators.
+var numberCleaner = strings.NewReplacer("$", "", ",", "", "£", "", "€", "")
+
+// parseNumber is the direct numeric parse parseNumberReuse must match.
+func parseNumber(s string) (float64, error) {
+	cleaned := strings.TrimSpace(numberCleaner.Replace(s))
+	return strconv.ParseFloat(cleaned, 64)
+}
 
 // Levenshtein returns the edit distance between the normalized forms of a
 // and b, in rune operations (insert, delete, substitute).
@@ -26,7 +65,7 @@ func Levenshtein(a, b string) int {
 // similarity in [0,1]. Two empty values are maximally similar.
 func EditSimilarity(a, b string) float64 {
 	var s Scratch
-	return editSimilarityP(Prepare(a), Prepare(b), &s)
+	return editSimilarityP(oraclePrepared(a), oraclePrepared(b), &s)
 }
 
 // Jaro returns the Jaro similarity of the normalized values, in [0,1].
@@ -115,20 +154,20 @@ func LCS(a, b string) float64 {
 // definition; SymMongeElkan averages both directions.
 func MongeElkan(a, b string) float64 {
 	var s Scratch
-	return mongeElkanP(Prepare(a), Prepare(b), &s)
+	return mongeElkanP(oraclePrepared(a), oraclePrepared(b), &s)
 }
 
 // SymMongeElkan is the symmetric mean of MongeElkan in both directions.
 func SymMongeElkan(a, b string) float64 {
 	var s Scratch
-	return symMongeElkanP(Prepare(a), Prepare(b), &s)
+	return symMongeElkanP(oraclePrepared(a), oraclePrepared(b), &s)
 }
 
 // NumericSimilarity parses a and b as numbers and returns
 // 1 - |x-y|/max(|x|,|y|), clamped to [0,1]. Unparseable or absent values
 // yield 0 unless both are absent (1: vacuously equal).
 func NumericSimilarity(a, b string) float64 {
-	return numericSimilarityP(Prepare(a), Prepare(b), nil)
+	return numericSimilarityP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // CosineTFIDF returns the TF-IDF-weighted cosine similarity of the token
@@ -168,17 +207,17 @@ func CosineTFIDF(a, b string, c *Corpus) float64 {
 // value is a substring of the other. Missing values are treated as
 // uninformative (0).
 func NonSubstring(a, b string) float64 {
-	return nonSubstringP(Prepare(a), Prepare(b), nil)
+	return nonSubstringP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // NonPrefix is 1 if neither normalized value is a prefix of the other.
 func NonPrefix(a, b string) float64 {
-	return nonPrefixP(Prepare(a), Prepare(b), nil)
+	return nonPrefixP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // NonSuffix is 1 if neither normalized value is a suffix of the other.
 func NonSuffix(a, b string) float64 {
-	return nonSuffixP(Prepare(a), Prepare(b), nil)
+	return nonSuffixP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // AbbrNonSubstring is 1 if the first-letter abbreviation of one value is not
@@ -186,13 +225,13 @@ func NonSuffix(a, b string) float64 {
 // value is also not a substring of the other full value (covers
 // "VLDB" vs "Very Large Data Bases").
 func AbbrNonSubstring(a, b string) float64 {
-	return abbrNonSubstringP(Prepare(a), Prepare(b), nil)
+	return abbrNonSubstringP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // DiffCardinality is the entity-set difference metric: 1 if the two sets
 // contain different numbers of entity names. Empty sets are uninformative.
 func DiffCardinality(a, b string) float64 {
-	return diffCardinalityP(Prepare(a), Prepare(b), nil)
+	return diffCardinalityP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // DistinctEntity counts the entity names that appear in exactly one of the
@@ -202,20 +241,20 @@ func DiffCardinality(a, b string) float64 {
 // Example 1.
 func DistinctEntity(a, b string) float64 {
 	var s Scratch
-	return distinctEntityP(Prepare(a), Prepare(b), &s)
+	return distinctEntityP(oraclePrepared(a), oraclePrepared(b), &s)
 }
 
 // YearDiff is the numeric difference metric specialized for year-like
 // attributes: 1 if both values parse as numbers and differ, 0 otherwise.
 // It realizes the paper's running-example rule r_i[Year] != r_j[Year].
 func YearDiff(a, b string) float64 {
-	return yearDiffP(Prepare(a), Prepare(b), nil)
+	return yearDiffP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // NumericGap returns the relative numeric gap |x-y|/max(|x|,|y|) in [0,1];
 // 0 when either value is unparseable (uninformative) or both are zero.
 func NumericGap(a, b string) float64 {
-	return numericGapP(Prepare(a), Prepare(b), nil)
+	return numericGapP(oraclePrepared(a), oraclePrepared(b), nil)
 }
 
 // DiffKeyToken counts the key (discriminating) tokens contained by exactly
@@ -246,5 +285,5 @@ func DiffKeyToken(a, b string, c *Corpus) float64 {
 // normalized strings (used for categorical attributes).
 func YearDiffOrExact(a, b string) float64 {
 	var s Scratch
-	return yearDiffOrExactP(Prepare(a), Prepare(b), &s)
+	return yearDiffOrExactP(oraclePrepared(a), oraclePrepared(b), &s)
 }

@@ -2,34 +2,25 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// resetAll resets a reusable Prepared with every derived form materialized.
-func resetAll(p *Prepared, raw string) *Prepared {
-	p.Reset(raw, NeedAll)
-	return p
-}
-
-// TestReusableMatchesFreshPrepare pins the reuse contract: a reusable
-// Prepared that has been Reset (possibly after serving other values —
-// buffer reuse must leave no residue) produces bit-identical metric values
-// to a fresh, fully materialized Prepare on every catalog metric.
+// TestReusableMatchesFreshPrepare pins the reuse contract: a Prepared that
+// has been Reset (after serving another value — buffer reuse must leave no
+// residue) produces bit-identical metric values to a fresh, fully derived
+// oraclePrepared on every catalog metric.
 func TestReusableMatchesFreshPrepare(t *testing.T) {
 	corpus := NewCorpus(messyValues, 0.5)
-	ra, rb := NewReusable(), NewReusable()
+	var ra, rb Prepared
 	var s Scratch
 	for _, m := range allCatalogMetrics() {
 		for _, c := range []*Corpus{nil, corpus} {
 			for _, a := range messyValues {
 				for _, b := range messyValues {
-					// Pollute the buffers with the opposite value first, so
-					// a stale-state bug cannot hide.
-					resetAll(ra, b)
-					resetAll(rb, a)
-					want := m.PFn(Prepare(a).Materialize(), Prepare(b).Materialize(), c, &Scratch{})
-					got := m.PFn(resetAll(ra, a), resetAll(rb, b), c, &s)
+					want := m.PFn(oraclePrepared(a), oraclePrepared(b), c, &Scratch{})
+					got := m.PFn(resetAs(&ra, a, b, NeedAll), resetAs(&rb, b, a, NeedAll), c, &s)
 					if want != got {
 						t.Fatalf("%s(%q, %q) reusable=%v fresh=%v", m.Name, a, b, got, want)
 					}
@@ -43,15 +34,14 @@ func TestReusableMatchesFreshPrepare(t *testing.T) {
 // on arbitrary (including non-ASCII and non-UTF-8) string pairs.
 func TestReusableMatchesFreshPrepareQuick(t *testing.T) {
 	ms := allCatalogMetrics()
-	ra, rb := NewReusable(), NewReusable()
+	var ra, rb Prepared
 	var s Scratch
 	f := func(a, b string) bool {
-		resetAll(ra, b) // pollute
-		resetAll(rb, a)
-		resetAll(ra, a)
-		resetAll(rb, b)
+		resetAs(&ra, a, b, NeedAll)
+		resetAs(&rb, b, a, NeedAll)
+		fa, fb := oraclePrepared(a), oraclePrepared(b)
 		for _, m := range ms {
-			if m.PFn(Prepare(a).Materialize(), Prepare(b).Materialize(), nil, &Scratch{}) != m.PFn(ra, rb, nil, &s) {
+			if m.PFn(fa, fb, nil, &Scratch{}) != m.PFn(&ra, &rb, nil, &s) {
 				return false
 			}
 		}
@@ -62,40 +52,39 @@ func TestReusableMatchesFreshPrepareQuick(t *testing.T) {
 	}
 }
 
-// TestReusableNeedsSubset checks that a Reset materializing only the forms
-// a catalog actually needs still answers every requested accessor
-// correctly (the serving path resets with Catalog.AttrNeeds masks, not
-// NeedAll).
+// TestReusableNeedsSubset checks that a Reset deriving only some forms
+// answers each requested accessor as the direct derivation does (the
+// feature store resets with Catalog.AttrNeeds masks, not NeedAll), and
+// that the forms it leaves out read as empty even after a NeedAll Reset of
+// another value.
 func TestReusableNeedsSubset(t *testing.T) {
-	p := NewReusable()
+	var p Prepared
+	p.Reset("t brinkhoff, thomas brinkhoff 1999", NeedAll)
 	p.Reset("Very Large Data Bases; V. L. D. B. and friends, 1975", NeedTokens|NeedAbbr|NeedNum)
-	want := Prepare(p.Raw())
+	want := oraclePrepared(p.Raw())
 	if got, w := p.Abbr(), want.Abbr(); got != w {
 		t.Fatalf("Abbr = %q, want %q", got, w)
 	}
-	if len(p.Tokens()) != len(want.Tokens()) {
+	if !slices.Equal(p.Tokens(), want.Tokens()) {
 		t.Fatalf("Tokens = %v, want %v", p.Tokens(), want.Tokens())
 	}
 	if _, ok := p.Num(); ok {
 		t.Fatal("value should not parse as a number")
 	}
+	if len(p.Runes()) != 0 || len(p.TokenRunes()) != 0 || len(p.Entities()) != 0 || len(p.EntitySet()) != 0 || p.Compact() != "" {
+		t.Fatalf("forms outside the needs are not empty: runes %q, entities %q, compact %q",
+			string(p.Runes()), p.Entities(), p.Compact())
+	}
+	if toks, _ := p.TokenCounts(); len(toks) != 0 {
+		t.Fatalf("TokenCounts outside the needs = %q, want empty", toks)
+	}
 }
 
-// TestResetPanicsOnNonReusable pins the loud failure mode.
-func TestResetPanicsOnNonReusable(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset on Prepare()d value should panic")
-		}
-	}()
-	Prepare("x").Reset("y", NeedAll)
-}
-
-// TestResetSteadyStateAllocs pins the zero-allocation contract of the
-// reusable Prepared itself: once the buffers have grown to the workload's
-// value sizes, Reset with the full needs mask allocates nothing.
+// TestResetSteadyStateAllocs pins the zero-allocation contract of Reset
+// itself: once the buffers have grown to the workload's value sizes, Reset
+// with the full needs mask allocates nothing.
 func TestResetSteadyStateAllocs(t *testing.T) {
-	p := NewReusable()
+	var p Prepared
 	vals := []string{
 		"Very Large Data Bases, 1975 — authors: A. Smith; B. Jones and C. D. Lee",
 		"$1,234.56 proceedings of the 41st conference (volume II)",
@@ -122,10 +111,10 @@ func TestParseNumberReuseMatchesParseNumber(t *testing.T) {
 		"$99", "€0", "abc", "nan", "INF", "-infinity", "1..2", "1e", "1e+",
 		"0x1p-2", "1_000", "fate", "and", "1990", "vol. 3", "½",
 	}
-	st := &reuseState{}
+	var buf []byte
 	for _, c := range cases {
 		wantV, wantErr := parseNumber(c)
-		gotV, gotOK := parseNumberReuse(c, st)
+		gotV, gotOK := parseNumberReuse(c, &buf)
 		if (wantErr == nil) != gotOK {
 			t.Fatalf("parseNumberReuse(%q) ok=%v, reference err=%v", c, gotOK, wantErr)
 		}
@@ -135,7 +124,7 @@ func TestParseNumberReuseMatchesParseNumber(t *testing.T) {
 	}
 	f := func(s string) bool {
 		wantV, wantErr := parseNumber(s)
-		gotV, gotOK := parseNumberReuse(s, st)
+		gotV, gotOK := parseNumberReuse(s, &buf)
 		return (wantErr == nil) == gotOK &&
 			(!gotOK || wantV == gotV || (math.IsNaN(wantV) && math.IsNaN(gotV)))
 	}

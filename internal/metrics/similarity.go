@@ -15,11 +15,7 @@
 // match bit for bit.
 package metrics
 
-import (
-	"math"
-	"strconv"
-	"strings"
-)
+import "math"
 
 // editSimilarityP returns 1 - Levenshtein(a,b)/max(len(a),len(b)) over the
 // normalized runes, a similarity in [0,1]. Two empty values are maximally
@@ -238,16 +234,6 @@ func numericSimilarityP(pa, pb *Prepared, _ *Scratch) float64 {
 		return 0
 	}
 	return s
-}
-
-// numberCleaner strips currency symbols and thousands separators; hoisted to
-// package level because strings.NewReplacer builds its matching machinery on
-// first use and is safe for concurrent use.
-var numberCleaner = strings.NewReplacer("$", "", ",", "", "£", "", "€", "")
-
-func parseNumber(s string) (float64, error) {
-	cleaned := strings.TrimSpace(numberCleaner.Replace(s))
-	return strconv.ParseFloat(cleaned, 64)
 }
 
 // cosineTFIDFP returns the TF-IDF-weighted cosine similarity of the token

@@ -10,10 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"repro/internal/dataset"
-	"repro/internal/metrics"
-	"repro/internal/par"
 )
 
 // Op is a comparison operator in a predicate.
@@ -185,20 +181,6 @@ func Dedup(rs []Rule) []Rule {
 			return out[i].Support > out[j].Support
 		}
 		return out[i].String() < out[j].String()
-	})
-	return out
-}
-
-// Matrix computes the raw basic-metric matrix for the given pair indices of
-// a workload: one row per pair, one column per catalog metric. Rule
-// thresholds are expressed in this raw space (e.g. distinct_entity > 0.5
-// means "at least one distinct author"). Rows are computed in parallel;
-// the result is identical to the serial loop.
-func Matrix(w *dataset.Workload, cat *metrics.Catalog, idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	par.For(len(idx), func(k int) {
-		a, b := w.Values(idx[k])
-		out[k] = cat.Compute(a, b)
 	})
 	return out
 }

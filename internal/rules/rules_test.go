@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/datagen"
+	"repro/internal/featstore"
 )
 
 func sampleRules() []Rule {
@@ -164,11 +165,14 @@ func TestApplyAndStats(t *testing.T) {
 	}
 }
 
+// TestMatrixOnWorkload checks the raw basic-metric matrix rules threshold,
+// as the feature store serves it: one row per pair, one column per catalog
+// metric.
 func TestMatrixOnWorkload(t *testing.T) {
 	w := datagen.MustGenerate(datagen.AB(17), 0.02)
 	cat := w.Left.Schema.Catalog(w.Left, w.Right)
 	idx := []int{0, 1, 2, 3}
-	X := Matrix(w, cat, idx)
+	X := featstore.New(w, cat).Rows(idx)
 	if len(X) != 4 {
 		t.Fatalf("rows = %d", len(X))
 	}

@@ -20,7 +20,7 @@ func Normalize(s string) string {
 
 // AppendNormalized appends the Normalize form of s to dst and returns the
 // extended slice. It is the allocation-free core of Normalize: callers that
-// own a reusable buffer (the serving-path metrics.Prepared reuse) pay no
+// own a reusable buffer (metrics.Prepared.Reset) pay no
 // heap allocation in steady state. The bytes appended are byte-identical to
 // Normalize(s).
 func AppendNormalized(dst []byte, s string) []byte {
@@ -130,7 +130,7 @@ func SplitEntities(s string) []string {
 // normalized entity of s is appended to buf back to back, and each entity's
 // end offset within buf is appended to ends. Entities that normalize to ""
 // are dropped, exactly as SplitEntities drops them. Callers that own
-// reusable buf/ends buffers (the serving-path metrics.Prepared reuse) pay
+// reusable buf/ends buffers (metrics.Prepared.Reset) pay
 // no heap allocation in steady state.
 //
 // The separator semantics replicate the historical implementation
@@ -189,26 +189,8 @@ func hasFoldPrefix(s, pattern string) bool {
 	return true
 }
 
-// CommonPrefixLen returns the length in runes of the longest common prefix
-// of a and b.
-func CommonPrefixLen(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	n := 0
-	for n < len(ra) && n < len(rb) && ra[n] == rb[n] {
-		n++
-	}
-	return n
-}
-
-// IsSubstring reports whether the normalized form of the shorter value is a
-// substring of the normalized form of the longer value. Empty values are a
-// substring of anything.
-func IsSubstring(a, b string) bool {
-	return SubstringOfEither(Normalize(a), Normalize(b))
-}
-
-// SubstringOfEither is IsSubstring over already-normalized values — the
-// core shared with the metric layer, which caches normalization.
+// SubstringOfEither reports whether the shorter of two normalized values
+// is a substring of the longer. An empty value is a substring of anything.
 func SubstringOfEither(na, nb string) bool {
 	if len(na) > len(nb) {
 		na, nb = nb, na
@@ -216,13 +198,8 @@ func SubstringOfEither(na, nb string) bool {
 	return strings.Contains(nb, na)
 }
 
-// IsPrefix reports whether the normalized shorter value is a prefix of the
-// normalized longer value.
-func IsPrefix(a, b string) bool {
-	return PrefixOfEither(Normalize(a), Normalize(b))
-}
-
-// PrefixOfEither is IsPrefix over already-normalized values.
+// PrefixOfEither reports whether the shorter of two normalized values is a
+// prefix of the longer.
 func PrefixOfEither(na, nb string) bool {
 	if len(na) > len(nb) {
 		na, nb = nb, na
@@ -230,13 +207,8 @@ func PrefixOfEither(na, nb string) bool {
 	return strings.HasPrefix(nb, na)
 }
 
-// IsSuffix reports whether the normalized shorter value is a suffix of the
-// normalized longer value.
-func IsSuffix(a, b string) bool {
-	return SuffixOfEither(Normalize(a), Normalize(b))
-}
-
-// SuffixOfEither is IsSuffix over already-normalized values.
+// SuffixOfEither reports whether the shorter of two normalized values is a
+// suffix of the longer.
 func SuffixOfEither(na, nb string) bool {
 	if len(na) > len(nb) {
 		na, nb = nb, na

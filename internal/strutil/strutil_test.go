@@ -135,59 +135,39 @@ func TestSplitEntities(t *testing.T) {
 	}
 }
 
-func TestCommonPrefixLen(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"abcde", "abcxy", 3},
-		{"", "abc", 0},
-		{"same", "same", 4},
-		{"x", "y", 0},
-	}
-	for _, c := range cases {
-		if got := CommonPrefixLen(c.a, c.b); got != c.want {
-			t.Errorf("CommonPrefixLen(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestCommonPrefixSymmetric(t *testing.T) {
-	f := func(a, b string) bool {
-		return CommonPrefixLen(a, b) == CommonPrefixLen(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
+// isSubstring, isPrefix and isSuffix apply the *OfEither predicates to
+// the normalized forms of raw values, as the metric kernels do.
+func isSubstring(a, b string) bool { return SubstringOfEither(Normalize(a), Normalize(b)) }
+func isPrefix(a, b string) bool    { return PrefixOfEither(Normalize(a), Normalize(b)) }
+func isSuffix(a, b string) bool    { return SuffixOfEither(Normalize(a), Normalize(b)) }
 
 func TestSubstringPrefixSuffix(t *testing.T) {
-	if !IsSubstring("data bases", "very large data bases") {
+	if !isSubstring("data bases", "very large data bases") {
 		t.Error("expected substring")
 	}
-	if IsSubstring("databases", "very large data bases") {
+	if isSubstring("databases", "very large data bases") {
 		t.Error("unexpected substring")
 	}
-	if !IsPrefix("very large", "Very Large Data Bases") {
+	if !isPrefix("very large", "Very Large Data Bases") {
 		t.Error("expected prefix")
 	}
-	if IsPrefix("large", "very large data bases") {
+	if isPrefix("large", "very large data bases") {
 		t.Error("unexpected prefix")
 	}
-	if !IsSuffix("data bases", "very large data bases") {
+	if !isSuffix("data bases", "very large data bases") {
 		t.Error("expected suffix")
 	}
-	if IsSuffix("very", "very large data bases") {
+	if isSuffix("very", "very large data bases") {
 		t.Error("unexpected suffix")
 	}
 }
 
 func TestSubstringSymmetricAndReflexive(t *testing.T) {
 	f := func(a, b string) bool {
-		if IsSubstring(a, b) != IsSubstring(b, a) {
+		if isSubstring(a, b) != isSubstring(b, a) {
 			return false
 		}
-		return IsSubstring(a, a) && IsPrefix(a, a) && IsSuffix(a, a)
+		return isSubstring(a, a) && isPrefix(a, a) && isSuffix(a, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -196,10 +176,10 @@ func TestSubstringSymmetricAndReflexive(t *testing.T) {
 
 func TestPrefixSuffixImplySubstring(t *testing.T) {
 	f := func(a, b string) bool {
-		if IsPrefix(a, b) && !IsSubstring(a, b) {
+		if isPrefix(a, b) && !isSubstring(a, b) {
 			return false
 		}
-		if IsSuffix(a, b) && !IsSubstring(a, b) {
+		if isSuffix(a, b) && !isSubstring(a, b) {
 			return false
 		}
 		return true
