@@ -53,7 +53,6 @@ var TrustedPackages = map[string]bool{
 	"slices":               true,
 	"sync":                 true,
 	"sync/atomic":          true,
-	"hash/maphash":         true,
 	"repro/internal/stats": true, // pure math; pinned by make allocs
 }
 
@@ -66,7 +65,6 @@ var TrustedFuncs = map[string]bool{
 	"(*repro/internal/blocking.TokenScratch).Token":    true,
 	"(*repro/internal/core.Model).Influence":           true,
 	"(*repro/internal/metrics.Prepared).Reset":         true, // pinned by TestResetSteadyStateAllocs
-	"(*repro/internal/metrics.Prepared).Raw":           true, // accessor
 	"(repro/internal/classifier.Calibration).Bucket":   true, // binary search over a fixed table
 	"repro/internal/strutil.AppendNormalized":          true, // append-into normalization; growth is amortized against the reused buffer
 }

@@ -1,8 +1,9 @@
-// Package lockcheck enforces the sharded-lock discipline of internal/match
-// and the WAL writer. Two checks, both on non-test code:
+// Package lockcheck enforces the lock discipline of the lock-bearing
+// stores (match.Store, match.DurableStore, partition.Store) and the WAL
+// writer. Two checks, both on non-test code:
 //
 //  1. No copying of values whose type contains a sync.Mutex or
-//     sync.RWMutex (the match.Store shards, wal.Writer):
+//     sync.RWMutex (match.Store, wal.Writer):
 //     by-value parameters, results and receivers, assignments from
 //     existing values, by-value range variables, and lock-carrying call
 //     arguments are all flagged. A fresh composite literal is fine — it

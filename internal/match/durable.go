@@ -141,10 +141,12 @@ type DurableStats struct {
 
 // DurableStore is a Store whose mutations survive restarts: Add and Delete
 // append to the WAL first and apply in memory only once the log accepted
-// the frame, so the in-memory state is always replayable. Reads (Get,
-// AppendCandidates, Stats, ...) are the embedded Store's and stay
-// lock-free with respect to the durability layer; mutations serialize on
-// one mutex — they were already serial at the log file.
+// the frame, so the in-memory state is always replayable. Mutations
+// serialize on d.mu — they were already serial at the log file — which is
+// held across the WAL append and the in-memory apply; the lock order is
+// d.mu, then the Store's own lock. The Store's write lock covers only the
+// apply, so reads (Get, AppendCandidates, Stats, ...), which are the
+// embedded Store's and never take d.mu, do not wait on a WAL fsync.
 type DurableStore struct {
 	*Store
 	dir  string
@@ -281,9 +283,9 @@ func OpenDurable(dir string, arity int, cfg Config, opts DurableOptions) (*Durab
 	} else {
 		lastSize = 0
 	}
-	w, err := wal.OpenFileWriter(filepath.Join(dir, segName(d.seq)), lastSize, opts.walOptions())
+	w, err := openSegment(dir, d.seq, lastSize, opts.walOptions())
 	if err != nil {
-		return nil, fmt.Errorf("match: opening log segment: %w", err)
+		return nil, err
 	}
 	d.log = w
 	d.opsTail = d.replay.TailFrames
@@ -481,7 +483,7 @@ func (d *DurableStore) AddAtTraced(id uint64, values []string, tr *obs.Trace) er
 		d.mu.Unlock()
 		return ErrDurableClosed
 	}
-	if d.Store.alive(id) {
+	if _, live := d.Store.Get(id); live {
 		d.mu.Unlock()
 		return fmt.Errorf("match: AddAt(%d): a live record already holds that ID", id)
 	}
@@ -496,7 +498,7 @@ func (d *DurableStore) AddAtTraced(id uint64, values []string, tr *obs.Trace) er
 	}
 	if err := d.Store.addAt(id, values); err != nil {
 		d.mu.Unlock()
-		return err // unreachable: arity was checked before logging
+		return err // unreachable: arity and liveness were checked under d.mu before logging
 	}
 	if tr != nil {
 		tr.Observe(obs.StageStoreApply, t0)
@@ -528,7 +530,7 @@ func (d *DurableStore) DeleteTraced(id uint64, tr *obs.Trace) (bool, error) {
 		d.mu.Unlock()
 		return false, ErrDurableClosed
 	}
-	if !d.Store.alive(id) {
+	if _, live := d.Store.Get(id); !live {
 		d.mu.Unlock()
 		return false, nil
 	}
@@ -541,7 +543,7 @@ func (d *DurableStore) DeleteTraced(id uint64, tr *obs.Trace) (bool, error) {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	d.Store.Delete(id) // cannot miss: alive above, mutations hold d.mu
+	d.Store.Delete(id) // cannot miss: live above, mutations hold d.mu
 	if tr != nil {
 		tr.Observe(obs.StageStoreApply, t0)
 	}
@@ -612,12 +614,13 @@ func (d *DurableStore) snapshotLocked() (SnapshotInfo, error) {
 	d.rotatedBytes.Add(bytes)
 	d.rotatedSyncs.Add(syncs)
 	newSeq := d.seq + 1
-	w, err := wal.OpenFileWriter(filepath.Join(d.dir, segName(newSeq)), 0, d.opts.walOptions())
+	w, err := openSegment(d.dir, newSeq, 0, d.opts.walOptions())
 	if err != nil {
-		// The store cannot accept writes without a log; fail closed.
+		// The store cannot accept writes without a log whose directory
+		// entry is durable; fail closed.
 		d.closed = true
 		d.mu.Unlock()
-		return SnapshotInfo{}, fmt.Errorf("match: opening segment %d: %w", newSeq, err)
+		return SnapshotInfo{}, err
 	}
 	d.log = w
 	d.seq = newSeq
@@ -664,14 +667,10 @@ func (d *DurableStore) snapshotLocked() (SnapshotInfo, error) {
 // immutable by contract, only headers are copied.
 func (d *DurableStore) collectLive() []snapEntry {
 	entries := make([]snapEntry, 0, d.Store.Len())
-	for i := range d.Store.recs {
-		rs := &d.Store.recs[i]
-		rs.mu.RLock()
-		for id, vals := range rs.m {
-			entries = append(entries, snapEntry{id: id, vals: vals})
-		}
-		rs.mu.RUnlock()
-	}
+	d.Store.Range(func(id uint64, vals []string) bool {
+		entries = append(entries, snapEntry{id: id, vals: vals})
+		return true
+	})
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 	return entries
 }
@@ -729,17 +728,38 @@ func (d *DurableStore) writeSnapshotFile(seq, nextID uint64, entries []snapEntry
 		os.Remove(tmp)
 		return 0, err
 	}
-	syncDir(d.dir)
+	// Until the rename's directory entry is durable, a crash may drop the
+	// snapshot: the caller must not prune the history it covers.
+	if err := syncDir(d.dir); err != nil {
+		return 0, fmt.Errorf("match: publishing snapshot %s: %w", final, err)
+	}
 	return size, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable (best effort — not every filesystem supports it).
-func syncDir(dir string) {
-	if df, err := os.Open(dir); err == nil {
-		df.Sync()
-		df.Close()
+// openSegment opens (creating if needed) log segment seq for appending at
+// offset and fsyncs the directory, so an acknowledged append never lives
+// in a file whose directory entry a crash can drop.
+func openSegment(dir string, seq uint64, offset int64, opts wal.Options) (*wal.Writer, error) {
+	w, err := wal.OpenFileWriter(filepath.Join(dir, segName(seq)), offset, opts)
+	if err == nil {
+		if err = syncDir(dir); err != nil {
+			_ = w.Close() // best-effort: the sync error is the one to report
+		}
 	}
+	if err != nil {
+		return nil, fmt.Errorf("match: opening log segment %d: %w", seq, err)
+	}
+	return w, nil
+}
+
+// syncDir fsyncs a directory so the entries just created or renamed in it
+// are durable.
+func syncDir(dir string) error {
+	df, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(df.Sync(), df.Close())
 }
 
 // Sync flushes the WAL to stable storage now (regardless of policy).

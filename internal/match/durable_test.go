@@ -91,10 +91,11 @@ func assertStoreEquals(t *testing.T, st *Store, oracle map[uint64][]string, prob
 	}
 	var ps ProbeScratch
 	for _, probe := range probes {
-		got, err := st.AppendCandidates(nil, probe, &ps)
+		cands, err := st.AppendCandidates(nil, probe, &ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := candidateIDs(cands)
 		want := batchOracle(probe, ids, values, st.Config(), st.Arity())
 		if len(got) != len(want) {
 			t.Fatalf("recovered probe %q: got %v, want %v", probe, got, want)
@@ -429,7 +430,7 @@ func TestConcurrentDurableAddDeleteSnapshotProbe(t *testing.T) {
 			rng := rand.New(rand.NewSource(200 + seed))
 			var ps ProbeScratch
 			for i := 0; i < 100; i++ {
-				if _, err := d.AppendCandidates(nil, randValues(rng, arity), &ps); err != nil {
+				if _, err := d.AppendCandidates(nil, randValues(rng, arity), &ps, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -519,5 +520,18 @@ func TestOpenDurableReportsProgress(t *testing.T) {
 	defer d2.Close()
 	if calls["log"] == 0 {
 		t.Errorf("no log-phase progress callbacks across 3000 replayed ops (calls %v)", calls)
+	}
+}
+
+// TestSyncDirReportsErrors pins that a directory sync reports its failure
+// instead of swallowing it: a snapshot prunes the history it covers only
+// after the sync of its rename succeeded.
+func TestSyncDirReportsErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir of an existing directory: %v", err)
+	}
+	if err := syncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncDir of a missing directory returned nil")
 	}
 }

@@ -1,9 +1,9 @@
-// Package match is the online entity-resolution subsystem: a sharded,
-// mutable record store that maintains an incremental inverted blocking
-// index, so "here is a new record — who does it match?" is answered by a
-// query-time posting-list probe instead of the batch rebuild
-// blocking.Candidates performs (the paper's risk-analysis loop assumes such
-// a candidate-generation front end; the batch path stays as the oracle the
+// Package match is the online entity-resolution subsystem: a mutable
+// record store that maintains an incremental inverted blocking index, so
+// "here is a new record — who does it match?" is answered by a query-time
+// posting-list probe instead of the batch rebuild blocking.Candidates
+// performs (the paper's risk-analysis loop assumes such a
+// candidate-generation front end; the batch path stays as the oracle the
 // property tests pin this package against).
 //
 // The store assigns stable, monotonically increasing record IDs. Deletes
@@ -14,12 +14,15 @@
 // walk of the probe tokens' posting lists with a liveness filter, and its
 // result is identical to running blocking.Candidates from scratch on the
 // surviving records.
+//
+// One RWMutex per store guards the records and the postings together;
+// parallelism comes from running several stores side by side
+// (internal/partition), not from striping one store's locks.
 package match
 
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -47,9 +50,6 @@ type Config struct {
 	// this many live records (stop-token pruning; default
 	// blocking.DefaultMaxBlockSize). A negative value disables pruning.
 	MaxBlockSize int
-	// Shards is the number of record and token shards (rounded up to a
-	// power of two; default 16).
-	Shards int
 	// CompactMinDead is the minimum tombstone count in one posting list
 	// before compaction considers it (default 16).
 	CompactMinDead int
@@ -68,9 +68,6 @@ func (c Config) withDefaults(arity int) Config {
 		MaxBlockSize:    c.MaxBlockSize,
 	}.Normalize(arity)
 	c.Attrs, c.MinSharedTokens, c.MaxBlockSize = b.Attrs, b.MinSharedTokens, b.MaxBlockSize
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.CompactMinDead <= 0 {
 		c.CompactMinDead = 16
 	}
@@ -81,56 +78,37 @@ func (c Config) withDefaults(arity int) Config {
 }
 
 // Store is the mutable record store plus its incremental inverted blocking
-// index. All methods are safe for concurrent use: records live in
-// ID-sharded maps behind per-shard RWMutexes, posting lists in token-hash
-// shards behind their own. Value slices are copied in at Add and never
-// mutated afterwards, so Get can hand them out without copying and probes
-// never see torn records across compaction.
+// index. All methods are safe for concurrent use. One RWMutex guards the
+// record map and the posting map together: Add, AddAt, Delete and Compact
+// take it for writing, probes and reads take it for reading. It is the
+// innermost lock: the store calls out under it only in Range, whose
+// callback therefore must not call back into the store. Value slices are
+// copied in at Add and never mutated afterwards, so Get and probes hand
+// them out without copying, and a reader keeps a consistent record after
+// it unlocks.
 type Store struct {
-	cfg       Config
-	arity     int
-	seed      maphash.Seed
-	shardMask uint64
+	cfg   Config
+	arity int
 
 	nextID atomic.Uint64
-	recs   []recShard
-	toks   []tokShard
 
-	adds        atomic.Int64
-	dels        atomic.Int64
-	probes      atomic.Int64
-	candidates  atomic.Int64
-	tombstones  atomic.Int64
-	compactions atomic.Int64
+	mu    sync.RWMutex
+	recs  map[uint64][]string
+	posts map[string]*posting
+	// Maintenance counters, written under the write lock.
+	adds, dels, tombstones, compactions int64
+
+	probes     atomic.Int64
+	candidates atomic.Int64
 
 	addPool sync.Pool // *addScratch
 }
 
-type recShard struct {
-	// op serializes whole Add and Delete operations for this shard's IDs
-	// (map publication + posting maintenance as one unit). Without it, a
-	// Delete racing the Add of the same ID could tombstone postings the
-	// Add has not appended yet — dead entries no counter ever sees, and no
-	// compaction ever sweeps. Probes never take it; lock order is always
-	// op -> token shard -> record shard, so the graph stays acyclic.
-	op sync.Mutex
-	mu sync.RWMutex
-	m  map[uint64][]string
-}
-
-type tokShard struct {
-	mu sync.RWMutex
-	m  map[string]*posting
-	// compactions counts posting-list compactions in this shard (mutated
-	// under mu; ShardStats reads it for skew observability).
-	compactions int64
-}
-
 // posting is one token's list of record IDs in insertion order. dead counts
 // the tombstoned entries still present; live membership is len(ids)-dead.
-// The struct is mutated in place under its shard lock, so its pointer is a
-// stable identity — the probe path uses that to deduplicate repeated probe
-// tokens without allocating.
+// The struct is mutated in place under the store's write lock, so its
+// pointer is a stable identity — the probe path uses that to deduplicate
+// repeated probe tokens without allocating.
 type posting struct {
 	ids  []uint64
 	dead int32
@@ -156,24 +134,11 @@ func New(arity int, cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("match: blocking attribute index %d outside schema arity %d", a, arity)
 		}
 	}
-	shards := 1
-	for shards < cfg.Shards {
-		shards <<= 1
-	}
-	cfg.Shards = shards
 	s := &Store{
-		cfg:       cfg,
-		arity:     arity,
-		seed:      maphash.MakeSeed(),
-		shardMask: uint64(shards - 1),
-		recs:      make([]recShard, shards),
-		toks:      make([]tokShard, shards),
-	}
-	for i := range s.recs {
-		s.recs[i].m = make(map[uint64][]string)
-	}
-	for i := range s.toks {
-		s.toks[i].m = make(map[string]*posting)
+		cfg:   cfg,
+		arity: arity,
+		recs:  make(map[uint64][]string),
+		posts: make(map[string]*posting),
 	}
 	s.addPool.New = func() any {
 		return &addScratch{seen: make(map[string]struct{})}
@@ -189,22 +154,6 @@ func (s *Store) Config() Config {
 	cfg := s.cfg
 	cfg.Attrs = slices.Clone(cfg.Attrs)
 	return cfg
-}
-
-//vetkit:hotpath
-func (s *Store) recShardOf(id uint64) *recShard { return &s.recs[id&s.shardMask] }
-
-//vetkit:hotpath
-func (s *Store) tokShardOf(tok []byte) *tokShard {
-	return &s.toks[maphash.Bytes(s.seed, tok)&s.shardMask]
-}
-
-// tokShardOfString is tokShardOf for interned tokens (same hash as the
-// byte form, no []byte conversion allocating on the Add/Delete path).
-//
-//vetkit:hotpath
-func (s *Store) tokShardOfString(tok string) *tokShard {
-	return &s.toks[maphash.String(s.seed, tok)&s.shardMask]
 }
 
 // distinctTokens fills a.toks with the record's deduplicated blocking
@@ -230,15 +179,9 @@ func (s *Store) distinctTokens(a *addScratch, values []string) {
 // partition layer's ingest path: a partitioned store assigns globally
 // unique IDs itself (so tie-breaking ranks identically to one flat store)
 // and routes each record to the partition the ID hashes to. The ID must
-// not name a live record.
+// not name a live record; of concurrent AddAt calls for one ID, exactly
+// one succeeds.
 func (s *Store) AddAt(id uint64, values []string) error {
-	rs := s.recShardOf(id)
-	rs.mu.RLock()
-	_, dup := rs.m[id]
-	rs.mu.RUnlock()
-	if dup {
-		return fmt.Errorf("match: AddAt(%d): a live record already holds that ID", id)
-	}
 	if err := s.addAt(id, values); err != nil {
 		return err
 	}
@@ -253,19 +196,16 @@ func (s *Store) NextID() uint64 { return s.nextID.Load() }
 
 // Range calls fn for every live record until it returns false. The values
 // slice is the store's immutable copy (the Get contract). Records are
-// visited in unspecified order under brief per-shard read locks; records
-// added or deleted concurrently may or may not be seen.
+// visited in unspecified order under the store's read lock, held for the
+// whole walk: fn must not call back into the store, or it deadlocks
+// against a waiting writer.
 func (s *Store) Range(fn func(id uint64, values []string) bool) {
-	for i := range s.recs {
-		rs := &s.recs[i]
-		rs.mu.RLock()
-		for id, vals := range rs.m {
-			if !fn(id, vals) {
-				rs.mu.RUnlock()
-				return
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for id, vals := range s.recs {
+		if !fn(id, vals) {
+			return
 		}
-		rs.mu.RUnlock()
 	}
 }
 
@@ -274,7 +214,7 @@ func (s *Store) Range(fn func(id uint64, values []string) bool) {
 // them. This is how the partition layer keeps its global token census in
 // the store's exact tokenization: census counts must agree with what a
 // probe of these values would touch, or global stop-token pruning drifts
-// from the single-store oracle.
+// from the single-store oracle. It takes no lock.
 func (s *Store) DistinctTokens(values []string, fn func(tok string)) error {
 	if len(values) != s.arity {
 		return fmt.Errorf("match: record has %d values, store schema has %d: %w", len(values), s.arity, ErrArity)
@@ -320,34 +260,31 @@ func (s *Store) advanceNextID(next uint64) {
 
 // addAt installs a record under a caller-chosen ID: the write half of Add,
 // and the replay path of the durable layer (which must restore the exact
-// IDs the log recorded). The caller guarantees the ID is unused.
+// IDs the log recorded). It tokenizes outside the lock, then checks that
+// the ID is not live and installs the record under one write lock.
 func (s *Store) addAt(id uint64, values []string) error {
 	if len(values) != s.arity {
 		return fmt.Errorf("match: record has %d values, store schema has %d: %w", len(values), s.arity, ErrArity)
 	}
 	vals := slices.Clone(values)
-	rs := s.recShardOf(id)
-	rs.op.Lock()
-	defer rs.op.Unlock()
-	rs.mu.Lock()
-	rs.m[id] = vals
-	rs.mu.Unlock()
-
 	a := s.addPool.Get().(*addScratch)
+	defer s.addPool.Put(a)
 	s.distinctTokens(a, vals)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.recs[id]; dup {
+		return fmt.Errorf("match: AddAt(%d): a live record already holds that ID", id)
+	}
+	s.recs[id] = vals
 	for _, t := range a.toks {
-		sh := s.tokShardOfString(t)
-		sh.mu.Lock()
-		p := sh.m[t]
+		p := s.posts[t]
 		if p == nil {
 			p = &posting{}
-			sh.m[t] = p
+			s.posts[t] = p
 		}
 		p.ids = append(p.ids, id)
-		sh.mu.Unlock()
 	}
-	s.addPool.Put(a)
-	s.adds.Add(1)
+	s.adds++
 	return nil
 }
 
@@ -356,115 +293,73 @@ func (s *Store) addAt(id uint64, values []string) error {
 // lazily when their posting list compacts. Returns false when the ID is
 // unknown or already deleted.
 func (s *Store) Delete(id uint64) bool {
-	rs := s.recShardOf(id)
-	rs.op.Lock()
-	defer rs.op.Unlock()
-	rs.mu.Lock()
-	vals, ok := rs.m[id]
-	if ok {
-		delete(rs.m, id)
-	}
-	rs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vals, ok := s.recs[id]
 	if !ok {
 		return false
 	}
-
+	delete(s.recs, id)
 	a := s.addPool.Get().(*addScratch)
+	defer s.addPool.Put(a)
 	s.distinctTokens(a, vals)
 	for _, t := range a.toks {
-		sh := s.tokShardOfString(t)
-		sh.mu.Lock()
-		// Tombstone only if the entry is still present: a compaction
-		// triggered by a concurrent delete of ANOTHER record sharing this
-		// token may have already dropped it — this record left the ID map
-		// first, so that compaction saw it as dead. Counting it anyway
-		// would overstate p.dead forever and skew the live-count pruning.
-		// (Same-ID add/delete races cannot reach here: rs.op serializes
-		// them.)
-		if p := sh.m[t]; p != nil && slices.Contains(p.ids, id) {
-			p.dead++
-			s.tombstones.Add(1)
-			if int(p.dead) >= s.cfg.CompactMinDead && float64(p.dead) >= s.cfg.CompactFrac*float64(len(p.ids)) {
-				s.compactPosting(sh, t, p)
-			}
+		// A live record's ID is in every one of its tokens' postings:
+		// compaction keeps live IDs, and both run under the write lock.
+		p := s.posts[t]
+		p.dead++
+		s.tombstones++
+		if int(p.dead) >= s.cfg.CompactMinDead && float64(p.dead) >= s.cfg.CompactFrac*float64(len(p.ids)) {
+			s.compactPosting(t, p)
 		}
-		sh.mu.Unlock()
 	}
-	s.addPool.Put(a)
-	s.dels.Add(1)
+	s.dels++
 	return true
 }
 
 // compactPosting rewrites one posting list in place, dropping entries whose
-// record is gone. Caller holds the token shard lock; record shards are only
-// read-locked inside, never the other way around, so the lock order is
-// acyclic.
-func (s *Store) compactPosting(sh *tokShard, tok string, p *posting) {
-	kept := p.ids[:0]
-	for _, id := range p.ids {
-		if s.alive(id) {
-			kept = append(kept, id)
-		}
-	}
-	p.ids = kept
-	// The gauge subtracts the counted tombstones (p.dead), not the removed
-	// entry count: compaction may also sweep entries whose delete is still
-	// in flight and never got counted (it will find the entry gone and
-	// skip). Subtracting removals would drift the gauge negative.
-	s.tombstones.Add(int64(-p.dead))
+// record is gone. Caller holds the write lock, so the dropped entries are
+// exactly the p.dead tombstones.
+func (s *Store) compactPosting(tok string, p *posting) {
+	p.ids = slices.DeleteFunc(p.ids, func(id uint64) bool {
+		_, live := s.recs[id]
+		return !live
+	})
+	s.tombstones -= int64(p.dead)
 	p.dead = 0
 	if len(p.ids) == 0 {
-		delete(sh.m, tok)
+		delete(s.posts, tok)
 	}
-	sh.compactions++
-	s.compactions.Add(1)
+	s.compactions++
 }
 
 // Compact sweeps every posting list, dropping all tombstones now. Normal
 // operation does not need it — Delete compacts tombstone-heavy postings as
 // it goes — but an operator can reclaim space after a bulk delete.
 func (s *Store) Compact() {
-	for i := range s.toks {
-		sh := &s.toks[i]
-		sh.mu.Lock()
-		for tok, p := range sh.m {
-			if p.dead > 0 {
-				s.compactPosting(sh, tok, p)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for tok, p := range s.posts {
+		if p.dead > 0 {
+			s.compactPosting(tok, p)
 		}
-		sh.mu.Unlock()
 	}
 }
 
-//vetkit:hotpath
-func (s *Store) alive(id uint64) bool {
-	rs := s.recShardOf(id)
-	rs.mu.RLock()
-	_, ok := rs.m[id]
-	rs.mu.RUnlock()
-	return ok
-}
-
 // Get returns the record's values. The returned slice is the store's own
-// copy, immutable by contract — callers must not modify it. This is what
-// lets the resolve path score candidates without a per-candidate copy.
+// copy, immutable by contract — callers must not modify it.
 func (s *Store) Get(id uint64) ([]string, bool) {
-	rs := s.recShardOf(id)
-	rs.mu.RLock()
-	vals, ok := rs.m[id]
-	rs.mu.RUnlock()
+	s.mu.RLock()
+	vals, ok := s.recs[id]
+	s.mu.RUnlock()
 	return vals, ok
 }
 
 // Len returns the number of live records.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.recs {
-		rs := &s.recs[i]
-		rs.mu.RLock()
-		n += len(rs.m)
-		rs.mu.RUnlock()
-	}
+	s.mu.RLock()
+	n := len(s.recs)
+	s.mu.RUnlock()
 	return n
 }
 
@@ -478,68 +373,71 @@ type ProbeScratch struct {
 	ids   []uint64
 }
 
-// AppendCandidates appends the IDs of the live records that share at least
+// Candidate is one record a probe reached: its ID and its values, the
+// store's immutable copy (the Get contract).
+type Candidate struct {
+	ID     uint64
+	Values []string
+}
+
+// AppendCandidates appends the live records that share at least
 // MinSharedTokens blocking tokens with the probe values, in ascending ID
-// order, and returns the extended slice. The result is exactly what a batch
+// order, and returns the extended slice. Probe tokens found in skip
+// (sorted ascending; nil for none) contribute no candidates, exactly as if
+// stop-token pruning had dropped them: this is the partitioned store's
+// scatter path — per-partition posting lists are too small to prune on
+// locally, so the partition layer decides pruning from its global token
+// census and passes the verdict down here.
+//
+// The probe tokenizes outside the lock and gathers the IDs and their value
+// slices under one read lock, so the candidates are one consistent
+// snapshot of the store. The result is exactly what a batch
 // blocking.Candidates run of the probe against the surviving records would
 // pair it with (the oracle property test pins this). Steady state performs
 // no heap allocations beyond dst growth.
 //
 //vetkit:hotpath
-func (s *Store) AppendCandidates(dst []uint64, values []string, ps *ProbeScratch) ([]uint64, error) {
-	return s.AppendCandidatesSkip(dst, values, ps, nil)
-}
-
-// AppendCandidatesSkip is AppendCandidates with a caller-supplied skip
-// list: probe tokens found in skip (sorted ascending) contribute no
-// candidates, exactly as if stop-token pruning had dropped them. This is
-// the partitioned store's scatter path — per-partition posting lists are
-// too small to prune on locally, so the partition layer decides pruning
-// from its global token census and passes the verdict down here.
-//
-//vetkit:hotpath
-func (s *Store) AppendCandidatesSkip(dst []uint64, values []string, ps *ProbeScratch, skip []string) ([]uint64, error) {
+func (s *Store) AppendCandidates(dst []Candidate, values []string, ps *ProbeScratch, skip []string) ([]Candidate, error) {
 	if len(values) != s.arity {
 		return dst, fmt.Errorf("match: probe has %d values, store schema has %d: %w", len(values), s.arity, ErrArity) //vetkit:allow hotpath cold schema-mismatch branch
 	}
 	ps.posts = ps.posts[:0]
 	ps.ids = ps.ids[:0]
 	n := ps.ts.Tokenize(values, s.cfg.Attrs)
+	base := len(dst)
+	s.mu.RLock()
 	for i := 0; i < n; i++ {
 		tok := ps.ts.Token(i)
 		if skipHas(skip, tok) {
 			continue // globally pruned stop token
 		}
-		sh := s.tokShardOf(tok)
-		sh.mu.RLock()
-		p := sh.m[string(tok)] // alloc-free lookup
+		p := s.posts[string(tok)] // alloc-free lookup
 		if p == nil || slices.Contains(ps.posts, p) {
-			sh.mu.RUnlock()
 			continue // token absent, or distinct-token semantics within the probe
 		}
 		ps.posts = append(ps.posts, p)
 		if s.cfg.MaxBlockSize > 0 && len(p.ids)-int(p.dead) > s.cfg.MaxBlockSize {
-			sh.mu.RUnlock()
 			continue // stop-token pruning on the live block size
 		}
 		ps.ids = append(ps.ids, p.ids...)
-		sh.mu.RUnlock()
 	}
 	// Shared-token counts by run length: postings never repeat an ID, so
 	// after sorting, one record's occurrences are contiguous and count the
 	// distinct probe tokens it shares.
 	slices.Sort(ps.ids)
-	base := len(dst)
 	for i := 0; i < len(ps.ids); {
 		j := i + 1
 		for j < len(ps.ids) && ps.ids[j] == ps.ids[i] {
 			j++
 		}
-		if j-i >= s.cfg.MinSharedTokens && s.alive(ps.ids[i]) {
-			dst = append(dst, ps.ids[i])
+		if j-i >= s.cfg.MinSharedTokens {
+			if vals, live := s.recs[ps.ids[i]]; live {
+				dst = append(dst, Candidate{ID: ps.ids[i], Values: vals})
+			}
 		}
 		i = j
 	}
+	s.mu.RUnlock()
 	s.probes.Add(1)
 	s.candidates.Add(int64(len(dst) - base))
 	return dst, nil
@@ -597,57 +495,19 @@ type Stats struct {
 	Candidates  int64 // candidates returned across all probes
 }
 
-// ShardStat is one shard's slice of the store: live records from the
-// record shard, posting/tombstone/compaction figures from the token shard
-// at the same index (the two arrays always share a shard count). The
-// match_shard_stats expvar surfaces these so hot-shard skew is observable.
-type ShardStat struct {
-	Records     int   `json:"records"`     // live records in the shard
-	Postings    int   `json:"postings"`    // distinct tokens indexed in the shard
-	Tombstones  int   `json:"tombstones"`  // tombstoned posting entries awaiting compaction
-	Compactions int64 `json:"compactions"` // posting-list compactions performed in the shard
-}
-
-// ShardStats snapshots every shard's counters (brief per-shard locks; the
-// tombstone figure sweeps the shard's posting lists, so this is a scrape
-// path, not a hot path).
-func (s *Store) ShardStats() []ShardStat {
-	out := make([]ShardStat, s.cfg.Shards)
-	for i := range s.recs {
-		rs := &s.recs[i]
-		rs.mu.RLock()
-		out[i].Records = len(rs.m)
-		rs.mu.RUnlock()
-	}
-	for i := range s.toks {
-		sh := &s.toks[i]
-		sh.mu.RLock()
-		out[i].Postings = len(sh.m)
-		for _, p := range sh.m {
-			out[i].Tombstones += int(p.dead)
-		}
-		out[i].Compactions = sh.compactions
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// Stats snapshots the counters (taking each shard lock briefly).
+// Stats snapshots the counters (under one read lock).
 func (s *Store) Stats() Stats {
+	s.mu.RLock()
 	st := Stats{
-		Live:        s.Len(),
-		Added:       s.adds.Load(),
-		Deleted:     s.dels.Load(),
-		Tombstones:  s.tombstones.Load(),
-		Compactions: s.compactions.Load(),
-		Probes:      s.probes.Load(),
-		Candidates:  s.candidates.Load(),
+		Live:        len(s.recs),
+		Added:       s.adds,
+		Deleted:     s.dels,
+		Tokens:      len(s.posts),
+		Tombstones:  s.tombstones,
+		Compactions: s.compactions,
 	}
-	for i := range s.toks {
-		sh := &s.toks[i]
-		sh.mu.RLock()
-		st.Tokens += len(sh.m)
-		sh.mu.RUnlock()
-	}
+	s.mu.RUnlock()
+	st.Probes = s.probes.Load()
+	st.Candidates = s.candidates.Load()
 	return st
 }

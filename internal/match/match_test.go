@@ -16,6 +16,15 @@ func mustStore(t *testing.T, arity int, cfg Config) *Store {
 	return s
 }
 
+// candidateIDs returns the IDs of a probe's candidates, in order.
+func candidateIDs(cs []Candidate) []uint64 {
+	ids := make([]uint64, len(cs))
+	for i, c := range cs {
+		ids[i] = c.ID
+	}
+	return ids
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, Config{}); err == nil {
 		t.Error("arity 0 accepted")
@@ -26,10 +35,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(2, Config{Attrs: []int{-1}}); err == nil {
 		t.Error("negative attr index accepted")
 	}
-	s := mustStore(t, 3, Config{Shards: 5})
-	if got := s.Config().Shards; got != 8 {
-		t.Errorf("shards rounded to %d, want 8", got)
-	}
+	s := mustStore(t, 3, Config{})
 	if got := s.Config().Attrs; !slices.Equal(got, []int{0, 1, 2}) {
 		t.Errorf("default attrs = %v", got)
 	}
@@ -78,23 +84,29 @@ func TestCandidatesBasic(t *testing.T) {
 	c, _ := s.Add([]string{"graph databases", "icde"})
 	var ps ProbeScratch
 
-	got, err := s.AppendCandidates(nil, []string{"entity resolution", ""}, &ps)
+	got, err := s.AppendCandidates(nil, []string{"entity resolution", ""}, &ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{a, b}; !slices.Equal(got, want) {
+	if want := []uint64{a, b}; !slices.Equal(candidateIDs(got), want) {
 		t.Errorf("candidates = %v, want %v", got, want)
+	}
+	// Each candidate carries the store's copy of its values.
+	for _, c := range got {
+		if want, _ := s.Get(c.ID); !slices.Equal(c.Values, want) {
+			t.Errorf("candidate %d carries %q, Get returns %q", c.ID, c.Values, want)
+		}
 	}
 
 	// MinSharedTokens raises the bar: only the record sharing both tokens.
 	s2 := mustStore(t, 2, Config{MinSharedTokens: 2})
 	a2, _ := s2.Add([]string{"entity resolution survey", "vldb"})
 	s2.Add([]string{"entity matching at scale", "sigmod"})
-	got, err = s2.AppendCandidates(nil, []string{"entity resolution", ""}, &ps)
+	got, err = s2.AppendCandidates(nil, []string{"entity resolution", ""}, &ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{a2}; !slices.Equal(got, want) {
+	if want := []uint64{a2}; !slices.Equal(candidateIDs(got), want) {
 		t.Errorf("min-shared-2 candidates = %v, want %v", got, want)
 	}
 
@@ -103,15 +115,15 @@ func TestCandidatesBasic(t *testing.T) {
 	if !s.Delete(a) {
 		t.Fatal("delete failed")
 	}
-	got, err = s.AppendCandidates(nil, []string{"entity resolution", ""}, &ps)
+	got, err = s.AppendCandidates(nil, []string{"entity resolution", ""}, &ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{b}; !slices.Equal(got, want) {
+	if want := []uint64{b}; !slices.Equal(candidateIDs(got), want) {
 		t.Errorf("candidates after delete = %v, want %v", got, want)
 	}
 
-	if _, err := s.AppendCandidates(nil, []string{"wrong arity"}, &ps); !errors.Is(err, ErrArity) {
+	if _, err := s.AppendCandidates(nil, []string{"wrong arity"}, &ps, nil); !errors.Is(err, ErrArity) {
 		t.Errorf("probe arity err = %v, want ErrArity", err)
 	}
 	_ = c
@@ -135,11 +147,11 @@ func TestTombstonesAndCompaction(t *testing.T) {
 		t.Errorf("no compactions after 6 deletes with CompactMinDead=2: %+v", st)
 	}
 	var ps ProbeScratch
-	got, err := s.AppendCandidates(nil, []string{"shared token"}, &ps)
+	got, err := s.AppendCandidates(nil, []string{"shared token"}, &ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got, ids[6:]) {
+	if !slices.Equal(candidateIDs(got), ids[6:]) {
 		t.Errorf("candidates = %v, want %v", got, ids[6:])
 	}
 
@@ -167,7 +179,7 @@ func TestStatsProbeCounters(t *testing.T) {
 	s.Add([]string{"beta gamma"})
 	var ps ProbeScratch
 	for i := 0; i < 3; i++ {
-		if _, err := s.AppendCandidates(nil, []string{"beta"}, &ps); err != nil {
+		if _, err := s.AppendCandidates(nil, []string{"beta"}, &ps, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,11 +240,11 @@ func TestAddAtNextIDRange(t *testing.T) {
 	}
 	// AddAt-installed records are indexed like any other.
 	var ps ProbeScratch
-	got, err := s.AppendCandidates(nil, []string{"gamma"}, &ps)
+	got, err := s.AppendCandidates(nil, []string{"gamma"}, &ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{2}; !slices.Equal(got, want) {
+	if want := []uint64{2}; !slices.Equal(candidateIDs(got), want) {
 		t.Errorf("candidates = %v, want %v", got, want)
 	}
 
@@ -251,34 +263,34 @@ func TestAddAtNextIDRange(t *testing.T) {
 	}
 }
 
-func TestAppendCandidatesSkip(t *testing.T) {
+func TestCandidatesSkip(t *testing.T) {
 	s := mustStore(t, 1, Config{})
 	a, _ := s.Add([]string{"alpha beta"})
 	b, _ := s.Add([]string{"beta gamma"})
 	var ps ProbeScratch
 
-	got, err := s.AppendCandidatesSkip(nil, []string{"alpha beta gamma"}, &ps, nil)
+	got, err := s.AppendCandidates(nil, []string{"alpha beta gamma"}, &ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{a, b}; !slices.Equal(got, want) {
+	if want := []uint64{a, b}; !slices.Equal(candidateIDs(got), want) {
 		t.Errorf("no skip: candidates = %v, want %v", got, want)
 	}
 
 	// Skipping "beta" leaves each record reachable only through its
 	// remaining token; skipping both of a record's tokens drops it.
-	got, err = s.AppendCandidatesSkip(nil, []string{"alpha beta gamma"}, &ps, []string{"beta"})
+	got, err = s.AppendCandidates(nil, []string{"alpha beta gamma"}, &ps, []string{"beta"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{a, b}; !slices.Equal(got, want) {
+	if want := []uint64{a, b}; !slices.Equal(candidateIDs(got), want) {
 		t.Errorf("skip beta: candidates = %v, want %v", got, want)
 	}
-	got, err = s.AppendCandidatesSkip(nil, []string{"alpha beta gamma"}, &ps, []string{"alpha", "beta"})
+	got, err = s.AppendCandidates(nil, []string{"alpha beta gamma"}, &ps, []string{"alpha", "beta"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{b}; !slices.Equal(got, want) {
+	if want := []uint64{b}; !slices.Equal(candidateIDs(got), want) {
 		t.Errorf("skip alpha+beta: candidates = %v, want %v", got, want)
 	}
 
@@ -286,7 +298,7 @@ func TestAppendCandidatesSkip(t *testing.T) {
 	// like a pruned stop token.
 	s2 := mustStore(t, 1, Config{MinSharedTokens: 2})
 	s2.Add([]string{"alpha beta"})
-	got, err = s2.AppendCandidatesSkip(nil, []string{"alpha beta"}, &ps, []string{"beta"})
+	got, err = s2.AppendCandidates(nil, []string{"alpha beta"}, &ps, []string{"beta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,51 +331,6 @@ func TestCmpStringBytes(t *testing.T) {
 		if skipHas(skip, []byte(tok)) {
 			t.Errorf("skipHas false positive on %q", tok)
 		}
-	}
-}
-
-func TestShardStats(t *testing.T) {
-	s := mustStore(t, 1, Config{Shards: 4, CompactMinDead: 1, CompactFrac: 0.1})
-	var ids []uint64
-	for i := 0; i < 32; i++ {
-		id, err := s.Add([]string{"shared stream"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	sum := func(stats []ShardStat) (recs, posts, tombs int, comps int64) {
-		for _, st := range stats {
-			recs += st.Records
-			posts += st.Postings
-			tombs += st.Tombstones
-			comps += st.Compactions
-		}
-		return
-	}
-	stats := s.ShardStats()
-	if len(stats) != 4 {
-		t.Fatalf("ShardStats returned %d shards, want 4", len(stats))
-	}
-	recs, posts, _, _ := sum(stats)
-	if recs != s.Len() {
-		t.Errorf("per-shard records sum = %d, Len = %d", recs, s.Len())
-	}
-	if posts != s.Stats().Tokens {
-		t.Errorf("per-shard postings sum = %d, Stats.Tokens = %d", posts, s.Stats().Tokens)
-	}
-	for _, id := range ids[:8] {
-		s.Delete(id)
-	}
-	recs, _, tombs, comps := sum(s.ShardStats())
-	if recs != 24 {
-		t.Errorf("records after deletes = %d, want 24", recs)
-	}
-	if int64(tombs) != s.Stats().Tombstones {
-		t.Errorf("per-shard tombstones sum = %d, Stats.Tombstones = %d", tombs, s.Stats().Tombstones)
-	}
-	if comps != s.Stats().Compactions {
-		t.Errorf("per-shard compactions sum = %d, Stats.Compactions = %d", comps, s.Stats().Compactions)
 	}
 }
 

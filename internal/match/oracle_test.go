@@ -66,8 +66,8 @@ func TestCandidatesMatchBatchOracleUnderInterleavings(t *testing.T) {
 		{},                   // defaults: min 1 shared token, max block 200
 		{MinSharedTokens: 2}, // stricter sharing
 		{MaxBlockSize: 3},    // aggressive stop-token pruning
-		{MaxBlockSize: -1, Shards: 4, CompactMinDead: 2, CompactFrac: 0.3}, // no pruning, eager compaction
-		{Attrs: []int{0, 2}, CompactMinDead: 2},                            // blocking keys on a subset of attributes
+		{MaxBlockSize: -1, CompactMinDead: 2, CompactFrac: 0.3}, // no pruning, eager compaction
+		{Attrs: []int{0, 2}, CompactMinDead: 2},                 // blocking keys on a subset of attributes
 	}
 	for ci, cfg := range configs {
 		for seed := int64(0); seed < 4; seed++ {
@@ -82,14 +82,21 @@ func TestCandidatesMatchBatchOracleUnderInterleavings(t *testing.T) {
 
 				check := func(probe []string) {
 					t.Helper()
-					got, err := st.AppendCandidates(nil, probe, &ps)
+					cands, err := st.AppendCandidates(nil, probe, &ps, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
+					got := candidateIDs(cands)
 					want := batchOracle(probe, ids, values, rcfg, arity)
 					if !slices.Equal(got, want) {
 						t.Fatalf("probe %q diverged from batch rebuild:\n got %v\nwant %v\n(%d survivors, stats %+v)",
 							probe, got, want, len(ids), st.Stats())
+					}
+					for _, c := range cands {
+						i, _ := slices.BinarySearch(ids, c.ID)
+						if !slices.Equal(c.Values, values[i]) {
+							t.Fatalf("candidate %d carries %q, the survivor holds %q", c.ID, c.Values, values[i])
+						}
 					}
 				}
 

@@ -11,9 +11,9 @@ import (
 // TestConcurrentAddDeleteProbe hammers one store from adder, deleter,
 // prober and compactor goroutines. Run under -race (make race wires it in):
 // the properties checked here are "no torn reads across compaction" ones —
-// every Get returns a full record of the right arity, every candidate list
-// is sorted and duplicate-free — not result determinism, which concurrent
-// interleavings do not promise.
+// every candidate carries a full record of the right arity, every
+// candidate list is sorted and duplicate-free — not result determinism,
+// which concurrent interleavings do not promise.
 func TestConcurrentAddDeleteProbe(t *testing.T) {
 	const arity = 3
 	st := mustStore(t, arity, Config{CompactMinDead: 2, CompactFrac: 0.3})
@@ -58,21 +58,21 @@ func TestConcurrentAddDeleteProbe(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(200 + seed))
 			var ps ProbeScratch
-			var ids []uint64
+			var cands []Candidate
 			for i := 0; i < 200; i++ {
 				var err error
-				ids, err = st.AppendCandidates(ids[:0], randValues(rng, arity), &ps)
+				cands, err = st.AppendCandidates(cands[:0], randValues(rng, arity), &ps, nil)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for j, id := range ids {
-					if j > 0 && ids[j-1] >= id {
-						t.Errorf("candidates unsorted or duplicated: %v", ids)
+				for j, c := range cands {
+					if j > 0 && cands[j-1].ID >= c.ID {
+						t.Errorf("candidates unsorted or duplicated: %v", candidateIDs(cands))
 						return
 					}
-					if vals, ok := st.Get(id); ok && len(vals) != arity {
-						t.Errorf("Get(%d) returned a torn record of %d values", id, len(vals))
+					if len(c.Values) != arity {
+						t.Errorf("candidate %d carries a torn record of %d values", c.ID, len(c.Values))
 						return
 					}
 				}
@@ -116,13 +116,54 @@ func TestConcurrentAddDeleteProbe(t *testing.T) {
 	var ps ProbeScratch
 	for i := 0; i < 10; i++ {
 		probe := randValues(rng, arity)
-		got, err := st.AppendCandidates(nil, probe, &ps)
+		cands, err := st.AppendCandidates(nil, probe, &ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := candidateIDs(cands)
 		want := batchOracle(probe, ids, values, st.Config(), arity)
 		if !slices.Equal(got, want) {
 			t.Fatalf("post-race probe diverged:\n got %v\nwant %v", got, want)
 		}
+	}
+}
+
+// TestConcurrentAddAtSameID races AddAt calls that name the same IDs: of
+// the calls for one ID exactly one may install the record. A second
+// install would list the ID twice in its token's posting, so a one-token
+// probe would count two shared tokens and return it under
+// MinSharedTokens 2.
+func TestConcurrentAddAtSameID(t *testing.T) {
+	const ids, racers = 2000, 4
+	st := mustStore(t, 1, Config{MinSharedTokens: 2, MaxBlockSize: -1})
+	wins := make([]atomic.Int32, ids)
+	var wg sync.WaitGroup
+	for g := 0; g < racers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range ids {
+				if st.AddAt(uint64(id), []string{"shared"}) == nil {
+					wins[id].Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for id := range wins {
+		if n := wins[id].Load(); n != 1 {
+			t.Fatalf("ID %d: %d AddAt calls succeeded, want exactly 1", id, n)
+		}
+	}
+	if got := st.Stats().Added; got != ids {
+		t.Errorf("Stats().Added = %d, want %d", got, ids)
+	}
+	var ps ProbeScratch
+	got, err := st.AppendCandidates(nil, []string{"shared"}, &ps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Errorf("one-token probe under MinSharedTokens 2 returned %d candidates, want 0", len(got))
 	}
 }

@@ -85,9 +85,6 @@ const (
 	NeedAll Need = 1<<iota - 1
 )
 
-// Raw returns the original value.
-func (p *Prepared) Raw() string { return p.raw }
-
 // Norm returns the strutil-normalized form.
 func (p *Prepared) Norm() string { return p.norm }
 

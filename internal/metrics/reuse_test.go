@@ -60,8 +60,9 @@ func TestReusableMatchesFreshPrepareQuick(t *testing.T) {
 func TestReusableNeedsSubset(t *testing.T) {
 	var p Prepared
 	p.Reset("t brinkhoff, thomas brinkhoff 1999", NeedAll)
-	p.Reset("Very Large Data Bases; V. L. D. B. and friends, 1975", NeedTokens|NeedAbbr|NeedNum)
-	want := oraclePrepared(p.Raw())
+	const raw = "Very Large Data Bases; V. L. D. B. and friends, 1975"
+	p.Reset(raw, NeedTokens|NeedAbbr|NeedNum)
+	want := oraclePrepared(raw)
 	if got, w := p.Abbr(), want.Abbr(); got != w {
 		t.Fatalf("Abbr = %q, want %q", got, w)
 	}

@@ -3,7 +3,6 @@ package partition
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -44,19 +43,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// censusShards is the token census's lock striping (power of two).
-const censusShards = 64
-
-// censusShard is one stripe of the global token census: token → live
-// record count across all partitions. The census is what lets stop-token
-// pruning stay exact under partitioning — each partition's posting lists
-// see only a slice of a token's records, so the local live counts a flat
-// store prunes on do not exist anywhere but here.
-type censusShard struct {
-	mu sync.RWMutex
-	m  map[string]int
-}
-
 // Store is the online match store: records consistent-hash across
 // partitions, probes scatter to every partition concurrently and gather
 // through one order-stable top-k merge (Resolve). All methods are safe for
@@ -76,8 +62,13 @@ type Store struct {
 	// partitions index by, and going through a match.Store guarantees it.
 	tok *match.Store
 
-	seed   maphash.Seed
-	census []censusShard
+	// census is the global token census: token → live record count across
+	// all partitions. It is what lets stop-token pruning stay exact under
+	// partitioning — each partition's posting lists see only a slice of a
+	// token's records, so the local live counts a flat store prunes on do
+	// not exist anywhere but here.
+	censusMu sync.RWMutex
+	census   map[string]int
 
 	probes atomic.Int64
 	pruned atomic.Int64
@@ -125,7 +116,7 @@ func New(arity int, o Options) (*Store, error) {
 
 // newRouter builds the Store shell shared by New and OpenDurable: the
 // tokenizer store (which also resolves the config defaults — MaxBlockSize
-// in particular), the census stripes, and the empty partition table. It
+// in particular), the empty census, and the empty partition table. It
 // returns the per-partition config: the resolved one with local pruning
 // disabled.
 func newRouter(arity int, o Options) (*Store, match.Config, error) {
@@ -141,11 +132,7 @@ func newRouter(arity int, o Options) (*Store, match.Config, error) {
 		maxBlock: resolved.MaxBlockSize,
 		parts:    make([]part, o.Partitions),
 		tok:      tokStore,
-		seed:     maphash.MakeSeed(),
-		census:   make([]censusShard, censusShards),
-	}
-	for i := range s.census {
-		s.census[i].m = make(map[string]int)
+		census:   make(map[string]int),
 	}
 	return s, partCfg, nil
 }
@@ -339,57 +326,46 @@ func (s *Store) Close() error {
 
 // --- census ---
 
-func (s *Store) censusShardOf(tok string) *censusShard {
-	return &s.census[maphash.String(s.seed, tok)&(censusShards-1)]
-}
-
 // censusAdd counts a just-installed record's distinct tokens. The values
-// passed the arity check upstream, so DistinctTokens cannot fail.
+// passed the arity check upstream, so DistinctTokens cannot fail. The
+// tokenizer store takes no lock, so tokenizing under the census lock
+// cannot deadlock.
 func (s *Store) censusAdd(values []string) {
-	_ = s.tok.DistinctTokens(values, func(t string) {
-		cs := s.censusShardOf(t)
-		cs.mu.Lock()
-		cs.m[t]++
-		cs.mu.Unlock()
-	})
+	s.censusMu.Lock()
+	defer s.censusMu.Unlock()
+	_ = s.tok.DistinctTokens(values, func(t string) { s.census[t]++ })
 }
 
 // censusRemove uncounts a just-deleted record's distinct tokens.
 func (s *Store) censusRemove(values []string) {
+	s.censusMu.Lock()
+	defer s.censusMu.Unlock()
 	_ = s.tok.DistinctTokens(values, func(t string) {
-		cs := s.censusShardOf(t)
-		cs.mu.Lock()
-		if cs.m[t] <= 1 {
-			delete(cs.m, t)
+		if s.census[t] <= 1 {
+			delete(s.census, t)
 		} else {
-			cs.m[t]--
+			s.census[t]--
 		}
-		cs.mu.Unlock()
 	})
 }
 
-func (s *Store) censusCount(tok string) int {
-	cs := s.censusShardOf(tok)
-	cs.mu.RLock()
-	n := cs.m[tok]
-	cs.mu.RUnlock()
-	return n
-}
-
-// appendSkip computes the probe's globally pruned stop tokens: every
-// distinct probe token whose census live count exceeds the resolved
-// MaxBlockSize — the same predicate a flat store applies per posting list —
-// sorted ascending for the partitions' binary-search skip check.
+// appendSkip computes the probe's globally pruned stop tokens under one
+// census read lock: every distinct probe token whose census live count
+// exceeds the resolved MaxBlockSize — the same predicate a flat store
+// applies per posting list — sorted ascending for the partitions'
+// binary-search skip check.
 func (s *Store) appendSkip(dst []string, probe []string) ([]string, error) {
 	if s.maxBlock <= 0 {
 		return dst[:0], nil
 	}
 	dst = dst[:0]
+	s.censusMu.RLock()
 	err := s.tok.DistinctTokens(probe, func(t string) {
-		if s.censusCount(t) > s.maxBlock {
+		if s.census[t] > s.maxBlock {
 			dst = append(dst, t)
 		}
 	})
+	s.censusMu.RUnlock()
 	if err != nil {
 		return dst, err
 	}
@@ -408,7 +384,7 @@ type Stats struct {
 	CensusTokens int   `json:"census_tokens"` // distinct tokens currently counted
 }
 
-// Stats snapshots the router counters (brief per-stripe locks).
+// Stats snapshots the router counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
 		Partitions:   len(s.parts),
@@ -419,12 +395,9 @@ func (s *Store) Stats() Stats {
 	for i, p := range s.parts {
 		st.Records[i] = p.st.Len()
 	}
-	for i := range s.census {
-		cs := &s.census[i]
-		cs.mu.RLock()
-		st.CensusTokens += len(cs.m)
-		cs.mu.RUnlock()
-	}
+	s.censusMu.RLock()
+	st.CensusTokens = len(s.census)
+	s.censusMu.RUnlock()
 	return st
 }
 
@@ -433,16 +406,6 @@ func (s *Store) PartitionStats() []match.Stats {
 	out := make([]match.Stats, len(s.parts))
 	for i, p := range s.parts {
 		out[i] = p.st.Stats()
-	}
-	return out
-}
-
-// PartitionShardStats snapshots every partition's per-shard counters (the
-// match_shard_stats expvar).
-func (s *Store) PartitionShardStats() [][]match.ShardStat {
-	out := make([][]match.ShardStat, len(s.parts))
-	for i, p := range s.parts {
-		out[i] = p.st.ShardStats()
 	}
 	return out
 }

@@ -38,18 +38,14 @@ func fakeRank(probe, vals []string) float64 {
 func fakeLeg(probe []string, k int) func(st *match.Store, skip []string) []match.Scored {
 	return func(st *match.Store, skip []string) []match.Scored {
 		var ps match.ProbeScratch
-		ids, err := st.AppendCandidatesSkip(nil, probe, &ps, skip)
+		cands, err := st.AppendCandidates(nil, probe, &ps, skip)
 		if err != nil {
 			panic(err) // Resolve checked the probe's arity before any leg ran
 		}
 		var top match.TopK
 		top.Reset(k)
-		for _, id := range ids {
-			vals, ok := st.Get(id)
-			if !ok {
-				continue
-			}
-			top.Offer(match.Scored{ID: id, Rank: fakeRank(probe, vals)})
+		for _, c := range cands {
+			top.Offer(match.Scored{ID: c.ID, Rank: fakeRank(probe, c.Values)})
 		}
 		return top.AppendSorted(nil)
 	}
@@ -486,7 +482,7 @@ func TestStoreValidation(t *testing.T) {
 	}
 }
 
-func TestStatsAndShardStats(t *testing.T) {
+func TestStats(t *testing.T) {
 	ps, err := New(1, Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -518,18 +514,5 @@ func TestStatsAndShardStats(t *testing.T) {
 	}
 	if got := len(ps.PartitionStats()); got != 4 {
 		t.Errorf("PartitionStats returned %d entries, want 4", got)
-	}
-	shard := ps.PartitionShardStats()
-	if len(shard) != 4 {
-		t.Fatalf("PartitionShardStats returned %d partitions, want 4", len(shard))
-	}
-	recs := 0
-	for _, stats := range shard {
-		for _, sh := range stats {
-			recs += sh.Records
-		}
-	}
-	if recs != 64 {
-		t.Errorf("shard-stat records sum to %d, want 64", recs)
 	}
 }

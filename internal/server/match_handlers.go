@@ -132,7 +132,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := s.metrics.begin()
-	res, st, fp, err := s.resolveTraced(req.Values, k, tr)
+	res, fp, err := s.resolveTraced(req.Values, k, tr)
 	s.metrics.finish(reqResolve, tr)
 	if err != nil {
 		writeError(w, statusFor(err), err)
@@ -140,19 +140,11 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ResolveResponse{Matches: make([]ResolveMatch, len(res)), ModelFingerprint: fp}
 	for i, mr := range res {
-		rm := ResolveMatch{
-			ID:   mr.ID,
+		resp.Matches[i] = ResolveMatch{
+			ID: mr.ID, Values: mr.Values,
 			Prob: mr.Score.Prob, Match: mr.Score.Match,
 			Risk: mr.Score.Risk, Mu: mr.Score.Mu, Sigma: mr.Score.Sigma,
 		}
-		// st is the snapshot the resolve ran against (never a store a
-		// forced swap published afterwards, whose IDs restart at zero), so
-		// Get can only miss when the record was deleted mid-request; the
-		// verdict still stands for the snapshot the probe saw.
-		if vals, ok := st.Get(mr.ID); ok {
-			rm.Values = vals
-		}
-		resp.Matches[i] = rm
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

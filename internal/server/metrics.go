@@ -132,8 +132,7 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 	reg.Func("model_swaps", func() any { return s.Swaps() })
 
 	// Match-store counters as one tree, summed over the partitions: one
-	// Stats() sweep per partition per scrape (Stats briefly takes every
-	// shard lock, so one consistent snapshot beats five contending ones),
+	// Stats() snapshot per partition per scrape (one read lock each),
 	// re-read from the current store so the counters follow a forced
 	// schema-changing swap. Every resolve probes each partition once, so
 	// probes count partition legs, and a token indexed in several
@@ -165,11 +164,6 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 			"resolves":                  s.Resolves(),
 			"mean_candidates_per_probe": mean,
 		}
-	})
-
-	// Per-shard index counters of every partition (skew at a glance).
-	reg.Func("match_shard_stats", func() any {
-		return map[string]any{"partitions": s.Store().PartitionShardStats()}
 	})
 
 	// Scatter-gather router counters.

@@ -174,8 +174,8 @@ func TestMetricsPartitionedScatter(t *testing.T) {
 }
 
 // TestMetricsSampleKeysUnique: on a 4-partition server every sample line
-// of GET /metrics names a distinct series — in particular the per-shard
-// stats of different partitions must not collide.
+// of GET /metrics names a distinct series — in particular the
+// per-partition record counts must not collide.
 func TestMetricsSampleKeysUnique(t *testing.T) {
 	w, m := trainedModel(t, 7)
 	srv := New(m, Config{Partitions: 4, Obs: obs.NewRegistry()})
@@ -186,7 +186,7 @@ func TestMetricsSampleKeysUnique(t *testing.T) {
 	}
 
 	seen := map[string]bool{}
-	shardSamples := 0
+	partSamples := 0
 	for _, line := range strings.Split(scrapeMetrics(t, ts.URL), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -196,12 +196,12 @@ func TestMetricsSampleKeysUnique(t *testing.T) {
 			t.Errorf("duplicate sample %s", key)
 		}
 		seen[key] = true
-		if strings.HasPrefix(key, "match_shard_stats_") {
-			shardSamples++
+		if strings.HasPrefix(key, "partition_stats_records{i=") {
+			partSamples++
 		}
 	}
-	if shardSamples == 0 {
-		t.Fatal("scrape has no match_shard_stats samples")
+	if partSamples != 4 {
+		t.Fatalf("scrape has %d partition_stats_records samples, want 4 (one per partition)", partSamples)
 	}
 }
 

@@ -419,27 +419,19 @@ func (s *Server) TriggerSnapshot() ([]match.SnapshotInfo, error) {
 // Live reports the number of live records in the serving store.
 func (s *Server) Live() int { return s.store.Load().Len() }
 
-// Resolve finds the k best matches for a probe record among the store's
-// live records on the current model snapshot, scatter-gathered across
-// every partition into the same ranked slice a flat store would return.
-// It returns the store snapshot the resolve ran against next to the
-// results: record IDs are only meaningful relative to that snapshot (a
-// forced schema swap replaces the store and restarts IDs at zero), so
-// callers rendering record values must fetch them from it, not from a
-// fresh Store() load.
-func (s *Server) Resolve(probe []string, k int) ([]learnrisk.MatchResult, *partition.Store, string, error) {
-	return s.resolveTraced(probe, k, nil)
-}
-
-func (s *Server) resolveTraced(probe []string, k int, tr *obs.Trace) ([]learnrisk.MatchResult, *partition.Store, string, error) {
+// resolveTraced finds the k best matches for a probe record among the
+// store's live records on the current model snapshot, scatter-gathered
+// across every partition into the same ranked slice a flat store would
+// return, and the fingerprint of the model that scored them. Each result
+// carries the values its verdict was computed on.
+func (s *Server) resolveTraced(probe []string, k int, tr *obs.Trace) ([]learnrisk.MatchResult, string, error) {
 	m := s.model.Load()
-	ps := s.store.Load()
-	res, err := m.ResolvePartitionedTraced(ps, probe, k, tr)
+	res, err := m.ResolvePartitionedTraced(s.store.Load(), probe, k, tr)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	s.resolves.Add(1)
-	return res, ps, m.Fingerprint(), nil
+	return res, m.Fingerprint(), nil
 }
 
 // Resolves returns how many resolve calls the server has answered.

@@ -128,11 +128,11 @@ func TestResolveSteadyStateAllocs(t *testing.T) {
 	var probes [][]string
 	var ps match.ProbeScratch
 	for _, r := range w.inner.Left.Records {
-		ids, err := st.AppendCandidatesSkip(nil, r.Values, &ps, nil)
+		cands, err := st.AppendCandidates(nil, r.Values, &ps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ids) >= 300 && len(ids) <= 490 {
+		if len(cands) >= 300 && len(cands) <= 490 {
 			probes = append(probes, r.Values)
 		}
 		if len(probes) == resolveAllocProbes {

@@ -72,7 +72,7 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 					tc.parts, li, len(got), len(want), got, want)
 			}
 			for i := range got {
-				if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
+				if got[i].ID != want[i].ID || got[i].Score != want[i].Score || !slices.Equal(got[i].Values, want[i].Values) {
 					t.Fatalf("parts=%d probe %d result %d diverged\ngot:  %+v\nwant: %+v",
 						tc.parts, li, i, got[i], want[i])
 				}

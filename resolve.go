@@ -24,11 +24,14 @@ import (
 type Trace = obs.Trace
 
 // MatchResult is one resolved match: the stable store ID of the candidate
-// record and the full serving-path verdict of the (probe, candidate) pair.
-// Results rank by classifier probability, ties toward the lower ID.
+// record, the values its verdict was computed on (the store's immutable
+// copy; callers must not modify it), and the full serving-path verdict of
+// the (probe, candidate) pair. Results rank by classifier probability,
+// ties toward the lower ID.
 type MatchResult struct {
-	ID    uint64
-	Score PairScore
+	ID     uint64
+	Values []string
+	Score  PairScore
 }
 
 // MatchConfig configures an online match store (blocking semantics and
@@ -68,13 +71,11 @@ func (m *Model) OpenDurableMatchStore(dir string, cfg MatchConfig, opts DurableM
 
 // resolveScratch is one resolve worker's reusable state: the probe scratch
 // of the candidate index, the scoring scratch of the zero-alloc path, the
-// per-probe candidate buffers and the bounded top-k heap.
+// per-probe candidates and the bounded top-k heap.
 type resolveScratch struct {
 	ps     match.ProbeScratch
 	ss     *scoreScratch
-	ids    []uint64
-	kept   []uint64   // record ID by ranking position
-	vals   [][]string // record values by ranking position
+	cands  []match.Candidate
 	topk   match.TopK
 	sorted []match.Scored
 }
@@ -166,8 +167,8 @@ func (m *Model) resolveInto(st *MatchStore, probe []string, k int, s *resolveScr
 // resolveTracedInto resolves one (already-validated) probe, minus the skip
 // list's globally pruned tokens, into full verdicts: the flat resolve, and
 // one partition's leg of a partitioned resolve. The survivors of the
-// ranking are scored from the value slices the ranking fetched, so a
-// record deleted after it was ranked keeps its verdict.
+// ranking are scored from the value slices the probe gathered, so a
+// record deleted after it was ranked keeps its verdict and its values.
 func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) []MatchResult {
 	m.rankInto(st, probe, k, skip, s, tr)
 	var t0 time.Time
@@ -176,10 +177,11 @@ func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, skip []
 	}
 	out := make([]MatchResult, len(s.sorted))
 	for i, e := range s.sorted {
-		out[i] = MatchResult{ID: s.kept[e.ID], Score: m.scorePair(Pair{Left: probe, Right: s.vals[e.ID]}, s.ss)}
+		c := s.cands[e.ID]
+		out[i] = MatchResult{ID: c.ID, Values: c.Values, Score: m.scorePair(Pair{Left: probe, Right: c.Values}, s.ss)}
 	}
 	// The pooled scratch must not keep deleted records reachable.
-	clear(s.vals)
+	clear(s.cands)
 	if tr != nil {
 		tr.Add(obs.StageScore, time.Since(t0))
 	}
@@ -189,20 +191,20 @@ func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, skip []
 // rankInto is the shared resolve core: candidates from the incremental
 // index (minus the skip list's globally pruned tokens), each ranked by its
 // classifier probability on the zero-alloc path, the k best retained. It
-// leaves the ranking in the scratch — s.sorted holds scratch positions
-// best-first, s.kept/s.vals map a position back to the record ID and the
-// values it was ranked on.
+// leaves the ranking in the scratch — s.sorted holds positions in s.cands
+// best-first, and s.cands holds each candidate's ID and the values it was
+// ranked on.
 func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 	var err error
-	s.ids, err = st.AppendCandidatesSkip(s.ids[:0], probe, &s.ps, skip)
+	s.cands, err = st.AppendCandidates(s.cands[:0], probe, &s.ps, skip)
 	if err != nil {
-		// Unreachable: AppendCandidatesSkip's only failure is its arity
-		// check, and checkResolve pinned the probe's arity to the store's
-		// before any resolve work started. The store's arity is immutable.
+		// Unreachable: AppendCandidates' only failure is its arity check,
+		// and checkResolve pinned the probe's arity to the store's before
+		// any resolve work started. The store's arity is immutable.
 		panic("learnrisk: resolve invariant violated: " + err.Error())
 	}
 	if tr != nil {
@@ -211,19 +213,10 @@ func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s
 		t0 = now
 	}
 	s.topk.Reset(k)
-	s.kept = s.kept[:0]
-	s.vals = s.vals[:0]
-	for _, id := range s.ids {
-		vals, ok := st.Get(id)
-		if !ok {
-			continue // deleted between probe and fetch; skip
-		}
-		pos := uint64(len(s.vals))
-		s.kept = append(s.kept, id)
-		s.vals = append(s.vals, vals)
-		// Candidates arrive in ascending ID order, so the scratch position
+	for i, c := range s.cands {
+		// Candidates arrive in ascending ID order, so the position
 		// preserves the ID tie-break.
-		s.topk.Offer(match.Scored{ID: pos, Rank: m.probPair(Pair{Left: probe, Right: vals}, s.ss)})
+		s.topk.Offer(match.Scored{ID: uint64(i), Rank: m.probPair(Pair{Left: probe, Right: c.Values}, s.ss)})
 	}
 	if tr != nil {
 		now := time.Now()

@@ -3,6 +3,8 @@ package learnrisk
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -62,7 +64,7 @@ func TestResolveMatchesBatchPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, MatchResult{ID: ids[p.Right], Score: sc})
+			want = append(want, MatchResult{ID: ids[p.Right], Values: right.Records[p.Right].Values, Score: sc})
 		}
 		sort.SliceStable(want, func(a, b int) bool {
 			if want[a].Score.Prob != want[b].Score.Prob {
@@ -78,9 +80,8 @@ func TestResolveMatchesBatchPipeline(t *testing.T) {
 			t.Fatalf("probe %d: got %d results, want %d", li, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-				t.Fatalf("probe %d result %d: got {%d %+v}, want {%d %+v}",
-					li, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
+			if got[i].ID != want[i].ID || got[i].Score != want[i].Score || !slices.Equal(got[i].Values, want[i].Values) {
+				t.Fatalf("probe %d result %d: got %+v, want %+v", li, i, got[i], want[i])
 			}
 		}
 	}
@@ -102,13 +103,8 @@ func TestResolveBatchMatchesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch[i]) != len(single) {
-			t.Fatalf("probe %d: batch %d results, single %d", i, len(batch[i]), len(single))
-		}
-		for j := range single {
-			if batch[i][j] != single[j] {
-				t.Fatalf("probe %d result %d: batch %+v, single %+v", i, j, batch[i][j], single[j])
-			}
+		if !reflect.DeepEqual(batch[i], single) {
+			t.Fatalf("probe %d: batch %+v, single %+v", i, batch[i], single)
 		}
 	}
 }
