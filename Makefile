@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-examples build-cmds vet lint fmtcheck test gobench-check race cover allocs perfbench-check tier1 crash
+.PHONY: build build-examples build-cmds vet lint fmtcheck test gobench-check fuzz race cover allocs perfbench-check tier1 crash
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,16 @@ test:
 gobench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# fuzz runs each native fuzz target for 10s; `go test -fuzz` takes one
+# target per run. Their seed corpora also run under `make test`.
+FUZZ_TARGETS = ./internal/match:FuzzDecodeOp ./internal/match:FuzzDecodeSnapHeader
+
+fuzz:
+	@set -e; for pt in $(FUZZ_TARGETS); do \
+	  pkg=$${pt%%:*}; fn=$${pt##*:}; \
+	  $(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 10s $$pkg; \
+	done
+
 # race covers the packages whose hot paths run under internal/par worker
 # pools (disjoint-write contracts; among them classifier training and
 # labeling, the Uncertainty and TrustScore baselines, and active learning's
@@ -89,7 +99,7 @@ race:
 # vetkit analysis framework, the partition router, the observability
 # layer, and the facade (golden regression + Save/Load property tests
 # live there). Raise the floors as coverage grows; never lower them.
-COVER_FLOORS = ./internal/server:80 ./internal/featstore:85 ./internal/match:80 ./internal/wal:85 ./internal/analysis:80 ./internal/partition:80 ./internal/obs:85 .:85
+COVER_FLOORS = ./internal/server:80 ./internal/featstore:90 ./internal/match:80 ./internal/wal:85 ./internal/analysis:80 ./internal/partition:80 ./internal/obs:85 .:85
 
 cover:
 	@set -e; for pf in $(COVER_FLOORS); do \
@@ -125,7 +135,7 @@ perfbench-check:
 	$(GO) test -C perfbench ./...
 
 # tier1 is the verification gate every PR must keep green (ROADMAP.md).
-tier1: build build-examples build-cmds vet lint fmtcheck test gobench-check race cover allocs perfbench-check
+tier1: build build-examples build-cmds vet lint fmtcheck test gobench-check fuzz race cover allocs perfbench-check
 
 # crash runs the durability fault-injection and crash-recovery suites
 # verbosely: torn tails at every byte boundary, bit flips, oversized length

@@ -102,8 +102,7 @@ func RunCtx(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, pool
 	}
 
 	// One feature store for the whole loop: each round's retraining,
-	// labeling and pool scoring reuse the metric rows of every pair seen in
-	// any earlier round.
+	// labeling and pool scoring read their metric rows from it.
 	st := featstore.New(w, cat)
 
 	var curve []Point
@@ -120,7 +119,7 @@ func RunCtx(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, pool
 			return curve, nil
 		}
 
-		scores, err := scorePool(ctx, st, m, labeled, unlabeled, method, cfg)
+		scores, err := scorePool(ctx, w, cat, st, m, labeled, unlabeled, method, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("active: round %d: %w", round, err)
 		}
@@ -171,16 +170,9 @@ func seedSplit(w *dataset.Workload, pool []int, n int) (labeled, unlabeled []int
 	return labeled, unlabeled, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // scorePool returns one acquisition score per unlabeled index (higher =
 // select first).
-func scorePool(ctx context.Context, st *featstore.Store, m *classifier.Matcher,
+func scorePool(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, st *featstore.Store, m *classifier.Matcher,
 	labeled, unlabeled []int, method Method, cfg Config) ([]float64, error) {
 
 	poolRows := st.Rows(unlabeled)
@@ -206,7 +198,7 @@ func scorePool(ctx context.Context, st *featstore.Store, m *classifier.Matcher,
 		}
 		return out, nil
 	case LearnRisk:
-		return learnRiskScores(ctx, st, m, labeled, unlabeled, probs, cfg)
+		return learnRiskScores(ctx, w, cat, st, m, labeled, unlabeled, probs, cfg)
 	}
 	return nil, fmt.Errorf("active: unknown method %q", method)
 }
@@ -215,10 +207,9 @@ func scorePool(ctx context.Context, st *featstore.Store, m *classifier.Matcher,
 // (whose mislabel flags are known) and scores the unlabeled pool by VaR
 // risk — "at each iteration, the algorithm can select the most risky
 // instances for labeling" (Section 8).
-func learnRiskScores(ctx context.Context, st *featstore.Store, m *classifier.Matcher,
+func learnRiskScores(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, st *featstore.Store, m *classifier.Matcher,
 	labeled, unlabeled []int, poolProbs []float64, cfg Config) ([]float64, error) {
 
-	w := st.Workload()
 	trainX := st.Rows(labeled)
 	labTrain := m.LabelRows(w, labeled, trainX)
 	// A perfect classifier on the labeled set (or one wrong on every pair)
@@ -230,7 +221,7 @@ func learnRiskScores(ctx context.Context, st *featstore.Store, m *classifier.Mat
 		}
 		return out, nil
 	}
-	feats, err := pipeline.Generate(ctx, trainX, labTrain.Truth, st.Catalog().Names(), cfg.RuleGen)
+	feats, err := pipeline.Generate(ctx, trainX, labTrain.Truth, cat.Names(), cfg.RuleGen)
 	if err != nil {
 		return nil, err
 	}

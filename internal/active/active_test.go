@@ -184,7 +184,7 @@ func TestLearnRiskScoresWithoutSignalFallBackToEntropy(t *testing.T) {
 		name    string
 		labeled []int
 	}{{"no mistake", right[:40]}, {"no correct pair", wrong}} {
-		scores, err := scorePool(context.Background(), st, m, tc.labeled, unlabeled, LearnRisk, smallCfg(3).withDefaults())
+		scores, err := scorePool(context.Background(), testW, testCat, st, m, tc.labeled, unlabeled, LearnRisk, smallCfg(3).withDefaults())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

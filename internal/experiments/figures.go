@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -297,10 +300,13 @@ func Fig12Active(profile string, sizes []int, s Settings) ([]SensitivityPoint, e
 	cands := make([]ambCand, len(lab.Split.Valid))
 	for k, i := range lab.Split.Valid {
 		p := lab.ValidLab.Prob[k]
-		a := 0.5 - absf(p-0.5)
+		a := 0.5 - math.Abs(p-0.5)
 		cands[k] = ambCand{idx: i, amb: a}
 	}
-	sortCands(cands)
+	// Descending ambiguity with deterministic tie-break on index.
+	slices.SortFunc(cands, func(a, b ambCand) int {
+		return cmp.Or(cmp.Compare(b.amb, a.amb), cmp.Compare(a.idx, b.idx))
+	})
 	var out []SensitivityPoint
 	for _, n := range sizes {
 		if n > len(cands) {
@@ -489,21 +495,4 @@ func subsample(idx []int, n int, seed uint64) []int {
 		out[k] = idx[j]
 	}
 	return out
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func sortCands(cands []ambCand) {
-	// Descending ambiguity with deterministic tie-break on index.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && (cands[j].amb > cands[j-1].amb ||
-			(cands[j].amb == cands[j-1].amb && cands[j].idx < cands[j-1].idx)); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
 }

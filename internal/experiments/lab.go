@@ -8,8 +8,9 @@
 // The LearnRisk method runs the training stages of internal/pipeline, the
 // ones the facade's Train runs: a Lab trains its classifier and generates
 // its risk features once, and every risk model is a pipeline.Fit over
-// them. Rows come from the lab's featstore.Store rather than Train's
-// streamed windows.
+// them. Rows come from the lab's featstore.Store, a table that one
+// featstore.Streamer pass fills: the row computation Train streams, kept
+// whole so every method and sweep reads its rows by pair index.
 package experiments
 
 import (

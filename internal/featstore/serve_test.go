@@ -2,31 +2,6 @@ package featstore
 
 import "testing"
 
-// TestStoreLazyChunkAllocation verifies that touching a few rows of a large
-// workload allocates only their chunks.
-func TestStoreLazyChunkAllocation(t *testing.T) {
-	w, cat := testWorkload(t)
-	s := New(w, cat)
-	for _, c := range s.chunks {
-		if c != nil {
-			t.Fatal("fresh store should have no allocated chunks")
-		}
-	}
-	s.Rows([]int{0, 1})
-	if s.chunks[0] == nil {
-		t.Fatal("first chunk should be allocated after reading rows 0-1")
-	}
-	allocated := 0
-	for _, c := range s.chunks {
-		if c != nil {
-			allocated++
-		}
-	}
-	if allocated != 1 {
-		t.Fatalf("allocated %d chunks for two adjacent rows, want 1", allocated)
-	}
-}
-
 // TestComputeRowAppendMatchesComputeRow pins the zero-allocation serving
 // row against a fresh scratch per pair, including buffer-reuse pollution
 // (the same scratch serving many different pairs) and the one-pair side

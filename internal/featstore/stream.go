@@ -11,9 +11,9 @@ import (
 )
 
 // DefaultStreamWindow is the Streamer's pair-window size when the caller
-// passes zero: the same granularity as the store's backing chunks, small
-// enough that a window's rows and prepared records stay cache- and
-// memory-bounded, large enough to amortize the parallel fill fan-out.
+// passes zero: small enough that a window's rows and prepared records stay
+// cache- and memory-bounded, large enough to amortize the parallel fill
+// fan-out.
 const DefaultStreamWindow = 1024
 
 // streamFillChunk is the per-worker granularity of the window fill.
@@ -21,16 +21,15 @@ const streamFillChunk = 64
 
 // Streamer computes metric rows over a lazy candidate-pair stream
 // (blocking.CandidateSeq, or a replayed pair list) in bounded windows. It
-// is the row source of the facade's batch pipeline and the streaming
-// counterpart of Store. Memory is bounded by one window: the row backing,
-// the window's distinct prepared records (reusable metrics.Prepared rows,
-// reset in place — the serving path's pooled scratch), and the per-worker
-// metric DP buffers. Nothing grows with the stream length.
+// is the row source of the facade's batch pipeline and fills Store. Memory
+// is bounded by one window: the row backing, the window's distinct
+// prepared records (reusable metrics.Prepared rows, reset in place — the
+// serving path's pooled scratch), and the per-worker metric DP buffers.
+// Nothing grows with the stream length.
 //
-// Row values are bit-identical to Store's (and so to ComputeRowAppend's):
-// the same catalog evaluation over the same prepared forms, with per-window
-// record deduplication standing in for the store's whole-workload
-// prepare-once memoization.
+// Row values are bit-identical to ComputeRowAppend's: the same catalog
+// evaluation over the same prepared forms, with each record prepared once
+// per window.
 //
 // A Streamer is owned by one goroutine at a time; Run parallelizes
 // internally with disjoint writes.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/metrics"
 )
 
 func pairSeq(pairs []dataset.Pair) iter.Seq[dataset.Pair] {
@@ -18,15 +19,25 @@ func pairSeq(pairs []dataset.Pair) iter.Seq[dataset.Pair] {
 	}
 }
 
-// TestStreamerMatchesStore is the streaming path's core equivalence
-// contract: every streamed row is bit-identical to the store's row for the
-// same pair, across window sizes that exercise single-window, window-per-
-// pair and partial-final-window shapes (with the prepared-record pools
-// recycled across many windows).
-func TestStreamerMatchesStore(t *testing.T) {
+// directRows computes every pair's row of w through directRow: pair by
+// pair, sharing no windowing or record deduplication with Streamer.
+func directRows(w *dataset.Workload, cat *metrics.Catalog) [][]float64 {
+	rows := make([][]float64, len(w.Pairs))
+	for i := range rows {
+		a, b := w.Values(i)
+		rows[i] = directRow(cat, a, b)
+	}
+	return rows
+}
+
+// TestStreamerMatchesDirectCompute is the streaming path's core
+// equivalence contract: every streamed row is bit-identical to the pair's
+// row computed directly, across window sizes that exercise single-window,
+// window-per-pair and partial-final-window shapes (with the
+// prepared-record pools recycled across many windows).
+func TestStreamerMatchesDirectCompute(t *testing.T) {
 	w, cat := testWorkload(t)
-	store := New(w, cat)
-	want := store.Rows(allPairs(w))
+	want := directRows(w, cat)
 	for _, window := range []int{0, 1, 7, len(w.Pairs), len(w.Pairs) + 100} {
 		st := NewStreamer(cat, w.Left, w.Right, window)
 		seen := 0
@@ -39,12 +50,12 @@ func TestStreamerMatchesStore(t *testing.T) {
 				if pairs[j] != w.Pairs[i] {
 					t.Fatalf("window=%d: pair %d = %+v, want %+v", window, i, pairs[j], w.Pairs[i])
 				}
-				if len(row) != store.Width() {
-					t.Fatalf("window=%d: row %d width %d, want %d", window, i, len(row), store.Width())
+				if len(row) != len(want[i]) {
+					t.Fatalf("window=%d: row %d width %d, want %d", window, i, len(row), len(want[i]))
 				}
 				for c := range row {
 					if row[c] != want[i][c] {
-						t.Fatalf("window=%d: row %d col %d (%s): streamed=%v store=%v",
+						t.Fatalf("window=%d: row %d col %d (%s): streamed=%v direct=%v",
 							window, i, c, cat.Metrics[c].Name, row[c], want[i][c])
 					}
 				}
@@ -62,10 +73,10 @@ func TestStreamerMatchesStore(t *testing.T) {
 }
 
 // TestStreamerKeepSkipsRows: skipped stream positions arrive as nil rows
-// (never computed), kept positions still match the store bit-identically.
+// (never computed), kept positions still match the direct computation
+// bit-identically.
 func TestStreamerKeepSkipsRows(t *testing.T) {
 	w, cat := testWorkload(t)
-	store := New(w, cat)
 	st := NewStreamer(cat, w.Left, w.Right, 13)
 	kept := 0
 	_, err := st.Run(pairSeq(w.Pairs), func(i int) bool { return i%3 == 0 }, func(base int, pairs []dataset.Pair, rows [][]float64) error {
@@ -77,7 +88,8 @@ func TestStreamerKeepSkipsRows(t *testing.T) {
 				}
 				continue
 			}
-			want := store.Rows([]int{i})[0]
+			a, b := w.Values(i)
+			want := directRow(cat, a, b)
 			for c := range want {
 				if row[c] != want[c] {
 					t.Fatalf("kept row %d col %d: %v != %v", i, c, row[c], want[c])
@@ -125,7 +137,7 @@ func TestStreamerSinkErrorStops(t *testing.T) {
 }
 
 // TestStreamerOutOfRangePanics: a streamed pair referencing records outside
-// the tables fails loudly, like the store's index check.
+// the tables fails loudly.
 func TestStreamerOutOfRangePanics(t *testing.T) {
 	w, cat := testWorkload(t)
 	st := NewStreamer(cat, w.Left, w.Right, 4)

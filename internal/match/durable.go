@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -53,8 +54,8 @@ const (
 // format version.
 var snapMagic = []byte("matchsnap\x01")
 
-// maxSnapshotValues bounds a decoded record's value count (a corrupt count
-// must not drive a giant allocation).
+// maxSnapshotValues bounds a decoded record's value count and a snapshot
+// header's arity (a corrupt count must not drive a giant allocation).
 const maxSnapshotValues = 1 << 16
 
 // ErrDurableClosed marks mutations after Close.
@@ -908,6 +909,9 @@ func decodeSnapHeader(p []byte) (arity int, nextID uint64, count int, err error)
 	if n <= 0 {
 		return 0, 0, 0, errors.New("snapshot header missing arity")
 	}
+	if a < 1 || a > maxSnapshotValues {
+		return 0, 0, 0, fmt.Errorf("snapshot header arity %d outside [1,%d]", a, maxSnapshotValues)
+	}
 	p = p[n:]
 	next, n := binary.Uvarint(p)
 	if n <= 0 {
@@ -917,6 +921,9 @@ func decodeSnapHeader(p []byte) (arity int, nextID uint64, count int, err error)
 	c, n := binary.Uvarint(p)
 	if n <= 0 || len(p) != n {
 		return 0, 0, 0, errors.New("snapshot header missing or trailing record count")
+	}
+	if c > math.MaxInt {
+		return 0, 0, 0, fmt.Errorf("snapshot header record count %d overflows int", c)
 	}
 	return int(a), next, int(c), nil
 }

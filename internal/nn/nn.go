@@ -204,15 +204,6 @@ func (n *Network) PredictScratch(x []float64, s *FwdScratch) float64 {
 	return cur[0]
 }
 
-// PredictBatch returns probabilities for each row of xs.
-func (n *Network) PredictBatch(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = n.Predict(x)
-	}
-	return out
-}
-
 // Hidden returns the activations of the last hidden layer for x, or the
 // input itself when the network has no hidden layers. The TrustScore
 // baseline clusters in this representation space.

@@ -3,7 +3,6 @@ package obs
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram is a fixed-bucket log-scale latency histogram. Buckets are
@@ -76,11 +75,6 @@ func (h *Histogram) Observe(v int64) {
 			return
 		}
 	}
-}
-
-// ObserveSince records the elapsed time since t0 in nanoseconds.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	h.Observe(int64(time.Since(t0)))
 }
 
 // HistSnapshot is a point-in-time copy of a Histogram, safe to read,

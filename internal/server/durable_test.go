@@ -189,8 +189,4 @@ func TestDurableRefusesSchemaSwap(t *testing.T) {
 	if err := srv2.Swap(ab, true); !errors.Is(err, ErrDurableSchemaSwap) {
 		t.Fatalf("forced cross-schema swap while pending = %v, want ErrDurableSchemaSwap", err)
 	}
-	srv2.AbandonDurablePending()
-	if err := srv2.Swap(ab, true); err != nil {
-		t.Fatalf("forced swap after abandoning the pending gate: %v", err)
-	}
 }

@@ -340,11 +340,6 @@ func (s *Server) Store() *partition.Store { return s.store.Load() }
 // will replace), reads and scoring keep working.
 func (s *Server) SetDurablePending() { s.durablePending.Store(true) }
 
-// AbandonDurablePending closes that window without installing a store
-// (the open failed; cmd/serve is exiting). Mutations fall back to the
-// in-memory store.
-func (s *Server) AbandonDurablePending() { s.durablePending.Store(false) }
-
 // InstallStore publishes a replayed durable store over the in-memory one
 // New built: resolves serve its records immediately, and every later
 // mutation goes through the owning partition's log. The store must match

@@ -77,12 +77,25 @@ func saveBytes(t *testing.T, m *Model) []byte {
 	return buf.Bytes()
 }
 
-// referenceTrain is the store-based composition of the LearnRisk pipeline
-// the streamed Train must reproduce bit for bit: one featstore.Store over
-// the materialized pair list, classifier.TrainRowsCtx on its training
-// rows, LabelRows on its validation rows, and the compiled RuleSet's Stats
-// and Apply. It returns the store so the evaluation can reuse its rows.
-func referenceTrain(t *testing.T, w *Workload, opts Options) (*Model, *featstore.Store) {
+// referenceRows computes the metric rows of the given pairs of a
+// materialized workload one pair at a time, each through a fresh
+// featstore.ServeScratch: a row path that shares no windowing or record
+// deduplication with the Streamer that Train and Evaluate run on.
+func referenceRows(w *Workload, idx []int) [][]float64 {
+	X := make([][]float64, len(idx))
+	for k, i := range idx {
+		l, r := w.inner.Values(i)
+		X[k] = featstore.ComputeRowAppend(w.cat, nil, l, r, featstore.NewServeScratch(w.cat))
+	}
+	return X
+}
+
+// referenceTrain is the pair-by-pair composition of the LearnRisk pipeline
+// the streamed Train must reproduce bit for bit: referenceRows over the
+// materialized pair list, classifier.TrainRowsCtx on its training rows,
+// LabelRows on its validation rows, and the compiled RuleSet's Stats and
+// Apply.
+func referenceTrain(t *testing.T, w *Workload, opts Options) *Model {
 	t.Helper()
 	ctx := context.Background()
 	opts = opts.withDefaults()
@@ -90,8 +103,7 @@ func referenceTrain(t *testing.T, w *Workload, opts Options) (*Model, *featstore
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := featstore.New(w.inner, w.cat)
-	trainX := store.Rows(split.Train)
+	trainX := referenceRows(w, split.Train)
 	matcher, err := classifier.TrainRowsCtx(ctx, w.inner, w.cat, split.Train, trainX, classifier.Config{
 		Epochs: opts.ClassifierEpochs, Seed: opts.Seed,
 	}, nil)
@@ -106,7 +118,7 @@ func referenceTrain(t *testing.T, w *Workload, opts Options) (*Model, *featstore
 	if err != nil {
 		t.Fatal(err)
 	}
-	rset, err := rules.Compile(feats, store.Width())
+	rset, err := rules.Compile(feats, len(w.cat.Metrics))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +128,7 @@ func referenceTrain(t *testing.T, w *Workload, opts Options) (*Model, *featstore
 	if err != nil {
 		t.Fatal(err)
 	}
-	validX := store.Rows(split.Valid)
+	validX := referenceRows(w, split.Valid)
 	insts, bad := core.BuildInstances(rset.Apply(validX), matcher.LabelRows(w.inner, split.Valid, validX))
 	if err := risk.FitCtx(ctx, insts, bad, nil); err != nil && !errors.Is(err, core.ErrNoTrainingSignal) {
 		t.Fatal(err)
@@ -125,27 +137,27 @@ func referenceTrain(t *testing.T, w *Workload, opts Options) (*Model, *featstore
 	return &Model{
 		attrs: attrs, fp: fingerprintOf(attrs, w.cat.Names()), opts: opts, cat: w.cat,
 		matcher: matcher, feats: feats, rset: rset, risk: risk, split: split,
-	}, store
+	}
 }
 
-// referenceEvaluate is Evaluate over the store's rows of the given pairs
-// of a materialized workload.
-func referenceEvaluate(m *Model, w *Workload, idx []int, store *featstore.Store) *Report {
-	X := store.Rows(idx)
+// referenceEvaluate is Evaluate over referenceRows of the given pairs of a
+// materialized workload.
+func referenceEvaluate(m *Model, w *Workload, idx []int) *Report {
+	X := referenceRows(w, idx)
 	return m.assembleReport(m.matcher.LabelRows(w.inner, idx, X), m.rset.Apply(X))
 }
 
 // TestRunStreamMatchesRun is the pipeline's acceptance oracle: Run (lazy
 // candidate stream -> windowed metric rows -> training and evaluation)
-// must be bit-identical to the store reference — same pair order, same
-// split, same report bytes, same saved artifact — whether the stream
+// must be bit-identical to the pair-by-pair reference — same pair order,
+// same split, same report bytes, same saved artifact — whether the stream
 // replays a materialized pair list or blocks the tables lazily.
 func TestRunStreamMatchesRun(t *testing.T) {
 	wm, ws := streamOracleWorkloads(t)
 	opts := Options{RiskEpochs: 80, ClassifierEpochs: 10, Seed: 7}
 
-	ref, store := referenceTrain(t, wm, opts)
-	want := referenceEvaluate(ref, wm, ref.TestPairs(), store)
+	ref := referenceTrain(t, wm, opts)
+	want := referenceEvaluate(ref, wm, ref.TestPairs())
 	wantArt := saveBytes(t, ref)
 	for _, tc := range []struct {
 		name string
@@ -155,23 +167,23 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameReport(t, tc.name+" Run vs store reference", want, got)
+		sameReport(t, tc.name+" Run vs pair-by-pair reference", want, got)
 		if !bytes.Equal(wantArt, saveBytes(t, got.Model())) {
-			t.Fatalf("%s: Run's artifact bytes differ from the store reference's", tc.name)
+			t.Fatalf("%s: Run's artifact bytes differ from the pair-by-pair reference's", tc.name)
 		}
 	}
 }
 
 // TestEvaluateStreamMatchesEvaluate: Train and Evaluate on either workload
-// shape match the store reference for any index subset — including
+// shape match the pair-by-pair reference for any index subset — including
 // duplicates, which the streamed position map must fan out.
 func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 	wm, ws := streamOracleWorkloads(t)
 	opts := Options{RiskEpochs: 80, ClassifierEpochs: 10, Seed: 7}
-	ref, store := referenceTrain(t, wm, opts)
+	ref := referenceTrain(t, wm, opts)
 	idx := ref.TestPairs()
 	idx = append(idx[:len(idx):len(idx)], idx[0], idx[0], idx[len(idx)/2])
-	want := referenceEvaluate(ref, wm, idx, store)
+	want := referenceEvaluate(ref, wm, idx)
 	wantArt := saveBytes(t, ref)
 	for _, tc := range []struct {
 		name string
@@ -182,13 +194,13 @@ func TestEvaluateStreamMatchesEvaluate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wantArt, saveBytes(t, m)) {
-			t.Fatalf("%s: Train's artifact bytes differ from the store reference's", tc.name)
+			t.Fatalf("%s: Train's artifact bytes differ from the pair-by-pair reference's", tc.name)
 		}
 		got, err := m.Evaluate(tc.w, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameReport(t, tc.name+" Evaluate vs store reference", want, got)
+		sameReport(t, tc.name+" Evaluate vs pair-by-pair reference", want, got)
 	}
 }
 
