@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/match"
+	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
@@ -18,6 +19,18 @@ import (
 //	go test -run '^$' -bench Durable -benchmem .
 
 const durableBenchRecords = 5000
+
+// durableBenchNeeds are the per-attribute metric forms a served store of
+// the benchmark's 3-attribute (Abt-Buy shaped) schema keeps per record, so
+// ingest and replay pay the residue derivation a served store pays.
+func durableBenchNeeds(b *testing.B) []metrics.Need {
+	b.Helper()
+	cat, err := buildCatalog([]Attr{{Name: "name", Type: "entity-name"}, {Name: "description", Type: "text"}, {Name: "price", Type: "numeric"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cat.AttrNeeds()
+}
 
 func benchValues(rng *rand.Rand, i int) []string {
 	return []string{
@@ -32,7 +45,7 @@ func benchValues(rng *rand.Rand, i int) []string {
 func populateDurableDir(b *testing.B, snapshot bool) string {
 	b.Helper()
 	dir := b.TempDir()
-	d, err := match.OpenDurable(dir, 3, match.Config{}, match.DurableOptions{
+	d, err := match.OpenDurable(dir, 3, durableBenchNeeds(b), match.Config{}, match.DurableOptions{
 		Sync: wal.SyncNever, SnapshotEvery: -1,
 	})
 	if err != nil {
@@ -85,10 +98,11 @@ func cloneBenchDir(b *testing.B, src string) string {
 }
 
 func benchReplay(b *testing.B, dir string) {
+	needs := durableBenchNeeds(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := match.OpenDurable(dir, 3, match.Config{}, match.DurableOptions{
+		d, err := match.OpenDurable(dir, 3, needs, match.Config{}, match.DurableOptions{
 			Sync: wal.SyncNever, SnapshotEvery: -1,
 		})
 		if err != nil {
@@ -132,14 +146,14 @@ func BenchmarkDurableIngest(b *testing.B) {
 		open func(b *testing.B) adder
 	}{
 		{"mem", func(b *testing.B) adder {
-			st, err := match.New(3, match.Config{})
+			st, err := match.New(3, durableBenchNeeds(b), match.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			return st
 		}},
 		{"fsync=never", func(b *testing.B) adder {
-			d, err := match.OpenDurable(b.TempDir(), 3, match.Config{}, match.DurableOptions{
+			d, err := match.OpenDurable(b.TempDir(), 3, durableBenchNeeds(b), match.Config{}, match.DurableOptions{
 				Sync: wal.SyncNever, SnapshotEvery: -1,
 			})
 			if err != nil {
@@ -149,7 +163,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 			return d
 		}},
 		{"fsync=always", func(b *testing.B) adder {
-			d, err := match.OpenDurable(b.TempDir(), 3, match.Config{}, match.DurableOptions{
+			d, err := match.OpenDurable(b.TempDir(), 3, durableBenchNeeds(b), match.Config{}, match.DurableOptions{
 				Sync: wal.SyncAlways, SnapshotEvery: -1,
 			})
 			if err != nil {

@@ -65,6 +65,7 @@ var TrustedFuncs = map[string]bool{
 	"(*repro/internal/blocking.TokenScratch).Token":    true,
 	"(*repro/internal/core.Model).Influence":           true,
 	"(*repro/internal/metrics.Prepared).Reset":         true, // pinned by TestResetSteadyStateAllocs
+	"repro/internal/metrics.RebuildRow":                true, // pinned by TestRebuildRowSteadyStateAllocs
 	"(repro/internal/classifier.Calibration).Bucket":   true, // binary search over a fixed table
 	"repro/internal/strutil.AppendNormalized":          true, // append-into normalization; growth is amortized against the reused buffer
 }

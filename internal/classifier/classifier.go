@@ -115,14 +115,25 @@ func (m *Matcher) InputFromRow(row []float64) []float64 {
 //vetkit:hotpath
 func (m *Matcher) InputFromRowInto(dst []float64, row []float64) []float64 {
 	for j, c := range m.viewCols {
-		v := row[c]
-		if v > 1 {
-			v = v / (1 + v)
-		}
-		dst[j] = v
+		dst[j] = squash(row[c])
 	}
 	return dst
 }
+
+// squash maps an unbounded counting metric x > 1 to x/(1+x) and leaves
+// [0,1] values as they are.
+//
+//vetkit:hotpath
+func squash(v float64) float64 {
+	if v > 1 {
+		return v / (1 + v)
+	}
+	return v
+}
+
+// ViewCols returns the positions within the full catalog of the metrics
+// the network consumes, in input order, as a fresh copy.
+func (m *Matcher) ViewCols() []int { return append([]int(nil), m.viewCols...) }
 
 // ProbScratch holds the reusable buffers of allocation-free classifier
 // inference: the view-projected input vector and the network's activation
@@ -144,6 +155,18 @@ func (m *Matcher) NewProbScratch() *ProbScratch {
 //vetkit:hotpath
 func (m *Matcher) ProbRowScratch(row []float64, s *ProbScratch) float64 {
 	return m.net.PredictScratch(m.InputFromRowInto(s.in, row), s.fwd)
+}
+
+// ProbViewScratch is ProbRowScratch over the view columns alone: view[j]
+// holds the value of full-row column ViewCols()[j]. On equal column values
+// it is bit-identical to ProbRowScratch.
+//
+//vetkit:hotpath
+func (m *Matcher) ProbViewScratch(view []float64, s *ProbScratch) float64 {
+	for j, v := range view {
+		s.in[j] = squash(v)
+	}
+	return m.net.PredictScratch(s.in, s.fwd)
 }
 
 // fit trains the matcher's network on prepared inputs. The positive class

@@ -55,7 +55,7 @@ func TestCrashRecoveryOracle(t *testing.T) {
 	const arity, ops = 3, 40
 	rng := rand.New(rand.NewSource(21))
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, arity, Config{}, quietOpts())
+	d, err := OpenDurable(dir, arity, nil, Config{}, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCrashRecoveryOracle(t *testing.T) {
 
 	reopenAt := func(cut int64) (*DurableStore, string) {
 		img := dirWithSegment(t, raw[:cut])
-		d2, err := OpenDurable(img, arity, Config{}, quietOpts())
+		d2, err := OpenDurable(img, arity, nil, Config{}, quietOpts())
 		if err != nil {
 			t.Fatalf("cut at %d: open failed: %v", cut, err)
 		}
@@ -165,7 +165,7 @@ func TestCrashRecoveryOracle(t *testing.T) {
 	}
 	crashed := copyDir(t, img)
 	d3.Close()
-	d4, err := OpenDurable(crashed, arity, Config{}, quietOpts())
+	d4, err := OpenDurable(crashed, arity, nil, Config{}, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCrashBetweenRotateAndSnapshotPublish(t *testing.T) {
 	writeSeg(1, seg1)
 	writeSeg(2, seg2)
 
-	d, err := OpenDurable(dir, arity, Config{}, quietOpts())
+	d, err := OpenDurable(dir, arity, nil, Config{}, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestTornNonFinalSegmentFailsOpen(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(dir, 2, Config{}, quietOpts()); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := OpenDurable(dir, 2, nil, Config{}, quietOpts()); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("open with a torn non-final segment = %v, want ErrCorrupt", err)
 	}
 }
@@ -270,7 +270,7 @@ func TestTornNonFinalSegmentFailsOpen(t *testing.T) {
 func TestCorruptMidLogFailsOpen(t *testing.T) {
 	const arity = 2
 	dir := t.TempDir()
-	d, err := OpenDurable(dir, arity, Config{}, quietOpts())
+	d, err := OpenDurable(dir, arity, nil, Config{}, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestCorruptMidLogFailsOpen(t *testing.T) {
 	d.Close()
 	img := bytes.Clone(raw)
 	img[10] ^= 0x04 // inside the first frame, with seven frames after it
-	if _, err := OpenDurable(dirWithSegment(t, img), arity, Config{}, quietOpts()); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := OpenDurable(dirWithSegment(t, img), arity, nil, Config{}, quietOpts()); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("open with mid-log corruption = %v, want ErrCorrupt", err)
 	}
 }
@@ -302,7 +302,7 @@ func TestStaleSnapshotTempCleanup(t *testing.T) {
 	const arity = 2
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(23))
-	d, err := OpenDurable(dir, arity, Config{}, quietOpts())
+	d, err := OpenDurable(dir, arity, nil, Config{}, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestStaleSnapshotTempCleanup(t *testing.T) {
 	opts.Logf = func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	}
-	d2, err := OpenDurable(crashed, arity, Config{}, opts)
+	d2, err := OpenDurable(crashed, arity, nil, Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestDamagedSnapshotFailsOpen(t *testing.T) {
 	const arity = 2
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(24))
-	d, err := OpenDurable(dir, arity, Config{}, quietOpts())
+	d, err := OpenDurable(dir, arity, nil, Config{}, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestDamagedSnapshotFailsOpen(t *testing.T) {
 	}
 	expectFail := func(label string) {
 		t.Helper()
-		_, err := OpenDurable(dir, arity, Config{}, quietOpts())
+		_, err := OpenDurable(dir, arity, nil, Config{}, quietOpts())
 		if err == nil {
 			t.Fatalf("%s: open succeeded on a damaged snapshot", label)
 		}
@@ -416,12 +416,12 @@ func TestDamagedSnapshotFailsOpen(t *testing.T) {
 
 	// Wrong arity: the snapshot is intact but belongs to another schema.
 	restore(pristine)
-	if _, err := OpenDurable(dir, arity+1, Config{}, quietOpts()); err == nil || !strings.Contains(err.Error(), "arity") {
+	if _, err := OpenDurable(dir, arity+1, nil, Config{}, quietOpts()); err == nil || !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("open with mismatched arity = %v, want arity error", err)
 	}
 
 	// Control: undamaged, the open works.
-	d2, err := OpenDurable(dir, arity, Config{}, quietOpts())
+	d2, err := OpenDurable(dir, arity, nil, Config{}, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -208,14 +209,16 @@ func IsDurableFile(name string) bool {
 // with a warning, corruption anywhere else fails loudly — and the last
 // segment is reopened for appending with any torn tail truncated away.
 // The rebuilt store is byte-for-byte the one a process that never crashed
-// would hold (the crash-recovery property test pins this).
-func OpenDurable(dir string, arity int, cfg Config, opts DurableOptions) (*DurableStore, error) {
+// would hold (the crash-recovery property test pins this). needs is New's:
+// replay and snapshot load install records through the same path as live
+// adds, so every replayed record keeps its residue.
+func OpenDurable(dir string, arity int, needs []metrics.Need, cfg Config, opts DurableOptions) (*DurableStore, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("match: creating data dir: %w", err)
 	}
-	inner, err := New(arity, cfg)
+	inner, err := New(arity, needs, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func quietOpts() DurableOptions {
 
 func mustOpenDurable(t *testing.T, dir string, arity int, cfg Config, opts DurableOptions) *DurableStore {
 	t.Helper()
-	d, err := OpenDurable(dir, arity, cfg, opts)
+	d, err := OpenDurable(dir, arity, nil, cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

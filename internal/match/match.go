@@ -15,6 +15,15 @@
 // result is identical to running blocking.Candidates from scratch on the
 // surviving records.
 //
+// Each record also keeps its metrics.Residue: the normalized forms, token
+// order and numeric parses its values' metric forms are rebuilt from. The
+// store derives it once, at add time (live adds, log replay and snapshot
+// load all pass through one install path), under the per-attribute needs
+// it was built with, and hands it out with the record's values, so a
+// resolve ranks a candidate without normalizing, parsing or sorting its
+// values again. The store does not score; it only keeps what the needs
+// name, and a resolve checks that they are its model's (KeepsNeeds).
+//
 // One RWMutex per store guards the records and the postings together;
 // parallelism comes from running several stores side by side
 // (internal/partition), not from striping one store's locks.
@@ -28,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/blocking"
+	"repro/internal/metrics"
 )
 
 // ErrArity marks a record or probe whose value count does not match the
@@ -85,15 +95,16 @@ func (c Config) withDefaults(arity int) Config {
 // callback therefore must not call back into the store. Value slices are
 // copied in at Add and never mutated afterwards, so Get and probes hand
 // them out without copying, and a reader keeps a consistent record after
-// it unlocks.
+// it unlocks. The same holds for each record's residue.
 type Store struct {
 	cfg   Config
 	arity int
+	needs []metrics.Need // per-attribute forms each record's residue keeps; nil keeps none
 
 	nextID atomic.Uint64
 
 	mu    sync.RWMutex
-	recs  map[uint64][]string
+	recs  map[uint64]record
 	posts map[string]*posting
 	// Maintenance counters, written under the write lock.
 	adds, dels, tombstones, compactions int64
@@ -102,6 +113,13 @@ type Store struct {
 	candidates atomic.Int64
 
 	addPool sync.Pool // *addScratch
+}
+
+// record is one live record: its values and the residue of their metric
+// forms, both immutable once installed.
+type record struct {
+	vals []string
+	res  metrics.Residue
 }
 
 // posting is one token's list of record IDs in insertion order. dead counts
@@ -114,18 +132,24 @@ type posting struct {
 	dead int32
 }
 
-// addScratch is the reusable state of one Add/Delete call: the tokenizer
-// and the record's deduplicated token set.
+// addScratch is the reusable state of one Add/Delete call: the tokenizer,
+// the record's deduplicated token set and the residue derivation buffers.
 type addScratch struct {
 	ts   blocking.TokenScratch
 	toks []string
 	seen map[string]struct{}
+	rs   metrics.ResidueScratch
 }
 
-// New builds an empty store for records of the given arity.
-func New(arity int, cfg Config) (*Store, error) {
+// New builds an empty store for records of the given arity. needs names,
+// per attribute, the metric forms each record's residue keeps (a model's
+// Catalog.AttrNeeds); nil keeps none, for a store that is never ranked on.
+func New(arity int, needs []metrics.Need, cfg Config) (*Store, error) {
 	if arity <= 0 {
 		return nil, fmt.Errorf("match: store arity must be positive, got %d", arity)
+	}
+	if needs != nil && len(needs) != arity {
+		return nil, fmt.Errorf("match: %d attribute needs for schema arity %d", len(needs), arity)
 	}
 	cfg.Attrs = slices.Clone(cfg.Attrs) // the caller may reuse its slice
 	cfg = cfg.withDefaults(arity)
@@ -137,7 +161,8 @@ func New(arity int, cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:   cfg,
 		arity: arity,
-		recs:  make(map[uint64][]string),
+		needs: slices.Clone(needs),
+		recs:  make(map[uint64]record),
 		posts: make(map[string]*posting),
 	}
 	s.addPool.New = func() any {
@@ -148,6 +173,11 @@ func New(arity int, cfg Config) (*Store, error) {
 
 // Arity returns the store's schema arity (values per record).
 func (s *Store) Arity() int { return s.arity }
+
+// KeepsNeeds reports whether each record's residue keeps exactly the
+// forms needs names, so that rebuilding a record's metric forms under
+// needs, or under a subset of them, reads what a fresh Reset would.
+func (s *Store) KeepsNeeds(needs []metrics.Need) bool { return slices.Equal(s.needs, needs) }
 
 // Config returns the resolved configuration (defaults filled in).
 func (s *Store) Config() Config {
@@ -202,8 +232,8 @@ func (s *Store) NextID() uint64 { return s.nextID.Load() }
 func (s *Store) Range(fn func(id uint64, values []string) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for id, vals := range s.recs {
-		if !fn(id, vals) {
+	for id, r := range s.recs {
+		if !fn(id, r.vals) {
 			return
 		}
 	}
@@ -260,22 +290,29 @@ func (s *Store) advanceNextID(next uint64) {
 
 // addAt installs a record under a caller-chosen ID: the write half of Add,
 // and the replay path of the durable layer (which must restore the exact
-// IDs the log recorded). It tokenizes outside the lock, then checks that
-// the ID is not live and installs the record under one write lock.
+// IDs the log recorded). It tokenizes and derives the residue outside the
+// lock, then checks that the ID is not live and installs the record under
+// one write lock.
 func (s *Store) addAt(id uint64, values []string) error {
 	if len(values) != s.arity {
 		return fmt.Errorf("match: record has %d values, store schema has %d: %w", len(values), s.arity, ErrArity)
 	}
-	vals := slices.Clone(values)
+	rec := record{vals: slices.Clone(values)}
 	a := s.addPool.Get().(*addScratch)
 	defer s.addPool.Put(a)
-	s.distinctTokens(a, vals)
+	s.distinctTokens(a, rec.vals)
+	if s.needs != nil {
+		rec.res = metrics.KeepResidue(rec.vals, s.needs, &a.rs)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.recs[id]; dup {
 		return fmt.Errorf("match: AddAt(%d): a live record already holds that ID", id)
 	}
-	s.recs[id] = vals
+	if s.tombstones > 0 && id < s.nextID.Load() {
+		s.dropTombstonesOf(id)
+	}
+	s.recs[id] = rec
 	for _, t := range a.toks {
 		p := s.posts[t]
 		if p == nil {
@@ -295,14 +332,14 @@ func (s *Store) addAt(id uint64, values []string) error {
 func (s *Store) Delete(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	vals, ok := s.recs[id]
+	rec, ok := s.recs[id]
 	if !ok {
 		return false
 	}
-	delete(s.recs, id)
+	delete(s.recs, id) // the residue goes with the record
 	a := s.addPool.Get().(*addScratch)
 	defer s.addPool.Put(a)
-	s.distinctTokens(a, vals)
+	s.distinctTokens(a, rec.vals)
 	for _, t := range a.toks {
 		// A live record's ID is in every one of its tokens' postings:
 		// compaction keeps live IDs, and both run under the write lock.
@@ -333,6 +370,23 @@ func (s *Store) compactPosting(tok string, p *posting) {
 	s.compactions++
 }
 
+// dropTombstonesOf compacts every posting that still holds id as a
+// tombstone of a deleted record, so that id can be installed again: a new
+// entry beside the tombstone would count the record twice for that token,
+// and a tombstone in a posting of a token the new values lack would count
+// it for a token it does not have. Caller holds the write lock. addAt
+// calls it for an ID below the allocator while tombstones exist: a reused
+// ID, which Add, replay and the partition layer never produce, or a fresh
+// ID installed out of order by concurrent partition adds, for which the
+// sweep finds nothing.
+func (s *Store) dropTombstonesOf(id uint64) {
+	for tok, p := range s.posts {
+		if p.dead > 0 && slices.Contains(p.ids, id) {
+			s.compactPosting(tok, p)
+		}
+	}
+}
+
 // Compact sweeps every posting list, dropping all tombstones now. Normal
 // operation does not need it — Delete compacts tombstone-heavy postings as
 // it goes — but an operator can reclaim space after a bulk delete.
@@ -350,9 +404,9 @@ func (s *Store) Compact() {
 // copy, immutable by contract — callers must not modify it.
 func (s *Store) Get(id uint64) ([]string, bool) {
 	s.mu.RLock()
-	vals, ok := s.recs[id]
+	r, ok := s.recs[id]
 	s.mu.RUnlock()
-	return vals, ok
+	return r.vals, ok
 }
 
 // Len returns the number of live records.
@@ -373,11 +427,13 @@ type ProbeScratch struct {
 	ids   []uint64
 }
 
-// Candidate is one record a probe reached: its ID and its values, the
-// store's immutable copy (the Get contract).
+// Candidate is one record a probe reached: its ID, its values (the
+// store's immutable copy, the Get contract) and the residue of their
+// metric forms.
 type Candidate struct {
-	ID     uint64
-	Values []string
+	ID      uint64
+	Values  []string
+	Residue metrics.Residue
 }
 
 // AppendCandidates appends the live records that share at least
@@ -431,8 +487,8 @@ func (s *Store) AppendCandidates(dst []Candidate, values []string, ps *ProbeScra
 			j++
 		}
 		if j-i >= s.cfg.MinSharedTokens {
-			if vals, live := s.recs[ps.ids[i]]; live {
-				dst = append(dst, Candidate{ID: ps.ids[i], Values: vals})
+			if r, live := s.recs[ps.ids[i]]; live {
+				dst = append(dst, Candidate{ID: ps.ids[i], Values: r.vals, Residue: r.res})
 			}
 		}
 		i = j

@@ -9,7 +9,7 @@ import (
 
 func mustStore(t *testing.T, arity int, cfg Config) *Store {
 	t.Helper()
-	s, err := New(arity, cfg)
+	s, err := New(arity, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +26,13 @@ func candidateIDs(cs []Candidate) []uint64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, Config{}); err == nil {
+	if _, err := New(0, nil, Config{}); err == nil {
 		t.Error("arity 0 accepted")
 	}
-	if _, err := New(2, Config{Attrs: []int{2}}); err == nil {
+	if _, err := New(2, nil, Config{Attrs: []int{2}}); err == nil {
 		t.Error("attr index beyond arity accepted")
 	}
-	if _, err := New(2, Config{Attrs: []int{-1}}); err == nil {
+	if _, err := New(2, nil, Config{Attrs: []int{-1}}); err == nil {
 		t.Error("negative attr index accepted")
 	}
 	s := mustStore(t, 3, Config{})
@@ -260,6 +260,57 @@ func TestAddAtNextIDRange(t *testing.T) {
 	s.Range(func(uint64, []string) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("Range ignored an early stop: visited %d", n)
+	}
+}
+
+// TestAddAtReusedIDAfterDelete re-installs a deleted ID while its
+// tombstones still sit in its postings. The new record must count once per
+// token it has, and not at all for a token only the deleted record had.
+func TestAddAtReusedIDAfterDelete(t *testing.T) {
+	s := mustStore(t, 1, Config{MinSharedTokens: 2, MaxBlockSize: -1})
+	candidates := func(probe string) []uint64 {
+		t.Helper()
+		var ps ProbeScratch
+		got, err := s.AppendCandidates(nil, []string{probe}, &ps, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return candidateIDs(got)
+	}
+	if err := s.AddAt(5, []string{"shared"}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Delete(5) {
+		t.Fatal("delete of record 5 missed")
+	}
+	if err := s.AddAt(5, []string{"shared"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := candidates("shared"); len(got) != 0 {
+		t.Errorf("one-token probe against a one-token record = %v, want none (MinSharedTokens 2)", got)
+	}
+	if st := s.Stats(); st.Tombstones != 0 || st.Live != 1 {
+		t.Errorf("after re-adding 5: tombstones %d, live %d; want 0, 1", st.Tombstones, st.Live)
+	}
+
+	// The deleted record's other tokens must not count for the new one.
+	if err := s.AddAt(9, []string{"alpha beta"}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Delete(9) {
+		t.Fatal("delete of record 9 missed")
+	}
+	if err := s.AddAt(9, []string{"gamma delta"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := candidates("alpha beta"); len(got) != 0 {
+		t.Errorf("probe of the deleted record's tokens = %v, want none", got)
+	}
+	if got := candidates("gamma delta"); !slices.Equal(got, []uint64{9}) {
+		t.Errorf("probe of the new record's tokens = %v, want [9]", got)
+	}
+	if st := s.Stats(); st.Tombstones != 0 || st.Live != 2 {
+		t.Errorf("after re-adding 9: tombstones %d, live %d; want 0, 2", st.Tombstones, st.Live)
 	}
 }
 

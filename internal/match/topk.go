@@ -12,6 +12,8 @@ type Scored struct {
 }
 
 // worse reports whether a ranks strictly below b.
+//
+//vetkit:hotpath
 func (a Scored) worse(b Scored) bool {
 	if a.Rank != b.Rank {
 		return a.Rank < b.Rank
@@ -31,6 +33,21 @@ func (a Scored) Compare(b Scored) int {
 	return 0
 }
 
+// Ranked is a candidate with the classifier probability it ranked on: a
+// resolve leg's answer before any verdict is built. It carries the
+// candidate's values and residue, so a verdict can be built for it after
+// the record is deleted.
+type Ranked struct {
+	Candidate
+	Prob float64
+}
+
+// Compare orders a and b best first — Prob descending, ID ascending on
+// ties — in the slices.SortFunc convention.
+func (a Ranked) Compare(b Ranked) int {
+	return Scored{ID: a.ID, Rank: a.Prob}.Compare(Scored{ID: b.ID, Rank: b.Prob})
+}
+
 // TopK is a bounded best-k accumulator: a size-k min-heap whose root is the
 // worst retained entry, so a stream of N candidates costs O(N log k) and
 // the heap never grows past k. The zero value is unusable — Reset first.
@@ -41,6 +58,8 @@ type TopK struct {
 
 // Reset empties the accumulator and sets its bound. The backing array is
 // retained across resets.
+//
+//vetkit:hotpath
 func (t *TopK) Reset(k int) {
 	t.k = k
 	t.h = t.h[:0]
@@ -50,7 +69,9 @@ func (t *TopK) Reset(k int) {
 func (t *TopK) Len() int { return len(t.h) }
 
 // Offer considers one candidate, keeping it only if it ranks among the k
-// best seen so far.
+// best seen so far. The heap grows to k once, then stays.
+//
+//vetkit:hotpath
 func (t *TopK) Offer(s Scored) {
 	if t.k <= 0 {
 		return
@@ -67,6 +88,7 @@ func (t *TopK) Offer(s Scored) {
 	t.siftDown(0)
 }
 
+//vetkit:hotpath
 func (t *TopK) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -78,6 +100,7 @@ func (t *TopK) siftUp(i int) {
 	}
 }
 
+//vetkit:hotpath
 func (t *TopK) siftDown(i int) {
 	for {
 		worst := i

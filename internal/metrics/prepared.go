@@ -19,18 +19,21 @@ import (
 // redundancy of metric computation (normalization and tokenization used to
 // run once per metric per pair).
 //
-// Reset is the one derivation of the forms: it re-points the Prepared at a
-// raw value and computes the forms its needs name into buffers the
-// Prepared owns and reuses, with zero heap allocations in steady state. The
-// zero Prepared is ready to Reset. The accessors are plain reads of the
-// last Reset; a form its needs left out reads as empty (Num as 0, false).
+// Reset re-points the Prepared at a raw value and computes the forms its
+// needs name into buffers the Prepared owns and reuses, with zero heap
+// allocations in steady state: it derives the value's Residue and rebuilds
+// the forms from it, and that rebuild (also reached through RebuildRow from
+// a kept Residue) is the one derivation of the forms. The zero Prepared is
+// ready to Reset. The accessors are plain reads of the last Reset or
+// rebuild; a form its needs left out reads as empty (Num as 0, false).
 //
 // The string-typed forms (norm, entities, abbr, compact) are views over the
-// byte buffers, built with unsafe.String, so the contract is strict:
+// byte buffers or the residue, built with unsafe.String, so the contract is
+// strict:
 //
 //   - Every form — strings and slices — is valid only until the next
-//     Reset. Nothing may retain one across Resets (the metric kernels only
-//     write float64s out).
+//     Reset or rebuild. Nothing may retain one across them (the metric
+//     kernels only write float64s out).
 //   - A Prepared is read-only between Resets, so sharing it among
 //     goroutines after Reset returns is safe; one goroutine at a time may
 //     Reset it.
@@ -40,7 +43,7 @@ import (
 type Prepared struct {
 	raw string
 
-	norm        string   // view over normBuf
+	norm        string   // view over the residue's normalized form
 	runes       []rune   // runes of norm
 	tokens      []string // substrings of norm
 	tokenRunes  [][]rune // subslices of runes
@@ -57,11 +60,14 @@ type Prepared struct {
 	num   float64
 	numOK bool
 
-	// Backing of the views above, grown by Reset and kept across Resets.
-	normBuf, entityBuf, abbrBuf, compactBuf, numBuf []byte
-	entityEnds                                      []int
-	entityRFlat                                     []rune
-	entityFFlat                                     []string
+	// Backing of the views above, grown by Reset and kept across Resets:
+	// rs holds the residue Reset derives (the norm view points into it) or
+	// a kept residue's decoded token order.
+	rs                             ResidueScratch
+	entityBuf, abbrBuf, compactBuf []byte
+	entityEnds                     []int
+	entityRFlat                    []rune
+	entityFFlat                    []string
 }
 
 // Need is a bitmask of the derived forms a metric consumes; catalogs
@@ -153,6 +159,16 @@ func (b *sortedBag) fill(src []string) {
 	b.vals = b.vals[:n]
 }
 
+// fromOrder makes b the token multiset of a normalized form from its
+// residue token order, reusing b's backing arrays.
+func (b *sortedBag) fromOrder(norm string, order []tokenRun) {
+	b.vals, b.counts = b.vals[:0], b.counts[:0]
+	for _, r := range order {
+		b.vals = append(b.vals, norm[r.off:r.off+r.len])
+		b.counts = append(b.counts, r.n)
+	}
+}
+
 // mergeStep compares the heads of two ascending lists in a merge walk that
 // has not finished both: negative when a's head comes first or b is done,
 // positive when b's head comes first or a is done, zero when they match.
@@ -198,6 +214,15 @@ func bview(b []byte) string {
 // needs, prerequisites included, into p's buffers. Every other form reads
 // as empty until the next Reset.
 func (p *Prepared) Reset(raw string, needs Need) {
+	norm, order, num, numOK := p.rs.derive(raw, needs)
+	p.rebuild(raw, norm, order, num, numOK, needs)
+}
+
+// rebuild re-points p at raw and at one value's residue — its normalized
+// form, token order and numeric parse — and computes the forms named by
+// needs, prerequisites included: the residue's own, and scans of them or
+// of raw for the rest.
+func (p *Prepared) rebuild(raw, norm string, order []tokenRun, num float64, numOK bool, needs Need) {
 	// Truncate every form first; the buffers keep their capacity.
 	p.raw, p.norm, p.abbr, p.compact = raw, "", "", ""
 	p.runes, p.tokens, p.tokenRunes = p.runes[:0], p.tokens[:0], p.tokenRunes[:0]
@@ -206,14 +231,12 @@ func (p *Prepared) Reset(raw string, needs Need) {
 	p.entitySet.fill(nil)
 	p.num, p.numOK = 0, false
 
-	wantNorm := needs&(NeedNorm|NeedRunes|NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedAbbr|NeedCompact) != 0
 	wantRunes := needs&(NeedRunes|NeedTokenRunes) != 0
-	wantTokens := needs&(NeedTokens|NeedTokenRunes|NeedTokenCounts|NeedAbbr) != 0
+	wantTokens := needs&(NeedTokens|NeedTokenRunes|NeedAbbr) != 0
 	wantTokenRunes := needs&NeedTokenRunes != 0
 
-	if wantNorm {
-		p.normBuf = strutil.AppendNormalized(p.normBuf[:0], raw)
-		p.norm = bview(p.normBuf)
+	if needs&needsNorm != 0 {
+		p.norm = norm
 	}
 	if wantRunes {
 		p.runes = appendRunes(p.runes, p.norm)
@@ -222,7 +245,7 @@ func (p *Prepared) Reset(raw string, needs Need) {
 		p.resetTokens(wantTokenRunes)
 	}
 	if needs&NeedTokenCounts != 0 {
-		p.tokenCounts.fill(p.tokens)
+		p.tokenCounts.fromOrder(p.norm, order)
 	}
 	if needs&NeedEntities != 0 {
 		p.resetEntities()
@@ -245,7 +268,7 @@ func (p *Prepared) Reset(raw string, needs Need) {
 		p.compact = bview(p.compactBuf)
 	}
 	if needs&NeedNum != 0 {
-		p.num, p.numOK = parseNumberReuse(raw, &p.numBuf)
+		p.num, p.numOK = num, numOK
 	}
 }
 

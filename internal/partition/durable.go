@@ -9,6 +9,7 @@ import (
 	"regexp"
 
 	"repro/internal/match"
+	"repro/internal/metrics"
 	"repro/internal/par"
 )
 
@@ -69,8 +70,9 @@ func partDirs(dir string, n int) ([]string, error) {
 // snapshots, the match.OpenDurable layout; see partDirs), all partitions
 // replay concurrently, the global ID allocator resumes past the max
 // replayed ID, and the token census is rebuilt from the surviving records
-// — so a restarted store prunes exactly like the one that shut down.
-func OpenDurable(dir string, arity int, o Options) (*Store, error) {
+// — so a restarted store prunes exactly like the one that shut down. needs
+// is New's; every replayed record keeps its residue.
+func OpenDurable(dir string, arity int, needs []metrics.Need, o Options) (*Store, error) {
 	o = o.withDefaults()
 	dirs, err := partDirs(dir, o.Partitions)
 	if err != nil {
@@ -93,7 +95,7 @@ func OpenDurable(dir string, arity int, o Options) (*Store, error) {
 				o.Progress(i, phase, done, total)
 			}
 		}
-		durs[i], errs[i] = match.OpenDurable(dirs[i], arity, partCfg, opts)
+		durs[i], errs[i] = match.OpenDurable(dirs[i], arity, needs, partCfg, opts)
 	})
 	if err := errors.Join(errs...); err != nil {
 		for _, d := range durs {

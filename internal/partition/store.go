@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/match"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -95,17 +96,18 @@ func jumpHash(key uint64, buckets int) int {
 //vetkit:hotpath
 func (s *Store) partitionOf(id uint64) int { return jumpHash(id, len(s.parts)) }
 
-// New builds an in-memory store for records of the given arity. Partition
+// New builds an in-memory store for records of the given arity, each
+// keeping the residue of the forms needs names (match.New). Partition
 // stores are created with local stop-token pruning disabled — the Store's
 // census applies Options.Match.MaxBlockSize globally instead.
-func New(arity int, o Options) (*Store, error) {
+func New(arity int, needs []metrics.Need, o Options) (*Store, error) {
 	o = o.withDefaults()
 	s, partCfg, err := newRouter(arity, o)
 	if err != nil {
 		return nil, err
 	}
 	for i := range s.parts {
-		st, err := match.New(arity, partCfg)
+		st, err := match.New(arity, needs, partCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +122,7 @@ func New(arity int, o Options) (*Store, error) {
 // returns the per-partition config: the resolved one with local pruning
 // disabled.
 func newRouter(arity int, o Options) (*Store, match.Config, error) {
-	tokStore, err := match.New(arity, o.Match)
+	tokStore, err := match.New(arity, nil, o.Match)
 	if err != nil {
 		return nil, match.Config{}, err
 	}
@@ -139,6 +141,11 @@ func newRouter(arity int, o Options) (*Store, match.Config, error) {
 
 // Arity returns the schema arity records and probes must carry.
 func (s *Store) Arity() int { return s.arity }
+
+// KeepsNeeds reports whether every partition's records keep the residue
+// of exactly the forms needs names (match.Store.KeepsNeeds); all
+// partitions are built with the same needs.
+func (s *Store) KeepsNeeds(needs []metrics.Need) bool { return s.parts[0].st.KeepsNeeds(needs) }
 
 // Partitions returns the partition count.
 func (s *Store) Partitions() int { return len(s.parts) }
@@ -228,20 +235,21 @@ func (s *Store) Get(id uint64) ([]string, bool) {
 // Resolve is the scatter-gather probe: the census decides the probe's
 // pruned stop tokens once, leg ranks the probe against every partition's
 // store concurrently with that verdict applied, and the per-partition
-// lists merge into the k best by key. leg must honor the skip list (sorted
-// ascending) and return at most k results, best first — key Rank
-// descending, ties toward the lower record ID; the merge is only exact when
-// every leg reports its partition's true top k. Exactness of the merge:
-// the ranking is a total order (IDs are global and unique), so any record
-// in the global top k is in its own partition's top k, and merging the
-// partitions' k-bounded lists loses nothing.
+// lists merge into the k best. leg must honor the skip list (sorted
+// ascending) and return at most k ranked candidates, best first (Prob
+// descending, ties toward the lower record ID); the merge is only exact
+// when every leg reports its partition's true top k. Exactness of the
+// merge: the ranking is a total order (IDs are global and unique), so any
+// record in the global top k is in its own partition's top k, and merging
+// the partitions' k-bounded lists loses nothing. Verdicts are the
+// caller's, built once for the merged k.
 //
 // With a trace, census pruning lands on StageProbeTokenize, the scatter
 // wall time on StageScatter with per-leg durations feeding the
 // slowest-partition attribution (StageScatterSlowest + Trace.Slowest), and
 // the merge on StageTopKMerge. A nil trace records nothing and takes no
 // timestamps.
-func Resolve[R any](s *Store, probe []string, k int, tr *obs.Trace, leg func(st *match.Store, skip []string) []R, key func(R) match.Scored) ([]R, error) {
+func Resolve(s *Store, probe []string, k int, tr *obs.Trace, leg func(st *match.Store, skip []string) []match.Ranked) ([]match.Ranked, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("partition: Resolve needs k > 0, got %d", k)
 	}
@@ -262,9 +270,9 @@ func Resolve[R any](s *Store, probe []string, k int, tr *obs.Trace, leg func(st 
 		t0 = now
 	}
 	n := len(s.parts)
-	per := make([][]R, n)
+	per := make([][]match.Ranked, n)
 	// Workers == partitions: each leg is one independent index probe plus
-	// scoring; the point of partitioning is that they run at the same time.
+	// ranking; the point of partitioning is that they run at the same time.
 	par.ForWorkers(n, n, func(i int) {
 		var legStart time.Time
 		if tr != nil {
@@ -284,7 +292,7 @@ func Resolve[R any](s *Store, probe []string, k int, tr *obs.Trace, leg func(st 
 		t0 = now
 	}
 	merged := slices.Concat(per...)
-	slices.SortFunc(merged, func(a, b R) int { return key(a).Compare(key(b)) })
+	slices.SortFunc(merged, match.Ranked.Compare)
 	merged = merged[:min(k, len(merged))]
 	s.probes.Add(1)
 	s.pruned.Add(int64(len(skip)))

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -35,8 +36,8 @@ func fakeRank(probe, vals []string) float64 {
 // rank depends only on the (probe, candidate) values, is identical no
 // matter which store holds the candidate, and is heavily quantized so ties
 // — the case the ID tie-break must settle — are common.
-func fakeLeg(probe []string, k int) func(st *match.Store, skip []string) []match.Scored {
-	return func(st *match.Store, skip []string) []match.Scored {
+func fakeLeg(probe []string, k int) func(st *match.Store, skip []string) []match.Ranked {
+	return func(st *match.Store, skip []string) []match.Ranked {
 		var ps match.ProbeScratch
 		cands, err := st.AppendCandidates(nil, probe, &ps, skip)
 		if err != nil {
@@ -47,15 +48,29 @@ func fakeLeg(probe []string, k int) func(st *match.Store, skip []string) []match
 		for _, c := range cands {
 			top.Offer(match.Scored{ID: c.ID, Rank: fakeRank(probe, c.Values)})
 		}
-		return top.AppendSorted(nil)
+		var out []match.Ranked
+		for _, e := range top.AppendSorted(nil) {
+			i, _ := slices.BinarySearchFunc(cands, e.ID, func(c match.Candidate, id uint64) int { return cmp.Compare(c.ID, id) })
+			out = append(out, match.Ranked{Candidate: cands[i], Prob: e.Rank})
+		}
+		return out
 	}
 }
 
-func scoredKey(s match.Scored) match.Scored { return s }
+// scoredOf projects ranked candidates onto their comparable (ID, rank)
+// keys.
+func scoredOf(ranked []match.Ranked) []match.Scored {
+	out := make([]match.Scored, len(ranked))
+	for i, r := range ranked {
+		out[i] = match.Scored{ID: r.ID, Rank: r.Prob}
+	}
+	return out
+}
 
 // fakeResolve is a scatter-gather resolve with the fake leg.
 func fakeResolve(ps *Store, probe []string, k int) ([]match.Scored, error) {
-	return Resolve(ps, probe, k, nil, fakeLeg(probe, k), scoredKey)
+	ranked, err := Resolve(ps, probe, k, nil, fakeLeg(probe, k))
+	return scoredOf(ranked), err
 }
 
 // vocab is small on purpose: records collide on tokens constantly, so
@@ -80,7 +95,7 @@ func randValues(rng *rand.Rand, arity int) []string {
 // (pruning-enabled) config — exactly the single-store semantics the
 // partitioned path must reproduce bit for bit.
 func flatOracle(st *match.Store, probe []string, k int) []match.Scored {
-	return fakeLeg(probe, k)(st, nil)
+	return scoredOf(fakeLeg(probe, k)(st, nil))
 }
 
 // TestFuzzPartitionedMatchesFlat is the equivalence oracle: a partitioned
@@ -106,11 +121,11 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 			tc.parts, tc.cfg.MaxBlockSize, tc.cfg.MinSharedTokens)
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.parts)*31 + int64(tc.cfg.MaxBlockSize)))
-			ps, err := New(arity, Options{Partitions: tc.parts, Match: tc.cfg})
+			ps, err := New(arity, nil, Options{Partitions: tc.parts, Match: tc.cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := match.New(arity, tc.cfg)
+			flat, err := match.New(arity, nil, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +195,7 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 // under -race via make race). Every resolve must succeed — a mid-load
 // snapshot may slow probes, never drop them.
 func TestConcurrentAddDeleteResolveSnapshot(t *testing.T) {
-	ps, err := OpenDurable(t.TempDir(), 2, Options{
+	ps, err := OpenDurable(t.TempDir(), 2, nil, Options{
 		Partitions: 4,
 		Match:      match.Config{MaxBlockSize: 8},
 		Durable:    match.DurableOptions{Sync: wal.SyncNever, SnapshotEvery: -1},
@@ -272,7 +287,7 @@ func TestDurableRestart(t *testing.T) {
 		Match:      match.Config{MaxBlockSize: 3},
 		Durable:    match.DurableOptions{Sync: wal.SyncNever},
 	}
-	ps, err := OpenDurable(dir, 2, opts)
+	ps, err := OpenDurable(dir, 2, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +295,7 @@ func TestDurableRestart(t *testing.T) {
 		t.Fatal("OpenDurable built a non-durable store")
 	}
 	rng := rand.New(rand.NewSource(7))
-	flat, _ := match.New(2, match.Config{MaxBlockSize: 3})
+	flat, _ := match.New(2, nil, match.Config{MaxBlockSize: 3})
 	for i := 0; i < 120; i++ {
 		vals := randValues(rng, 2)
 		if _, err := ps.Add(vals); err != nil {
@@ -305,11 +320,11 @@ func TestDurableRestart(t *testing.T) {
 	}
 
 	// A different partition count must be refused, not repartitioned.
-	if _, err := OpenDurable(dir, 2, Options{Partitions: 5, Match: opts.Match}); err == nil {
+	if _, err := OpenDurable(dir, 2, nil, Options{Partitions: 5, Match: opts.Match}); err == nil {
 		t.Fatal("reopening 3 partitions as 5 was accepted")
 	}
 
-	ps2, err := OpenDurable(dir, 2, opts)
+	ps2, err := OpenDurable(dir, 2, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +367,7 @@ func TestDurableLayout(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	flatDir := t.TempDir()
-	d, err := match.OpenDurable(flatDir, 2, match.Config{}, match.DurableOptions{Sync: wal.SyncNever})
+	d, err := match.OpenDurable(flatDir, 2, nil, match.Config{}, match.DurableOptions{Sync: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +386,7 @@ func TestDurableLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ps, err := OpenDurable(flatDir, 2, opts(1))
+	ps, err := OpenDurable(flatDir, 2, nil, opts(1))
 	if err != nil {
 		t.Fatalf("flat dir as 1 partition: %v", err)
 	}
@@ -388,12 +403,12 @@ func TestDurableLayout(t *testing.T) {
 		t.Error("opening a flat dir in place created a part-000 subdirectory")
 	}
 
-	if _, err := OpenDurable(flatDir, 2, opts(4)); err == nil || !strings.Contains(err.Error(), "flat single-store layout") {
+	if _, err := OpenDurable(flatDir, 2, nil, opts(4)); err == nil || !strings.Contains(err.Error(), "flat single-store layout") {
 		t.Errorf("flat dir as 4 partitions: err = %v, want a refusal naming the flat layout", err)
 	}
 
 	partDir := t.TempDir()
-	ps, err = OpenDurable(partDir, 2, opts(3))
+	ps, err = OpenDurable(partDir, 2, nil, opts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,10 +418,10 @@ func TestDurableLayout(t *testing.T) {
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(partDir, 2, opts(1)); err == nil || !strings.Contains(err.Error(), "holds 3 partitions") {
+	if _, err := OpenDurable(partDir, 2, nil, opts(1)); err == nil || !strings.Contains(err.Error(), "holds 3 partitions") {
 		t.Errorf("3 partitions as 1: err = %v, want a count-mismatch refusal", err)
 	}
-	ps, err = OpenDurable(partDir, 2, opts(3))
+	ps, err = OpenDurable(partDir, 2, nil, opts(3))
 	if err != nil {
 		t.Fatalf("3 partitions reopened as 3: %v", err)
 	}
@@ -420,7 +435,7 @@ func TestDurableLayout(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(flatDir, partDirName(0)), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(flatDir, 2, opts(1)); err == nil || !strings.Contains(err.Error(), "holds both") {
+	if _, err := OpenDurable(flatDir, 2, nil, opts(1)); err == nil || !strings.Contains(err.Error(), "holds both") {
 		t.Errorf("dir with both layouts: err = %v, want a refusal", err)
 	}
 }
@@ -452,7 +467,7 @@ func TestJumpHash(t *testing.T) {
 }
 
 func TestStoreValidation(t *testing.T) {
-	ps, err := New(2, Options{Partitions: 2})
+	ps, err := New(2, nil, Options{Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +498,7 @@ func TestStoreValidation(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	ps, err := New(1, Options{Partitions: 4})
+	ps, err := New(1, nil, Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,9 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 	// re-read from the current store so the counters follow a forced
 	// schema-changing swap. Every resolve probes each partition once, so
 	// probes count partition legs, and a token indexed in several
-	// partitions counts once per partition.
+	// partitions counts once per partition. candidates is the raw count
+	// summed over the legs: Δcandidates/Δresolves between two scrapes is
+	// the candidates ranked per resolve over that window.
 	reg.Func("match_store", func() any {
 		var st match.Stats
 		for _, p := range s.Store().PartitionStats() {
@@ -161,6 +163,7 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 			"tombstones":                st.Tombstones,
 			"compactions":               st.Compactions,
 			"probes":                    st.Probes,
+			"candidates":                st.Candidates,
 			"resolves":                  s.Resolves(),
 			"mean_candidates_per_probe": mean,
 		}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -34,6 +36,9 @@ func (b *syncBuf) String() string {
 	defer b.mu.Unlock()
 	return b.sb.String()
 }
+
+// mirrorOnce guards the one MirrorExpvar call a test binary may make.
+var mirrorOnce sync.Once
 
 // newHTTPServer wraps an already-configured Server in a test listener —
 // the metrics tests build their Server by hand to control Config.Obs.
@@ -110,6 +115,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"served_pairs 1",
 		"match_store_records_indexed 1",
 		"match_store_resolves 1",
+		"match_store_candidates 1", // the self-probe reaches its own record
 		"partition_stats_partitions 1",
 		"partition_stats_probes 1",
 		"wal_stats_enabled 0",
@@ -123,6 +129,22 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if name := "stage_" + obs.Stage(s).String() + "_ns_count "; !strings.Contains(out, name) {
 			t.Errorf("scrape has no histogram for stage %d: missing %q", s, name)
 		}
+	}
+
+	// /debug/vars renders the same tree. expvar names are process-wide, so
+	// the registry is mirrored once per test binary; a repeated run reads
+	// the first run's server, whose counters are the same.
+	mirrorOnce.Do(reg.MirrorExpvar)
+	rec := httptest.NewRecorder()
+	expvar.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+	var vars struct {
+		MatchStore map[string]float64 `json:"match_store"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Fatalf("decoding /debug/vars: %v", err)
+	}
+	if got, ok := vars.MatchStore["candidates"]; !ok || got != 1 {
+		t.Errorf("/debug/vars match_store.candidates = %v (present %v), want 1", got, ok)
 	}
 
 	logs := logBuf.String()

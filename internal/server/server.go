@@ -320,9 +320,10 @@ func (s *Server) Swap(next *learnrisk.Model, force bool) error {
 			return fmt.Errorf("server: rebuilding the match store for the new schema: %w", err)
 		}
 		// Store first, model second: a Resolve racing the swap then pairs
-		// the old model with the fresh empty store (an arity error or an
-		// empty result) instead of scoring the new model against records
-		// laid out for the old schema.
+		// the old model with the fresh store, whose records keep the new
+		// schema's metric forms. The resolve refuses that pairing with an
+		// error (an arity error, or, at equal arity, a store-needs error)
+		// instead of scoring either model against the other's records.
 		s.store.Store(ps)
 	}
 	s.model.Store(next)

@@ -45,6 +45,15 @@ type Model struct {
 
 	split dataset.Split // train-time split; empty on a Loaded model
 
+	// The resolve path's slice of the catalog (resolve.go,
+	// withResolveView): needs names per attribute the forms the full
+	// catalog reads, which every store the model builds keeps per record;
+	// view is the catalog of the classifier's view columns and viewNeeds
+	// the forms they read.
+	needs     []metrics.Need
+	view      *metrics.Catalog
+	viewNeeds []metrics.Need
+
 	// pool holds *scoreScratch instances sized for this model; see
 	// acquireScratch. The zero value works for both Train- and
 	// Load-constructed models.
@@ -277,20 +286,18 @@ func (m *Model) ScoreBatch(pairs []Pair) ([]PairScore, error) {
 //vetkit:hotpath
 func (m *Model) scorePair(p Pair, s *scoreScratch) PairScore {
 	s.row = featstore.ComputeRowAppend(m.cat, s.row[:0], p.Left, p.Right, s.fs)
-	inst := m.instFromRow(s.row, s)
-	a := m.risk.Assess(inst)
-	return PairScore{Prob: inst.Prob, Match: inst.Label, Risk: a.Risk, Mu: a.Mu, Sigma: a.Sigma}
+	return m.scoreRow(s.row, s)
 }
 
-// probPair is the ranking half of scorePair: the pair's metric row and
-// classifier probability, without rule firing or risk assessment. Resolve
-// ranks every candidate on it; the computation is scorePair's, so the
-// probability is bit-identical to the verdict's Prob.
+// scoreRow is the verdict on one full metric row: the classifier's label,
+// and the risk assessment of that label from the rules the row fires.
+// Score and Resolve's verdicts share it.
 //
 //vetkit:hotpath
-func (m *Model) probPair(p Pair, s *scoreScratch) float64 {
-	s.row = featstore.ComputeRowAppend(m.cat, s.row[:0], p.Left, p.Right, s.fs)
-	return m.matcher.ProbRowScratch(s.row, s.prob)
+func (m *Model) scoreRow(row []float64, s *scoreScratch) PairScore {
+	inst := m.instFromRow(row, s)
+	a := m.risk.Assess(inst)
+	return PairScore{Prob: inst.Prob, Match: inst.Label, Risk: a.Risk, Mu: a.Mu, Sigma: a.Sigma}
 }
 
 // instFromRow is the one place a metric row becomes a risk-model instance:
@@ -429,7 +436,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("learnrisk: restoring risk model: %w", err)
 	}
-	return &Model{
+	return (&Model{
 		attrs:   env.Attrs,
 		fp:      fp,
 		opts:    env.Options,
@@ -438,7 +445,7 @@ func Load(r io.Reader) (*Model, error) {
 		feats:   env.Rules,
 		rset:    rset,
 		risk:    risk,
-	}, nil
+	}).withResolveView(), nil
 }
 
 // LoadFile is Load over a file path: it opens the artifact, restores the

@@ -2,6 +2,7 @@ package learnrisk
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/match"
 	"repro/internal/partition"
@@ -10,12 +11,12 @@ import (
 // The partitioned resolve path: a PartitionedMatchStore consistent-hashes
 // records across N ≥ 1 independent match partitions and answers Resolve by
 // scatter-gather — every partition ranks the probe concurrently on the
-// pooled zero-allocation scoring path, and the per-partition top-k lists
-// merge into one order-stable result that is bit-identical (order
-// included) to Model.Resolve against a single flat store over the same
-// records. See internal/partition for the routing design (global ID
-// allocation, jump consistent hashing, the global token census that keeps
-// stop-token pruning exact).
+// pooled zero-allocation path, the per-partition top-k rankings merge into
+// one order-stable top k, and only the merged k get verdicts. The result
+// is bit-identical (order included) to Model.Resolve against a single flat
+// store over the same records. See internal/partition for the routing
+// design (global ID allocation, jump consistent hashing, the global token
+// census that keeps stop-token pruning exact).
 
 // PartitionedMatchStore is the partitioned online record store (an alias,
 // see MatchConfig for why). Safe for concurrent use.
@@ -28,7 +29,7 @@ type PartitionedMatchStore = partition.Store
 // merge, with cfg.MaxBlockSize enforced globally by the router's token
 // census.
 func (m *Model) NewPartitionedMatchStore(partitions int, cfg MatchConfig) (*PartitionedMatchStore, error) {
-	return partition.New(len(m.attrs), partition.Options{
+	return partition.New(len(m.attrs), m.needs, partition.Options{
 		Partitions: partitions,
 		Match:      cfg,
 	})
@@ -41,7 +42,7 @@ func (m *Model) NewPartitionedMatchStore(partitions int, cfg MatchConfig) (*Part
 // written by OpenDurableMatchStore opens in place as one partition.
 // progress, when non-nil, receives per-partition replay progress.
 func (m *Model) OpenDurablePartitionedMatchStore(dir string, partitions int, cfg MatchConfig, opts DurableMatchOptions, progress func(part int, phase string, done, total int)) (*PartitionedMatchStore, error) {
-	return partition.OpenDurable(dir, len(m.attrs), partition.Options{
+	return partition.OpenDurable(dir, len(m.attrs), m.needs, partition.Options{
 		Partitions: partitions,
 		Match:      cfg,
 		Durable:    opts,
@@ -51,27 +52,29 @@ func (m *Model) OpenDurablePartitionedMatchStore(dir string, partitions int, cfg
 
 // ResolvePartitioned finds the k best-scoring matches for one probe among
 // a partitioned store's live records: the router prunes stop tokens from
-// its global census, every partition ranks the probe concurrently into
-// full verdicts, and the per-partition lists merge into the k best. The
-// ranked slice is bit-identical to Model.Resolve against one flat store
-// holding the same records (the cross-layer equivalence test pins this).
-// Safe for concurrent use, including with Add/Delete on the store: a
-// record deleted after its partition ranked it keeps its verdict, exactly
-// as a flat resolve racing the same delete would.
+// its global census, every partition ranks the probe concurrently, the
+// per-partition rankings merge into the k best, and those k get full
+// verdicts. The ranked slice is bit-identical to Model.Resolve against one
+// flat store holding the same records (the cross-layer equivalence test
+// pins this). Safe for concurrent use, including with Add/Delete on the
+// store: a record deleted after its partition ranked it keeps its verdict,
+// built from the values and residue its ranking carried, exactly as a flat
+// resolve racing the same delete would.
 func (m *Model) ResolvePartitioned(ps *PartitionedMatchStore, probe []string, k int) ([]MatchResult, error) {
 	return m.ResolvePartitionedTraced(ps, probe, k, nil)
 }
 
-// resolveLegHook, when a test sets it, sees each partition leg's results
-// right after the leg ranked them: the window in which a racing delete can
+// resolveLegHook, when a test sets it, sees each partition leg's ranking
+// right after the leg ranked it: the window in which a racing delete can
 // remove a winner before the merge.
-var resolveLegHook func(res []MatchResult)
+var resolveLegHook func(res []match.Ranked)
 
 // ResolvePartitionedTraced is ResolvePartitioned with request-scoped
 // stage timing: the router records census pruning, the scatter (with
 // slowest-partition attribution) and the merge; every leg adds its
-// candidate generation, scoring and local ranking to the same stages. A
-// nil trace records nothing.
+// candidate generation, ranking and local top k to the same stages, and
+// the merged survivors' verdicts land on StageScore. A nil trace records
+// nothing.
 func (m *Model) ResolvePartitionedTraced(ps *PartitionedMatchStore, probe []string, k int, tr *Trace) ([]MatchResult, error) {
 	if ps == nil {
 		return nil, fmt.Errorf("learnrisk: ResolvePartitioned needs a partitioned store (build one with NewPartitionedMatchStore)")
@@ -79,19 +82,26 @@ func (m *Model) ResolvePartitionedTraced(ps *PartitionedMatchStore, probe []stri
 	if ps.Arity() != len(m.attrs) {
 		return nil, fmt.Errorf("learnrisk: partitioned store arity %d does not match the model schema's %d", ps.Arity(), len(m.attrs))
 	}
-	return partition.Resolve(ps, probe, k, tr, func(st *MatchStore, skip []string) []MatchResult {
+	if !ps.KeepsNeeds(m.needs) {
+		return nil, errStoreNeeds
+	}
+	ranked, err := partition.Resolve(ps, probe, k, tr, func(st *MatchStore, skip []string) []match.Ranked {
 		s := m.acquireResolveScratch()
-		res := m.resolveTracedInto(st, probe, k, skip, s, tr)
+		m.rankInto(st, probe, k, skip, s, tr)
+		res := slices.Clone(s.ranked)
+		// The pooled scratch must not keep deleted records reachable.
+		clear(s.ranked)
 		m.resolvePool.Put(s)
 		if resolveLegHook != nil {
 			resolveLegHook(res)
 		}
 		return res
-	}, rankKey)
-}
-
-// rankKey is a result's key in the resolve order: classifier probability
-// descending, ties toward the lower record ID.
-func rankKey(r MatchResult) match.Scored {
-	return match.Scored{ID: r.ID, Rank: r.Score.Prob}
+	})
+	if err != nil {
+		return nil, err
+	}
+	s := m.acquireResolveScratch()
+	out := m.verdicts(probe, ranked, s, tr)
+	m.resolvePool.Put(s)
+	return out, nil
 }

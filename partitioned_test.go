@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/match"
 	"repro/internal/partition"
 )
 
@@ -82,9 +83,9 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 }
 
 // TestResolveShardHonorsSkip pins the per-partition leg the router calls
-// (resolveTracedInto with the router's skip list): no skip list is the flat
-// resolve, and skipping every probe token removes every candidate, like
-// local stop-token pruning would.
+// (rankInto with the router's skip list): without a skip list its ranking,
+// given verdicts, is the flat resolve, and skipping every probe token
+// removes every candidate, like local stop-token pruning would.
 func TestResolveShardHonorsSkip(t *testing.T) {
 	w, m, st, _ := resolveFixture(t)
 	probe := w.inner.Right.Records[0].Values
@@ -102,11 +103,12 @@ func TestResolveShardHonorsSkip(t *testing.T) {
 	}
 	s := m.acquireResolveScratch()
 	defer m.resolvePool.Put(s)
-	if got := m.resolveTracedInto(st, probe, 5, nil, s, nil); !reflect.DeepEqual(got, want) {
+	m.rankInto(st, probe, 5, nil, s, nil)
+	if got := m.verdicts(probe, s.ranked, s, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("leg without a skip list diverged from Resolve\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if pruned := m.resolveTracedInto(st, probe, 5, skip, s, nil); len(pruned) != 0 {
-		t.Fatalf("fully skipped probe still returned %v", pruned)
+	if m.rankInto(st, probe, 5, skip, s, nil); len(s.ranked) != 0 {
+		t.Fatalf("fully skipped probe still ranked %v", s.ranked)
 	}
 }
 
@@ -153,7 +155,7 @@ func TestResolvePartitionedDeleteRace(t *testing.T) {
 		}
 
 		var deleted atomic.Int64
-		resolveLegHook = func(res []MatchResult) {
+		resolveLegHook = func(res []match.Ranked) {
 			if len(res) == 0 {
 				return
 			}
@@ -199,7 +201,7 @@ func TestResolvePartitionedValidation(t *testing.T) {
 	if _, err := m.ResolvePartitioned(ps, make([]string, ps.Arity()), 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	wrongStore, err := partition.New(ps.Arity()+1, partition.Options{})
+	wrongStore, err := partition.New(ps.Arity()+1, nil, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

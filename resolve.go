@@ -6,17 +6,30 @@ import (
 	"time"
 
 	"repro/internal/match"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
 
 // The online resolve path: a trained Model plus a match.Store answer "here
-// is a new record — who does it match?" without batch rebuilds. Candidates
-// come from the store's incremental blocking index and rank by classifier
-// probability alone: every (probe, candidate) pair gets its metric row and
-// probability through the same pooled zero-allocation scratch Score uses,
-// a bounded top-k heap keeps the k best, and only those k get the full
-// verdict, with rule firing and the risk assessment of their label.
+// is a new record — who does it match?" without batch rebuilds, and each
+// resolve does only the work its answer needs:
+//
+//   - Every stored record keeps the residue of its metric forms (normalized
+//     strings, token order, numeric parses), derived once when the record
+//     is added, under the needs of the model's catalog. A candidate's forms
+//     are rebuilt from it rather than derived again.
+//   - Candidates come from the store's incremental blocking index and rank
+//     by classifier probability alone, computed on the classifier's own
+//     view columns: the difference metrics the network never reads are
+//     left out of the ranking. A bounded top-k heap keeps the k best.
+//   - Only those k get the full metric row and the verdict, with rule
+//     firing and the risk assessment of their label. A partitioned resolve
+//     builds them once, after merging its partitions' rankings. The view
+//     columns of the full row come from the same kernels over equal forms,
+//     so each verdict's Prob is its rank bit for bit.
+//
+// The pooled scratch keeps every step at zero allocations per candidate.
 
 // Trace is a request-scoped stage timer (an alias for obs.Trace, see
 // MatchConfig for the aliasing rationale). A nil *Trace disables all
@@ -48,7 +61,7 @@ type MatchStore = match.Store
 // schema arity. Records added to it must carry one value per schema
 // attribute, in training order — the same contract as Pair.
 func (m *Model) NewMatchStore(cfg MatchConfig) (*MatchStore, error) {
-	return match.New(len(m.attrs), cfg)
+	return match.New(len(m.attrs), m.needs, cfg)
 }
 
 // DurableMatchStore is a MatchStore whose mutations survive restarts via a
@@ -66,26 +79,56 @@ type DurableMatchOptions = match.DurableOptions
 // added before a crash or clean shutdown are served again without
 // re-ingest.
 func (m *Model) OpenDurableMatchStore(dir string, cfg MatchConfig, opts DurableMatchOptions) (*DurableMatchStore, error) {
-	return match.OpenDurable(dir, len(m.attrs), cfg, opts)
+	return match.OpenDurable(dir, len(m.attrs), m.needs, cfg, opts)
+}
+
+// withResolveView sets the resolve path's slice of the model from its
+// catalog and matcher, and returns m: the per-attribute forms of the full
+// catalog, which every store the model builds keeps per record, and the
+// catalog of the classifier's view columns with the forms they read.
+func (m *Model) withResolveView() *Model {
+	m.needs = m.cat.AttrNeeds()
+	m.view = &metrics.Catalog{Corpora: m.cat.Corpora}
+	for _, c := range m.matcher.ViewCols() {
+		m.view.Metrics = append(m.view.Metrics, m.cat.Metrics[c])
+	}
+	m.viewNeeds = m.view.AttrNeeds()
+	return m
 }
 
 // resolveScratch is one resolve worker's reusable state: the probe scratch
-// of the candidate index, the scoring scratch of the zero-alloc path, the
-// per-probe candidates and the bounded top-k heap.
+// of the candidate index, the probe's and one candidate's prepared forms,
+// the view row and the metric kernels' scratch, the per-probe candidates,
+// the bounded top-k heap and the ranked survivors, and the scoring scratch
+// whose classifier and rule buffers the verdicts use.
 type resolveScratch struct {
 	ps     match.ProbeScratch
-	ss     *scoreScratch
+	probe  []metrics.Prepared
+	cand   []metrics.Prepared
+	view   []float64
+	ms     metrics.Scratch
 	cands  []match.Candidate
 	topk   match.TopK
 	sorted []match.Scored
+	ranked []match.Ranked
+	ss     *scoreScratch
 }
 
 func (m *Model) acquireResolveScratch() *resolveScratch {
 	if s, ok := m.resolvePool.Get().(*resolveScratch); ok {
 		return s
 	}
-	return &resolveScratch{ss: m.acquireScratch()}
+	return &resolveScratch{
+		probe: make([]metrics.Prepared, len(m.attrs)),
+		cand:  make([]metrics.Prepared, len(m.attrs)),
+		view:  make([]float64, len(m.view.Metrics)),
+		ss:    m.acquireScratch(),
+	}
 }
+
+// errStoreNeeds refuses a store whose records keep the metric forms of
+// another schema: ranking on them would feed the kernels empty forms.
+var errStoreNeeds = errors.New("learnrisk: the store's records keep the metric forms of another schema; build the store with this model")
 
 // checkResolve validates the store binding and one probe. Probe arity
 // failures wrap ErrPairArity (a client error to serving layers).
@@ -95,6 +138,9 @@ func (m *Model) checkResolve(st *MatchStore, probe []string, k int) error {
 	}
 	if st.Arity() != len(m.attrs) {
 		return fmt.Errorf("learnrisk: match store arity %d does not match the model schema's %d", st.Arity(), len(m.attrs))
+	}
+	if !st.KeepsNeeds(m.needs) {
+		return errStoreNeeds
 	}
 	if k <= 0 {
 		return fmt.Errorf("learnrisk: Resolve needs k > 0, got %d", k)
@@ -110,12 +156,12 @@ func (m *Model) checkResolve(st *MatchStore, probe []string, k int) error {
 // store's live records: the incremental blocking index generates the
 // candidate set (identical to a from-scratch batch blocking run over the
 // surviving records), every candidate's classifier probability is computed
-// on the zero-alloc serving path with the probe-side preparation cached
-// across candidates, a bounded heap keeps the k highest (ties toward the
-// lower record ID), and those k are risk-scored into full verdicts, each
-// equal to Score on its pair. Fewer than k results means fewer candidates
-// shared enough blocking tokens. Safe for concurrent use, including
-// concurrently with Add/Delete on the store.
+// from its kept forms on the zero-alloc path, a bounded heap keeps the k
+// highest (ties toward the lower record ID), and those k are risk-scored
+// into full verdicts, each equal to Score on its pair. Fewer than k
+// results means fewer candidates shared enough blocking tokens. The store
+// must be one the model built (or one of the same schema). Safe for
+// concurrent use, including concurrently with Add/Delete on the store.
 func (m *Model) Resolve(st *MatchStore, probe []string, k int) ([]MatchResult, error) {
 	return m.ResolveTraced(st, probe, k, nil)
 }
@@ -129,7 +175,7 @@ func (m *Model) ResolveTraced(st *MatchStore, probe []string, k int, tr *Trace) 
 		return nil, err
 	}
 	s := m.acquireResolveScratch()
-	out := m.resolveTracedInto(st, probe, k, nil, s, tr)
+	out := m.resolveInto(st, probe, k, s, tr)
 	m.resolvePool.Put(s)
 	return out, nil
 }
@@ -147,7 +193,7 @@ func (m *Model) ResolveBatch(st *MatchStore, probes [][]string, k int) ([][]Matc
 	par.ForChunks(len(probes), resolveBatchChunk, func(_, lo, hi int) {
 		s := m.acquireResolveScratch()
 		for i := lo; i < hi; i++ {
-			out[i] = m.resolveInto(st, probes[i], k, s)
+			out[i] = m.resolveInto(st, probes[i], k, s, nil)
 		}
 		m.resolvePool.Put(s)
 	})
@@ -159,41 +205,23 @@ func (m *Model) ResolveBatch(st *MatchStore, probes [][]string, k int) ([][]Matc
 // load-balance skewed candidate counts.
 const resolveBatchChunk = 4
 
-// resolveInto runs one (already-validated) probe inside a scratch.
-func (m *Model) resolveInto(st *MatchStore, probe []string, k int, s *resolveScratch) []MatchResult {
-	return m.resolveTracedInto(st, probe, k, nil, s, nil)
-}
-
-// resolveTracedInto resolves one (already-validated) probe, minus the skip
-// list's globally pruned tokens, into full verdicts: the flat resolve, and
-// one partition's leg of a partitioned resolve. The survivors of the
-// ranking are scored from the value slices the probe gathered, so a
-// record deleted after it was ranked keeps its verdict and its values.
-func (m *Model) resolveTracedInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) []MatchResult {
-	m.rankInto(st, probe, k, skip, s, tr)
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	out := make([]MatchResult, len(s.sorted))
-	for i, e := range s.sorted {
-		c := s.cands[e.ID]
-		out[i] = MatchResult{ID: c.ID, Values: c.Values, Score: m.scorePair(Pair{Left: probe, Right: c.Values}, s.ss)}
-	}
+// resolveInto is the flat resolve of one (already-validated) probe inside
+// a scratch: the ranking, then the survivors' verdicts.
+func (m *Model) resolveInto(st *MatchStore, probe []string, k int, s *resolveScratch, tr *Trace) []MatchResult {
+	m.rankInto(st, probe, k, nil, s, tr)
+	out := m.verdicts(probe, s.ranked, s, tr)
 	// The pooled scratch must not keep deleted records reachable.
-	clear(s.cands)
-	if tr != nil {
-		tr.Add(obs.StageScore, time.Since(t0))
-	}
+	clear(s.ranked)
 	return out
 }
 
-// rankInto is the shared resolve core: candidates from the incremental
-// index (minus the skip list's globally pruned tokens), each ranked by its
-// classifier probability on the zero-alloc path, the k best retained. It
-// leaves the ranking in the scratch — s.sorted holds positions in s.cands
-// best-first, and s.cands holds each candidate's ID and the values it was
-// ranked on.
+// rankInto ranks one (already-validated) probe: the flat resolve's first
+// half, and one partition's leg of a partitioned resolve. Candidates come
+// from the incremental index (minus the skip list's globally pruned
+// tokens) and are ranked by classifier probability on the view
+// (rankCandidates); the k best are left in s.ranked, best first, each
+// with the values and residue it was ranked on, so a record deleted after
+// it was ranked keeps its verdict and its values.
 func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s *resolveScratch, tr *Trace) {
 	var t0 time.Time
 	if tr != nil {
@@ -212,19 +240,80 @@ func (m *Model) rankInto(st *MatchStore, probe []string, k int, skip []string, s
 		tr.Add(obs.StageProbeTokenize, now.Sub(t0))
 		t0 = now
 	}
-	s.topk.Reset(k)
-	for i, c := range s.cands {
-		// Candidates arrive in ascending ID order, so the position
-		// preserves the ID tie-break.
-		s.topk.Offer(match.Scored{ID: uint64(i), Rank: m.probPair(Pair{Left: probe, Right: c.Values}, s.ss)})
-	}
+	m.rankCandidates(probe, k, s)
 	if tr != nil {
 		now := time.Now()
 		tr.Add(obs.StageScore, now.Sub(t0))
 		t0 = now
 	}
 	s.sorted = s.topk.AppendSorted(s.sorted[:0])
+	s.ranked = s.ranked[:0]
+	for _, e := range s.sorted {
+		s.ranked = append(s.ranked, match.Ranked{Candidate: s.cands[e.ID], Prob: e.Rank})
+	}
+	// The pooled scratch must not keep deleted records reachable.
+	clear(s.cands)
 	if tr != nil {
 		tr.Add(obs.StageTopKMerge, time.Since(t0))
+	}
+}
+
+// rankCandidates offers every candidate of s.cands to the top-k heap,
+// ranked by the classifier probability of its view row: the probe's forms
+// are derived once under the view's needs, each candidate's are rebuilt
+// from its residue under the same needs.
+//
+//vetkit:hotpath
+func (m *Model) rankCandidates(probe []string, k int, s *resolveScratch) {
+	s.topk.Reset(k)
+	if len(s.cands) == 0 {
+		return
+	}
+	for a := range s.probe {
+		s.probe[a].Reset(probe[a], m.viewNeeds[a])
+	}
+	for i, c := range s.cands {
+		metrics.RebuildRow(s.cand, c.Values, c.Residue, m.viewNeeds)
+		m.view.ComputePreparedInto(s.view, s.probe, s.cand, &s.ms)
+		// Candidates arrive in ascending ID order, so the position
+		// preserves the ID tie-break.
+		s.topk.Offer(match.Scored{ID: uint64(i), Rank: m.matcher.ProbViewScratch(s.view, s.ss.prob)})
+	}
+}
+
+// verdicts builds the full verdict of every ranked survivor, in rank
+// order, each equal to Score on its (probe, candidate) pair. The flat and
+// the partitioned resolve share it; its time lands on StageScore.
+func (m *Model) verdicts(probe []string, ranked []match.Ranked, s *resolveScratch, tr *Trace) []MatchResult {
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	out := make([]MatchResult, len(ranked))
+	m.verdictsInto(out, probe, ranked, s)
+	if tr != nil {
+		tr.Add(obs.StageScore, time.Since(t0))
+	}
+	return out
+}
+
+// verdictsInto fills out with the verdicts of the ranked survivors: the
+// probe's forms under the full catalog's needs, each survivor's rebuilt
+// from the residue it was ranked with, the full metric row, rule firing
+// and the risk assessment of the label.
+//
+//vetkit:hotpath
+func (m *Model) verdictsInto(out []MatchResult, probe []string, ranked []match.Ranked, s *resolveScratch) {
+	if len(ranked) == 0 {
+		return
+	}
+	for a := range s.probe {
+		s.probe[a].Reset(probe[a], m.needs[a])
+	}
+	row := s.ss.row[:len(m.cat.Metrics)]
+	for i, r := range ranked {
+		metrics.RebuildRow(s.cand, r.Values, r.Residue, m.needs)
+		m.cat.ComputePreparedInto(row, s.probe, s.cand, &s.ms)
+		out[i] = MatchResult{ID: r.ID, Values: r.Values, Score: m.scoreRow(row, s.ss)}
 	}
 }

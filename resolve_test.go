@@ -1,9 +1,11 @@
 package learnrisk
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/dataset"
 	"repro/internal/match"
+	"repro/internal/metrics"
 )
 
 // resolveFixture trains one small model and fills a match store with the
@@ -150,7 +153,7 @@ func TestResolveValidation(t *testing.T) {
 	if _, err := m.Resolve(st, probe[:1], 3); !errors.Is(err, ErrPairArity) {
 		t.Errorf("short probe err = %v, want ErrPairArity", err)
 	}
-	other, err := match.New(len(m.Schema())+1, match.Config{})
+	other, err := match.New(len(m.Schema())+1, nil, match.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +162,132 @@ func TestResolveValidation(t *testing.T) {
 	}
 	if _, err := m.ResolveBatch(st, [][]string{probe, probe[:1]}, 3); !errors.Is(err, ErrPairArity) {
 		t.Errorf("batch with short probe err = %v, want ErrPairArity", err)
+	}
+}
+
+// TestResolveRefusesStoreOfOtherSchema pins the residue binding. The AG
+// and DS schemas both have 4 attributes, of different types, so a store
+// one model built passes the other's arity check while its records keep
+// the forms of the other's metrics: flat and partitioned resolves refuse
+// it, as they refuse a store that keeps no forms. A model of the same
+// schema (the DS model through Save/Load, as a hot swap loads it) ranks
+// on the store exactly as the model that built it.
+func TestResolveRefusesStoreOfOtherSchema(t *testing.T) {
+	w, ds := trainedModel(t)
+	agw, err := Generate("AG", 0.02, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := Train(t.Context(), agw, Options{RiskEpochs: 50, ClassifierEpochs: 5, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ag.Schema()) != len(ds.Schema()) {
+		t.Fatalf("AG has %d attributes, DS %d: the arity check alone would refuse", len(ag.Schema()), len(ds.Schema()))
+	}
+	flat, err := ds.NewMatchStore(MatchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parted, err := ds.NewPartitionedMatchStore(2, MatchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range w.inner.Right.Records {
+		if _, err := flat.Add(r.Values); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parted.Add(r.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := w.inner.Left.Records[0].Values
+	if _, err := ag.Resolve(flat, probe, 3); !errors.Is(err, errStoreNeeds) {
+		t.Errorf("AG resolve on a DS store: err = %v, want errStoreNeeds", err)
+	}
+	if _, err := ag.ResolveBatch(flat, [][]string{probe}, 3); !errors.Is(err, errStoreNeeds) {
+		t.Errorf("AG batch resolve on a DS store: err = %v, want errStoreNeeds", err)
+	}
+	if _, err := ag.ResolvePartitioned(parted, probe, 3); !errors.Is(err, errStoreNeeds) {
+		t.Errorf("AG partitioned resolve on a DS store: err = %v, want errStoreNeeds", err)
+	}
+	bare, err := match.New(len(ds.Schema()), nil, match.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Resolve(bare, probe, 3); !errors.Is(err, errStoreNeeds) {
+		t.Errorf("resolve on a store keeping no forms: err = %v, want errStoreNeeds", err)
+	}
+
+	var buf bytes.Buffer
+	if err := ds.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ds.Resolve(flat, probe, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("probe resolved to nothing")
+	}
+	if got, err := loaded.Resolve(flat, probe, 3); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded model on the same store: %v, %+v; want %+v", err, got, want)
+	}
+	if got, err := loaded.ResolvePartitioned(parted, probe, 3); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded model on the same partitioned store: %v, %+v; want %+v", err, got, want)
+	}
+}
+
+// TestResidueMemoryPerRecord pins what the kept forms cost: a store
+// keeping the residues of 1,000 AB records (scale 0.1) holds at most 1 KiB
+// more live heap per record than the same store keeping none. A
+// []metrics.Prepared per record took about 2.7 KiB.
+func TestResidueMemoryPerRecord(t *testing.T) {
+	const n = 1000
+	w, err := Generate("AB", 0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := slices.Concat(w.inner.Left.Records, w.inner.Right.Records)
+	if len(recs) < n {
+		t.Fatalf("AB scale 0.1 has %d records, want %d", len(recs), n)
+	}
+	recs = recs[:n]
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	heldBy := func(needs []metrics.Need) float64 {
+		before := liveHeap()
+		st, err := match.New(len(recs[0].Values), needs, match.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if _, err := st.Add(r.Values); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := liveHeap()
+		runtime.KeepAlive(st)
+		return float64(after) - float64(before)
+	}
+	needs := w.cat.AttrNeeds()
+	perRecord := (heldBy(needs) - heldBy(nil)) / n
+	var rs metrics.ResidueScratch
+	encoded := 0
+	for _, r := range recs {
+		encoded += metrics.KeepResidue(r.Values, needs, &rs).Size()
+	}
+	t.Logf("residues: %.0f B of heap per record, %.1f B encoded", perRecord, float64(encoded)/n)
+	if perRecord > 1024 {
+		t.Fatalf("kept residues take %.0f B per AB record, want at most 1024", perRecord)
 	}
 }
 

@@ -164,7 +164,7 @@ func Train(ctx context.Context, w *Workload, opts Options) (*Model, error) {
 	// The artifact must not pin whatever the training-side Progress closure
 	// captured; the callback belongs to the Train call, not the model.
 	opts.Progress = nil
-	return &Model{
+	return (&Model{
 		attrs:   attrs,
 		fp:      fingerprintOf(attrs, w.cat.Names()),
 		opts:    opts,
@@ -174,7 +174,7 @@ func Train(ctx context.Context, w *Workload, opts Options) (*Model, error) {
 		rset:    feats.Set,
 		risk:    riskModel,
 		split:   split,
-	}, nil
+	}).withResolveView(), nil
 }
 
 // Evaluate labels the given workload pairs with the model's classifier,
