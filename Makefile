@@ -66,7 +66,7 @@ gobench-check:
 
 # fuzz runs each native fuzz target for 10s; `go test -fuzz` takes one
 # target per run. Their seed corpora also run under `make test`.
-FUZZ_TARGETS = ./internal/match:FuzzDecodeOp ./internal/match:FuzzDecodeSnapHeader ./internal/metrics:FuzzResidueMatchesReset
+FUZZ_TARGETS = ./internal/match:FuzzDecodeOp ./internal/match:FuzzDecodeSnapHeader ./internal/metrics:FuzzResidueMatchesReset ./internal/partition:FuzzPartitionedMatchesFlat
 
 fuzz:
 	@set -e; for pt in $(FUZZ_TARGETS); do \

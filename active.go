@@ -7,6 +7,7 @@ import (
 	"repro/internal/active"
 	"repro/internal/classifier"
 	"repro/internal/dtree"
+	"repro/internal/featstore"
 )
 
 // ActiveOptions configures risk-driven active learning (paper Section 8 /
@@ -65,7 +66,8 @@ func ActiveLearnCtx(ctx context.Context, w *Workload, opts ActiveOptions) ([]Act
 		return nil, err
 	}
 	pool := append(append([]int(nil), split.Train...), split.Valid...)
-	curve, err := active.RunCtx(ctx, w.inner, w.cat, pool, split.Test, active.Method(opts.Method), active.Config{
+	st := featstore.New(w.inner, w.cat)
+	curve, err := active.RunCtx(ctx, w.inner, w.cat, st, pool, split.Test, active.Method(opts.Method), active.Config{
 		InitialSize: opts.InitialSize,
 		BatchSize:   opts.BatchSize,
 		Rounds:      opts.Rounds,

@@ -70,16 +70,22 @@ type Point struct {
 
 // Run executes the loop with the given selection method over the workload:
 // pool is the unlabeled candidate set, test the held-out evaluation set.
-func Run(w *dataset.Workload, cat *metrics.Catalog, pool, test []int, method Method, cfg Config) ([]Point, error) {
-	return RunCtx(context.Background(), w, cat, pool, test, method, cfg)
+// st holds the workload's metric rows under cat (featstore.New(w, cat));
+// every round's retraining, labeling and pool scoring read their rows from
+// it, and runs of several methods on one workload can share it.
+func Run(w *dataset.Workload, cat *metrics.Catalog, st *featstore.Store, pool, test []int, method Method, cfg Config) ([]Point, error) {
+	return RunCtx(context.Background(), w, cat, st, pool, test, method, cfg)
 }
 
 // RunCtx is Run with cooperative cancellation: the context is checked at
 // every acquisition round and plumbed through the per-round classifier
 // retraining, so a canceled context aborts the loop with ctx.Err(). With a
 // background context the curve is identical to Run's.
-func RunCtx(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, pool, test []int, method Method, cfg Config) ([]Point, error) {
+func RunCtx(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, st *featstore.Store, pool, test []int, method Method, cfg Config) ([]Point, error) {
 	cfg = cfg.withDefaults()
+	if st.Width() != len(cat.Metrics) {
+		return nil, fmt.Errorf("active: feature store rows have %d metrics, the catalog %d", st.Width(), len(cat.Metrics))
+	}
 	if len(pool) < cfg.InitialSize+cfg.BatchSize {
 		return nil, fmt.Errorf("active: pool of %d too small for initial %d + batch %d",
 			len(pool), cfg.InitialSize, cfg.BatchSize)
@@ -100,10 +106,6 @@ func RunCtx(ctx context.Context, w *dataset.Workload, cat *metrics.Catalog, pool
 	if err != nil {
 		return nil, err
 	}
-
-	// One feature store for the whole loop: each round's retraining,
-	// labeling and pool scoring read their metric rows from it.
-	st := featstore.New(w, cat)
 
 	var curve []Point
 	for round := 0; ; round++ {

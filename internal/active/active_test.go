@@ -16,6 +16,7 @@ import (
 var (
 	testW   *dataset.Workload
 	testCat *metrics.Catalog
+	testSt  *featstore.Store
 	pool    []int
 	test    []int
 )
@@ -23,6 +24,7 @@ var (
 func init() {
 	testW = datagen.MustGenerate(datagen.DS(71), 0.02)
 	testCat = testW.Left.Schema.Catalog(testW.Left, testW.Right)
+	testSt = featstore.New(testW, testCat)
 	sp, err := testW.SplitPairs("5:0.1:4.9", 71)
 	if err != nil {
 		panic(err)
@@ -44,7 +46,7 @@ func smallCfg(seed uint64) Config {
 
 func TestRunAllMethods(t *testing.T) {
 	for _, method := range []Method{LeastConfidence, Entropy, LearnRisk} {
-		curve, err := Run(testW, testCat, pool, test, method, smallCfg(3))
+		curve, err := Run(testW, testCat, testSt, pool, test, method, smallCfg(3))
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -68,10 +70,10 @@ func TestRunAllMethods(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(testW, testCat, pool[:10], test, Entropy, smallCfg(1)); err == nil {
+	if _, err := Run(testW, testCat, testSt, pool[:10], test, Entropy, smallCfg(1)); err == nil {
 		t.Error("tiny pool should fail")
 	}
-	if _, err := Run(testW, testCat, pool, test, Method("Bogus"), smallCfg(1)); err == nil {
+	if _, err := Run(testW, testCat, testSt, pool, test, Method("Bogus"), smallCfg(1)); err == nil {
 		t.Error("unknown method should fail")
 	}
 	// Single-class pool.
@@ -81,17 +83,21 @@ func TestRunErrors(t *testing.T) {
 			negOnly = append(negOnly, i)
 		}
 	}
-	if _, err := Run(testW, testCat, negOnly, test, Entropy, smallCfg(1)); err == nil {
+	if _, err := Run(testW, testCat, testSt, negOnly, test, Entropy, smallCfg(1)); err == nil {
 		t.Error("single-class pool should fail")
+	}
+	narrow := &metrics.Catalog{Metrics: testCat.Metrics[:1], Corpora: testCat.Corpora}
+	if _, err := Run(testW, narrow, testSt, pool, test, Entropy, smallCfg(1)); err == nil {
+		t.Error("a feature store built under another catalog should fail")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(testW, testCat, pool, test, LeastConfidence, smallCfg(5))
+	a, err := Run(testW, testCat, testSt, pool, test, LeastConfidence, smallCfg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testW, testCat, pool, test, LeastConfidence, smallCfg(5))
+	b, err := Run(testW, testCat, testSt, pool, test, LeastConfidence, smallCfg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +167,11 @@ func TestSeedSplitStratified(t *testing.T) {
 // risk model can be fitted, and the LearnRisk selector scores the pool by
 // the entropy of its classifier probabilities.
 func TestLearnRiskScoresWithoutSignalFallBackToEntropy(t *testing.T) {
-	st := featstore.New(testW, testCat)
-	m, err := classifier.TrainRowsCtx(context.Background(), testW, testCat, pool[:100], st.Rows(pool[:100]), classifier.Config{Epochs: 15, Seed: 3}, nil)
+	m, err := classifier.TrainRowsCtx(context.Background(), testW, testCat, pool[:100], testSt.Rows(pool[:100]), classifier.Config{Epochs: 15, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab := m.LabelRows(testW, pool, st.Rows(pool))
+	lab := m.LabelRows(testW, pool, testSt.Rows(pool))
 	var right, wrong []int
 	for k, i := range pool {
 		if lab.Mislabeled(k) {
@@ -179,12 +184,12 @@ func TestLearnRiskScoresWithoutSignalFallBackToEntropy(t *testing.T) {
 		t.Fatalf("fixture: %d correctly and %d wrongly labeled pool pairs", len(right), len(wrong))
 	}
 	unlabeled := test[:60]
-	poolRows := st.Rows(unlabeled)
+	poolRows := testSt.Rows(unlabeled)
 	for _, tc := range []struct {
 		name    string
 		labeled []int
 	}{{"no mistake", right[:40]}, {"no correct pair", wrong}} {
-		scores, err := scorePool(context.Background(), testW, testCat, st, m, tc.labeled, unlabeled, LearnRisk, smallCfg(3).withDefaults())
+		scores, err := scorePool(context.Background(), testW, testCat, testSt, m, tc.labeled, unlabeled, LearnRisk, smallCfg(3).withDefaults())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

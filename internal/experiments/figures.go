@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dtree"
 	"repro/internal/eval"
+	"repro/internal/featstore"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
@@ -395,9 +396,10 @@ func Fig14(profile string, s Settings, alCfg active.Config) (map[string][]active
 		return nil, err
 	}
 	pool := append(append([]int(nil), split.Train...), split.Valid...)
+	st := featstore.New(w, cat) // the three methods read one set of rows
 	out := make(map[string][]active.Point)
 	for _, method := range []active.Method{active.LeastConfidence, active.Entropy, active.LearnRisk} {
-		curve, err := active.Run(w, cat, pool, split.Test, method, alCfg)
+		curve, err := active.Run(w, cat, st, pool, split.Test, method, alCfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig14 %s: %w", method, err)
 		}

@@ -215,12 +215,12 @@ func IsDurableFile(name string) bool {
 func OpenDurable(dir string, arity int, needs []metrics.Need, cfg Config, opts DurableOptions) (*DurableStore, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("match: creating data dir: %w", err)
-	}
-	inner, err := New(arity, needs, cfg)
+	inner, err := New(arity, needs, cfg) // an invalid config creates no dir
 	if err != nil {
 		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("match: creating data dir: %w", err)
 	}
 	d := &DurableStore{Store: inner, dir: dir, opts: opts}
 
@@ -414,51 +414,24 @@ func (d *DurableStore) loadSnapshot(path string) (int, error) {
 	return applied, nil
 }
 
-// Add logs the record, then installs it. The ID is durable by the time the
-// call returns (under wal.SyncAlways). A WAL failure refuses the add — the
-// in-memory store never holds state the log does not.
+// Add logs the record under the next ID, then installs it. The ID is
+// durable by the time the call returns (under wal.SyncAlways). A WAL
+// failure refuses the add — the in-memory store never holds state the log
+// does not.
 //
 //vetkit:wal-before-apply
 func (d *DurableStore) Add(values []string) (uint64, error) {
-	return d.AddTraced(values, nil)
-}
-
-// AddTraced is Add with request-scoped stage timing: the WAL write and
-// fsync land on the trace inside AppendTrace, the in-memory install on
-// StageStoreApply. A nil trace records nothing.
-//
-//vetkit:wal-before-apply
-func (d *DurableStore) AddTraced(values []string, tr *obs.Trace) (uint64, error) {
 	if len(values) != d.Store.arity {
 		return 0, fmt.Errorf("match: record has %d values, store schema has %d: %w", len(values), d.Store.arity, ErrArity)
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return 0, ErrDurableClosed
 	}
 	id := d.Store.reserveID()
-	d.opBuf = appendAddOp(d.opBuf[:0], id, values)
-	if err := d.log.AppendTrace(d.opBuf, tr); err != nil {
-		d.mu.Unlock()
-		return 0, fmt.Errorf("match: logging add: %w", err)
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	if err := d.Store.addAt(id, values); err != nil {
-		d.mu.Unlock()
-		return 0, err // unreachable: arity was checked before logging
-	}
-	if tr != nil {
-		tr.Observe(obs.StageStoreApply, t0)
-	}
-	d.opsTail++
-	trigger := d.shouldSnapshotLocked()
-	d.mu.Unlock()
-	if trigger {
-		go d.backgroundSnapshot()
+	if err := d.addLocked(id, values, nil); err != nil {
+		return 0, err
 	}
 	return id, nil
 }
@@ -475,7 +448,9 @@ func (d *DurableStore) AddAt(id uint64, values []string) error {
 	return d.AddAtTraced(id, values, nil)
 }
 
-// AddAtTraced is AddAt with request-scoped stage timing (see AddTraced).
+// AddAtTraced is AddAt with request-scoped stage timing: the WAL write and
+// fsync land on the trace inside AppendTrace, the in-memory install on
+// StageStoreApply. A nil trace records nothing.
 //
 //vetkit:wal-before-apply
 func (d *DurableStore) AddAtTraced(id uint64, values []string, tr *obs.Trace) error {
@@ -483,17 +458,25 @@ func (d *DurableStore) AddAtTraced(id uint64, values []string, tr *obs.Trace) er
 		return fmt.Errorf("match: record has %d values, store schema has %d: %w", len(values), d.Store.arity, ErrArity)
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return ErrDurableClosed
 	}
 	if _, live := d.Store.Get(id); live {
-		d.mu.Unlock()
 		return fmt.Errorf("match: AddAt(%d): a live record already holds that ID", id)
 	}
+	return d.addLocked(id, values, tr)
+}
+
+// addLocked is the body Add and AddAtTraced share: it logs the add of the
+// record under id, then installs it, raises the ID allocator past it and
+// claims a background snapshot when the tail is due. The caller holds d.mu
+// and has checked the arity and that id is not live.
+//
+//vetkit:wal-before-apply
+func (d *DurableStore) addLocked(id uint64, values []string, tr *obs.Trace) error {
 	d.opBuf = appendAddOp(d.opBuf[:0], id, values)
 	if err := d.log.AppendTrace(d.opBuf, tr); err != nil {
-		d.mu.Unlock()
 		return fmt.Errorf("match: logging add: %w", err)
 	}
 	var t0 time.Time
@@ -501,17 +484,14 @@ func (d *DurableStore) AddAtTraced(id uint64, values []string, tr *obs.Trace) er
 		t0 = time.Now()
 	}
 	if err := d.Store.addAt(id, values); err != nil {
-		d.mu.Unlock()
-		return err // unreachable: arity and liveness were checked under d.mu before logging
+		return err // unreachable: the caller checked arity and liveness under d.mu before logging
 	}
 	if tr != nil {
 		tr.Observe(obs.StageStoreApply, t0)
 	}
 	d.Store.advanceNextID(id + 1)
 	d.opsTail++
-	trigger := d.shouldSnapshotLocked()
-	d.mu.Unlock()
-	if trigger {
+	if d.shouldSnapshotLocked() {
 		go d.backgroundSnapshot()
 	}
 	return nil
@@ -525,7 +505,8 @@ func (d *DurableStore) Delete(id uint64) (bool, error) {
 	return d.DeleteTraced(id, nil)
 }
 
-// DeleteTraced is Delete with request-scoped stage timing (see AddTraced).
+// DeleteTraced is Delete with request-scoped stage timing (see
+// AddAtTraced).
 //
 //vetkit:wal-before-apply
 func (d *DurableStore) DeleteTraced(id uint64, tr *obs.Trace) (bool, error) {

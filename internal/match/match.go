@@ -241,10 +241,9 @@ func (s *Store) Range(fn func(id uint64, values []string) bool) {
 
 // DistinctTokens calls fn for every distinct blocking token of values, in
 // first-appearance order. The strings are freshly interned — fn may retain
-// them. This is how the partition layer keeps its global token census in
-// the store's exact tokenization: census counts must agree with what a
-// probe of these values would touch, or global stop-token pruning drifts
-// from the single-store oracle. It takes no lock.
+// them. The partition layer tokenizes a probe through it once, so the
+// tokens it sums live counts for (AddLiveCounts) are exactly the ones the
+// partitions index. It takes no lock.
 func (s *Store) DistinctTokens(values []string, fn func(tok string)) error {
 	if len(values) != s.arity {
 		return fmt.Errorf("match: record has %d values, store schema has %d: %w", len(values), s.arity, ErrArity)
@@ -256,6 +255,22 @@ func (s *Store) DistinctTokens(values []string, fn func(tok string)) error {
 	}
 	s.addPool.Put(a)
 	return nil
+}
+
+// AddLiveCounts adds to counts[i] the number of live records that hold
+// toks[i] — the live block size stop-token pruning compares with
+// MaxBlockSize — under one read lock. The partition layer sums it over
+// the partitions to prune a probe's tokens as one flat store would.
+//
+//vetkit:hotpath
+func (s *Store) AddLiveCounts(toks []string, counts []int) {
+	s.mu.RLock()
+	for i, t := range toks {
+		if p := s.posts[t]; p != nil {
+			counts[i] += len(p.ids) - int(p.dead)
+		}
+	}
+	s.mu.RUnlock()
 }
 
 // Add stores a copy of the record's values under a fresh stable ID and
@@ -441,9 +456,9 @@ type Candidate struct {
 // order, and returns the extended slice. Probe tokens found in skip
 // (sorted ascending; nil for none) contribute no candidates, exactly as if
 // stop-token pruning had dropped them: this is the partitioned store's
-// scatter path — per-partition posting lists are too small to prune on
-// locally, so the partition layer decides pruning from its global token
-// census and passes the verdict down here.
+// scatter path — a partition's posting list holds only its share of a
+// token's records, so the partition layer decides pruning from the live
+// counts summed over all partitions and passes the verdict down here.
 //
 // The probe tokenizes outside the lock and gathers the IDs and their value
 // slices under one read lock, so the candidates are one consistent

@@ -68,17 +68,13 @@ func partDirs(dir string, n int) ([]string, error) {
 // OpenDurable opens (creating if needed) a durable store rooted at dir:
 // each partition persists into its own directory (WAL segments +
 // snapshots, the match.OpenDurable layout; see partDirs), all partitions
-// replay concurrently, the global ID allocator resumes past the max
-// replayed ID, and the token census is rebuilt from the surviving records
-// — so a restarted store prunes exactly like the one that shut down. needs
+// replay concurrently, and the global ID allocator resumes past the max
+// replayed ID. Pruning reads the replayed partitions' own posting counts,
+// so a restarted store prunes exactly like the one that shut down. needs
 // is New's; every replayed record keeps its residue.
 func OpenDurable(dir string, arity int, needs []metrics.Need, o Options) (*Store, error) {
 	o = o.withDefaults()
 	dirs, err := partDirs(dir, o.Partitions)
-	if err != nil {
-		return nil, err
-	}
-	s, partCfg, err := newRouter(arity, o)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +91,7 @@ func OpenDurable(dir string, arity int, needs []metrics.Need, o Options) (*Store
 				o.Progress(i, phase, done, total)
 			}
 		}
-		durs[i], errs[i] = match.OpenDurable(dirs[i], arity, needs, partCfg, opts)
+		durs[i], errs[i] = match.OpenDurable(dirs[i], arity, needs, o.Match, opts)
 	})
 	if err := errors.Join(errs...); err != nil {
 		for _, d := range durs {
@@ -106,17 +102,15 @@ func OpenDurable(dir string, arity int, needs []metrics.Need, o Options) (*Store
 		return nil, err
 	}
 
+	parts := make([]part, o.Partitions)
 	var nextID uint64
 	for i, d := range durs {
-		s.parts[i] = part{st: d.Store, dur: d}
+		parts[i] = part{st: d.Store, dur: d}
 		if n := d.NextID(); n > nextID {
 			nextID = n
 		}
-		d.Range(func(_ uint64, values []string) bool {
-			s.censusAdd(values)
-			return true
-		})
 	}
+	s := newStore(arity, parts)
 	s.nextID.Store(nextID)
 	return s, nil
 }

@@ -7,8 +7,8 @@
 // top-k lists merge into one order-stable result (Prob descending, ID
 // ascending) that is bit-identical to what a single flat store over the
 // same records would return (the fuzzed oracle test pins this). One
-// partition is the flat store: the router adds only the census and a
-// one-leg merge.
+// partition is the flat store: the router adds only the skip-list sum and
+// a one-leg merge.
 //
 // Two decisions make the bit-identical claim hold:
 //
@@ -16,13 +16,15 @@
 //     records are routed by consistent-hashing the ID, so the tie-break
 //     order (lower ID wins) is the same order a flat store would have
 //     produced.
-//   - Stop-token pruning is decided globally: per-partition posting lists
-//     hold only a slice of each token's records, so partitions run with
-//     local pruning disabled and the Store keeps a token census (token →
-//     live record count across all partitions). A probe's pruned tokens
-//     are computed from the census once and passed to every partition as a
-//     sorted skip list — exactly the verdict the flat store's per-posting
-//     live counts would have reached.
+//   - Stop-token pruning is decided globally: a partition's posting list
+//     holds only its share of a token's records, so at probe time the
+//     router sums each probe token's live count over the partitions
+//     (match.Store.AddLiveCounts) and passes every partition the tokens
+//     whose sum exceeds MaxBlockSize as a sorted skip list — exactly the
+//     verdict the flat store's per-posting live counts would have reached.
+//     The partitions keep their own MaxBlockSize check: a partition's
+//     count never exceeds the sum, so it prunes only tokens the skip list
+//     already holds.
 //
 // OpenDurable wraps every partition in match's durability layer (WAL +
 // snapshots) under one data dir; see partDirs for the layout rule.

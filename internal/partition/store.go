@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,9 +21,8 @@ type Options struct {
 	// a different count would look records up in the wrong partition —
 	// OpenDurable refuses the mismatch.
 	Partitions int
-	// Match is the blocking configuration. MaxBlockSize is interpreted
-	// globally: partitions run with local pruning disabled and the store's
-	// token census applies the bound across all partitions, so pruning
+	// Match is every partition's blocking configuration. MaxBlockSize
+	// bounds a token's live records summed over the partitions, so pruning
 	// verdicts match a single flat store over the same records.
 	Match match.Config
 	// Durable configures each partition's durability layer (OpenDurable
@@ -49,27 +47,14 @@ func (o Options) withDefaults() Options {
 // through one order-stable top-k merge (Resolve). All methods are safe for
 // concurrent use. Under serial mutations the resolve results are
 // bit-identical to a single flat store's (the fuzzed oracle test); under
-// concurrent mutation the census may briefly lag a partition's state, which
-// can only shift pruning verdicts — the same heuristic drift a flat
-// store's own racing live counts exhibit.
+// concurrent mutation the partitions' live counts are summed one partition
+// at a time, so a racing add or delete can only shift pruning verdicts —
+// the same heuristic drift a flat store's own racing live counts exhibit.
 type Store struct {
 	arity    int
-	maxBlock int // resolved global stop-token bound (<= 0 disables)
+	maxBlock int // the partitions' resolved stop-token bound (<= 0 disables)
 	parts    []part
 	nextID   atomic.Uint64
-
-	// tok is an always-empty store used purely as the tokenizer: census
-	// updates and probe pruning must use the exact tokenization the
-	// partitions index by, and going through a match.Store guarantees it.
-	tok *match.Store
-
-	// census is the global token census: token → live record count across
-	// all partitions. It is what lets stop-token pruning stay exact under
-	// partitioning — each partition's posting lists see only a slice of a
-	// token's records, so the local live counts a flat store prunes on do
-	// not exist anywhere but here.
-	censusMu sync.RWMutex
-	census   map[string]int
 
 	probes atomic.Int64
 	pruned atomic.Int64
@@ -97,46 +82,30 @@ func jumpHash(key uint64, buckets int) int {
 func (s *Store) partitionOf(id uint64) int { return jumpHash(id, len(s.parts)) }
 
 // New builds an in-memory store for records of the given arity, each
-// keeping the residue of the forms needs names (match.New). Partition
-// stores are created with local stop-token pruning disabled — the Store's
-// census applies Options.Match.MaxBlockSize globally instead.
+// keeping the residue of the forms needs names (match.New). Every
+// partition is a match.Store built with Options.Match.
 func New(arity int, needs []metrics.Need, o Options) (*Store, error) {
 	o = o.withDefaults()
-	s, partCfg, err := newRouter(arity, o)
-	if err != nil {
-		return nil, err
-	}
-	for i := range s.parts {
-		st, err := match.New(arity, needs, partCfg)
+	parts := make([]part, o.Partitions)
+	for i := range parts {
+		st, err := match.New(arity, needs, o.Match)
 		if err != nil {
 			return nil, err
 		}
-		s.parts[i] = part{st: st}
+		parts[i] = part{st: st}
 	}
-	return s, nil
+	return newStore(arity, parts), nil
 }
 
-// newRouter builds the Store shell shared by New and OpenDurable: the
-// tokenizer store (which also resolves the config defaults — MaxBlockSize
-// in particular), the empty census, and the empty partition table. It
-// returns the per-partition config: the resolved one with local pruning
-// disabled.
-func newRouter(arity int, o Options) (*Store, match.Config, error) {
-	tokStore, err := match.New(arity, nil, o.Match)
-	if err != nil {
-		return nil, match.Config{}, err
-	}
-	resolved := tokStore.Config()
-	partCfg := resolved
-	partCfg.MaxBlockSize = -1
-	s := &Store{
+// newStore is the router over built partitions, shared by New and
+// OpenDurable. Its stop-token bound is the partitions' resolved
+// MaxBlockSize (defaults filled in).
+func newStore(arity int, parts []part) *Store {
+	return &Store{
 		arity:    arity,
-		maxBlock: resolved.MaxBlockSize,
-		parts:    make([]part, o.Partitions),
-		tok:      tokStore,
-		census:   make(map[string]int),
+		maxBlock: parts[0].st.Config().MaxBlockSize,
+		parts:    parts,
 	}
-	return s, partCfg, nil
 }
 
 // Arity returns the schema arity records and probes must carry.
@@ -166,10 +135,10 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Add assigns the next global record ID, routes the record to the
-// partition the ID hashes to, and indexes its tokens in the census. The
-// ID sequence is exactly the one a flat store would have assigned, so
-// ranking tie-breaks are partition-invariant.
+// Add assigns the next global record ID and routes the record to the
+// partition the ID hashes to. The ID sequence is exactly the one a flat
+// store would have assigned, so ranking tie-breaks are
+// partition-invariant.
 func (s *Store) Add(values []string) (uint64, error) {
 	return s.AddTraced(values, nil)
 }
@@ -193,13 +162,11 @@ func (s *Store) AddTraced(values []string, tr *obs.Trace) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.censusAdd(values)
 	return id, nil
 }
 
-// Delete routes the delete to the record's owning partition and, when it
-// lands, removes the record's tokens from the census. False means the ID
-// is unknown or already deleted.
+// Delete routes the delete to the record's owning partition. False means
+// the ID is unknown or already deleted.
 func (s *Store) Delete(id uint64) (bool, error) {
 	return s.DeleteTraced(id, nil)
 }
@@ -207,23 +174,10 @@ func (s *Store) Delete(id uint64) (bool, error) {
 // DeleteTraced is Delete carrying a request-scoped trace (see AddTraced).
 func (s *Store) DeleteTraced(id uint64, tr *obs.Trace) (bool, error) {
 	p := s.parts[s.partitionOf(id)]
-	vals, ok := p.st.Get(id)
-	if !ok {
-		return false, nil
-	}
-	var err error
 	if p.dur != nil {
-		ok, err = p.dur.DeleteTraced(id, tr)
-	} else {
-		ok = p.st.Delete(id)
+		return p.dur.DeleteTraced(id, tr)
 	}
-	if err != nil || !ok {
-		// A concurrent delete won the race (ok=false): it also owns the
-		// census decrement.
-		return ok, err
-	}
-	s.censusRemove(vals)
-	return true, nil
+	return p.st.Delete(id), nil
 }
 
 // Get fetches a record from its owning partition (the store's immutable
@@ -232,20 +186,20 @@ func (s *Store) Get(id uint64) ([]string, bool) {
 	return s.parts[s.partitionOf(id)].st.Get(id)
 }
 
-// Resolve is the scatter-gather probe: the census decides the probe's
-// pruned stop tokens once, leg ranks the probe against every partition's
-// store concurrently with that verdict applied, and the per-partition
-// lists merge into the k best. leg must honor the skip list (sorted
-// ascending) and return at most k ranked candidates, best first (Prob
-// descending, ties toward the lower record ID); the merge is only exact
-// when every leg reports its partition's true top k. Exactness of the
-// merge: the ranking is a total order (IDs are global and unique), so any
-// record in the global top k is in its own partition's top k, and merging
-// the partitions' k-bounded lists loses nothing. Verdicts are the
+// Resolve is the scatter-gather probe: the partitions' summed live counts
+// decide the probe's pruned stop tokens once, leg ranks the probe against
+// every partition's store concurrently with that verdict applied, and the
+// per-partition lists merge into the k best. leg must honor the skip list
+// (sorted ascending) and return at most k ranked candidates, best first
+// (Prob descending, ties toward the lower record ID); the merge is only
+// exact when every leg reports its partition's true top k. Exactness of
+// the merge: the ranking is a total order (IDs are global and unique), so
+// any record in the global top k is in its own partition's top k, and
+// merging the partitions' k-bounded lists loses nothing. Verdicts are the
 // caller's, built once for the merged k.
 //
-// With a trace, census pruning lands on StageProbeTokenize, the scatter
-// wall time on StageScatter with per-leg durations feeding the
+// With a trace, the pruning verdict lands on StageProbeTokenize, the
+// scatter wall time on StageScatter with per-leg durations feeding the
 // slowest-partition attribution (StageScatterSlowest + Trace.Slowest), and
 // the merge on StageTopKMerge. A nil trace records nothing and takes no
 // timestamps.
@@ -260,7 +214,7 @@ func Resolve(s *Store, probe []string, k int, tr *obs.Trace, leg func(st *match.
 	if tr != nil {
 		t0 = time.Now()
 	}
-	skip, err := s.appendSkip(nil, probe)
+	skip, err := s.skipList(probe)
 	if err != nil {
 		return nil, err
 	}
@@ -332,53 +286,32 @@ func (s *Store) Close() error {
 	return errors.Join(errs...)
 }
 
-// --- census ---
-
-// censusAdd counts a just-installed record's distinct tokens. The values
-// passed the arity check upstream, so DistinctTokens cannot fail. The
-// tokenizer store takes no lock, so tokenizing under the census lock
-// cannot deadlock.
-func (s *Store) censusAdd(values []string) {
-	s.censusMu.Lock()
-	defer s.censusMu.Unlock()
-	_ = s.tok.DistinctTokens(values, func(t string) { s.census[t]++ })
-}
-
-// censusRemove uncounts a just-deleted record's distinct tokens.
-func (s *Store) censusRemove(values []string) {
-	s.censusMu.Lock()
-	defer s.censusMu.Unlock()
-	_ = s.tok.DistinctTokens(values, func(t string) {
-		if s.census[t] <= 1 {
-			delete(s.census, t)
-		} else {
-			s.census[t]--
-		}
-	})
-}
-
-// appendSkip computes the probe's globally pruned stop tokens under one
-// census read lock: every distinct probe token whose census live count
-// exceeds the resolved MaxBlockSize — the same predicate a flat store
-// applies per posting list — sorted ascending for the partitions'
-// binary-search skip check.
-func (s *Store) appendSkip(dst []string, probe []string) ([]string, error) {
+// skipList computes the probe's globally pruned stop tokens: every
+// distinct probe token whose live record count, summed over the
+// partitions, exceeds the resolved MaxBlockSize — the same predicate a
+// flat store applies per posting list — sorted ascending for the
+// partitions' binary-search skip check. Every partition tokenizes alike,
+// so the first one tokenizes the probe for all of them.
+func (s *Store) skipList(probe []string) ([]string, error) {
 	if s.maxBlock <= 0 {
-		return dst[:0], nil
+		return nil, nil
 	}
-	dst = dst[:0]
-	s.censusMu.RLock()
-	err := s.tok.DistinctTokens(probe, func(t string) {
-		if s.census[t] > s.maxBlock {
-			dst = append(dst, t)
+	var toks []string
+	if err := s.parts[0].st.DistinctTokens(probe, func(t string) { toks = append(toks, t) }); err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(toks))
+	for _, p := range s.parts {
+		p.st.AddLiveCounts(toks, counts)
+	}
+	skip := toks[:0] // filters in place: index i is read before it is overwritten
+	for i, t := range toks {
+		if counts[i] > s.maxBlock {
+			skip = append(skip, t)
 		}
-	})
-	s.censusMu.RUnlock()
-	if err != nil {
-		return dst, err
 	}
-	slices.Sort(dst)
-	return dst, nil
+	slices.Sort(skip)
+	return skip, nil
 }
 
 // --- stats ---
@@ -388,8 +321,7 @@ type Stats struct {
 	Partitions   int   `json:"partitions"`
 	Records      []int `json:"records"`       // live records per partition (skew at a glance)
 	Probes       int64 `json:"probes"`        // scatter-gather resolves served
-	PrunedTokens int64 `json:"pruned_tokens"` // probe tokens the census pruned, cumulative
-	CensusTokens int   `json:"census_tokens"` // distinct tokens currently counted
+	PrunedTokens int64 `json:"pruned_tokens"` // probe tokens pruned on their summed live count, cumulative
 }
 
 // Stats snapshots the router counters.
@@ -403,9 +335,6 @@ func (s *Store) Stats() Stats {
 	for i, p := range s.parts {
 		st.Records[i] = p.st.Len()
 	}
-	s.censusMu.RLock()
-	st.CensusTokens = len(s.census)
-	s.censusMu.RUnlock()
 	return st
 }
 

@@ -74,8 +74,8 @@ func fakeResolve(ps *Store, probe []string, k int) ([]match.Scored, error) {
 }
 
 // vocab is small on purpose: records collide on tokens constantly, so
-// postings grow past aggressive MaxBlockSize bounds and the census pruning
-// path is genuinely exercised.
+// postings grow past aggressive MaxBlockSize bounds and the summed-count
+// pruning path is genuinely exercised.
 var vocab = []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
 
 func randValues(rng *rand.Rand, arity int) []string {
@@ -98,25 +98,27 @@ func flatOracle(st *match.Store, probe []string, k int) []match.Scored {
 	return scoredOf(fakeLeg(probe, k)(st, nil))
 }
 
+// oracleCases are the partition counts and pruning configs the
+// partitioned-vs-flat oracles run under, including aggressive MaxBlockSize
+// bounds where the summed live counts decide most probes.
+var oracleCases = []struct {
+	parts int
+	cfg   match.Config
+}{
+	{parts: 1, cfg: match.Config{}},
+	{parts: 2, cfg: match.Config{}},
+	{parts: 3, cfg: match.Config{MaxBlockSize: 3}},
+	{parts: 5, cfg: match.Config{MaxBlockSize: 2, MinSharedTokens: 2}},
+	{parts: 8, cfg: match.Config{MaxBlockSize: -1}},
+}
+
 // TestFuzzPartitionedMatchesFlat is the equivalence oracle: a partitioned
 // store and a flat store fed the identical interleaved add/delete sequence
 // must answer every resolve with the identical ranked slice — same IDs,
-// same rank bits, same order — across partition counts and pruning configs
-// (including an aggressive MaxBlockSize where the census verdict decides
-// most probes).
+// same rank bits, same order — across oracleCases.
 func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 	const arity = 2
-	cases := []struct {
-		parts int
-		cfg   match.Config
-	}{
-		{parts: 1, cfg: match.Config{}},
-		{parts: 2, cfg: match.Config{}},
-		{parts: 3, cfg: match.Config{MaxBlockSize: 3}},
-		{parts: 5, cfg: match.Config{MaxBlockSize: 2, MinSharedTokens: 2}},
-		{parts: 8, cfg: match.Config{MaxBlockSize: -1}},
-	}
-	for _, tc := range cases {
+	for _, tc := range oracleCases {
 		name := fmt.Sprintf("parts=%d/maxblock=%d/minshared=%d",
 			tc.parts, tc.cfg.MaxBlockSize, tc.cfg.MinSharedTokens)
 		t.Run(name, func(t *testing.T) {
@@ -179,11 +181,11 @@ func TestFuzzPartitionedMatchesFlat(t *testing.T) {
 			if ps.Len() != flat.Len() {
 				t.Fatalf("live counts diverged: partitioned %d, flat %d", ps.Len(), flat.Len())
 			}
-			// With the aggressive bounds the census must actually have
+			// With the aggressive bounds the router must actually have
 			// pruned — otherwise the skip path was never under test.
 			if tc.cfg.MaxBlockSize > 0 && tc.cfg.MaxBlockSize <= 3 {
 				if st := ps.Stats(); st.PrunedTokens == 0 {
-					t.Fatal("aggressive MaxBlockSize never pruned a probe token; the census path was not exercised")
+					t.Fatal("aggressive MaxBlockSize never pruned a probe token; the summed-count path was not exercised")
 				}
 			}
 		})
@@ -277,9 +279,9 @@ func TestConcurrentAddDeleteResolveSnapshot(t *testing.T) {
 }
 
 // TestDurableRestart proves a partitioned durable store survives a clean
-// shutdown: the records, the global ID allocator and the rebuilt census
-// all come back, so the restarted store resolves — and prunes — exactly
-// like the one that closed.
+// shutdown: the records, their postings and the global ID allocator all
+// come back, so the restarted store resolves — and prunes — exactly like
+// the one that closed.
 func TestDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
@@ -495,10 +497,21 @@ func TestStoreValidation(t *testing.T) {
 	if err := ps.Close(); err != nil {
 		t.Errorf("in-memory Close: %v", err)
 	}
+	// A config every partition refuses leaves the data dir untouched, so
+	// a later open may still choose its partition count.
+	dir := t.TempDir()
+	if _, err := OpenDurable(dir, 2, nil, Options{Partitions: 3, Match: match.Config{Attrs: []int{5}}}); err == nil {
+		t.Error("a blocking attribute outside the schema was accepted")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a refused config left %d entries in the data dir", len(entries))
+	}
 }
 
 func TestStats(t *testing.T) {
-	ps, err := New(1, nil, Options{Partitions: 4})
+	// 64 records over 4 partitions hold "alpha" about 16 times each, so
+	// only the count summed over the partitions exceeds the bound.
+	ps, err := New(1, nil, Options{Partitions: 4, Match: match.Config{MaxBlockSize: 32}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,8 +537,13 @@ func TestStats(t *testing.T) {
 	if st.Probes != 1 {
 		t.Errorf("Probes = %d, want 1", st.Probes)
 	}
-	if st.CensusTokens != 3 {
-		t.Errorf("CensusTokens = %d, want 3 (alpha, beta, gamma)", st.CensusTokens)
+	if st.PrunedTokens != 1 {
+		t.Errorf("PrunedTokens = %d, want 1 (alpha, held by 64 records against a bound of 32)", st.PrunedTokens)
+	}
+	for i, n := range st.Records {
+		if n > 32 {
+			t.Errorf("partition %d holds %d records; the test needs every partition under the bound", i, n)
+		}
 	}
 	if got := len(ps.PartitionStats()); got != 4 {
 		t.Errorf("PartitionStats returned %d entries, want 4", got)

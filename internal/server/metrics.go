@@ -178,7 +178,6 @@ func registerServerMetrics(s *Server, reg *obs.Registry) {
 			"records":       st.Records,
 			"probes":        st.Probes,
 			"pruned_tokens": st.PrunedTokens,
-			"census_tokens": st.CensusTokens,
 			"durable":       ps.Durable(),
 			"next_id":       ps.NextID(),
 		}

@@ -302,9 +302,9 @@ func (m *Model) scoreRow(row []float64, s *scoreScratch) PairScore {
 
 // instFromRow is the one place a metric row becomes a risk-model instance:
 // classifier output, induced machine label, fired rule set. Score,
-// ScoreBatch and ExplainPair all share it, so labels and explanations can
-// never disagree. The instance's Fired slice aliases the scratch and is
-// valid until the scratch's next use.
+// ScoreBatch, ExplainPair and Evaluate all share it, so labels and
+// explanations can never disagree. The instance's Fired slice aliases the
+// scratch and is valid until the scratch's next use.
 //
 //vetkit:hotpath
 func (m *Model) instFromRow(row []float64, s *scoreScratch) core.Instance {

@@ -15,8 +15,9 @@ import (
 // one order-stable top k, and only the merged k get verdicts. The result
 // is bit-identical (order included) to Model.Resolve against a single flat
 // store over the same records. See internal/partition for the routing
-// design (global ID allocation, jump consistent hashing, the global token
-// census that keeps stop-token pruning exact).
+// design (global ID allocation, jump consistent hashing, and stop-token
+// pruning on live counts summed over the partitions, which keeps it
+// exact).
 
 // PartitionedMatchStore is the partitioned online record store (an alias,
 // see MatchConfig for why). Safe for concurrent use.
@@ -26,8 +27,8 @@ type PartitionedMatchStore = partition.Store
 // bound to the model's schema: partitions independent match stores behind
 // one router, records routed by consistent-hashed global IDs, probes
 // scattered to all partitions and gathered through an order-stable top-k
-// merge, with cfg.MaxBlockSize enforced globally by the router's token
-// census.
+// merge, with cfg.MaxBlockSize bounding a token's live records summed
+// over the partitions.
 func (m *Model) NewPartitionedMatchStore(partitions int, cfg MatchConfig) (*PartitionedMatchStore, error) {
 	return partition.New(len(m.attrs), m.needs, partition.Options{
 		Partitions: partitions,
@@ -51,12 +52,12 @@ func (m *Model) OpenDurablePartitionedMatchStore(dir string, partitions int, cfg
 }
 
 // ResolvePartitioned finds the k best-scoring matches for one probe among
-// a partitioned store's live records: the router prunes stop tokens from
-// its global census, every partition ranks the probe concurrently, the
-// per-partition rankings merge into the k best, and those k get full
-// verdicts. The ranked slice is bit-identical to Model.Resolve against one
-// flat store holding the same records (the cross-layer equivalence test
-// pins this). Safe for concurrent use, including with Add/Delete on the
+// a partitioned store's live records: the router prunes stop tokens on
+// their live counts summed over the partitions, every partition ranks the
+// probe concurrently, the per-partition rankings merge into the k best,
+// and those k get full verdicts. The ranked slice is bit-identical to
+// Model.Resolve against one flat store holding the same records (the
+// cross-layer equivalence test pins this). Safe for concurrent use, including with Add/Delete on the
 // store: a record deleted after its partition ranked it keeps its verdict,
 // built from the values and residue its ranking carried, exactly as a flat
 // resolve racing the same delete would.
@@ -70,7 +71,7 @@ func (m *Model) ResolvePartitioned(ps *PartitionedMatchStore, probe []string, k 
 var resolveLegHook func(res []match.Ranked)
 
 // ResolvePartitionedTraced is ResolvePartitioned with request-scoped
-// stage timing: the router records census pruning, the scatter (with
+// stage timing: the router records the pruning verdict, the scatter (with
 // slowest-partition attribution) and the merge; every leg adds its
 // candidate generation, ranking and local top k to the same stages, and
 // the merged survivors' verdicts land on StageScore. A nil trace records

@@ -15,7 +15,8 @@ import (
 // on the real model: a partitioned store and a flat store fed the same
 // interleaved adds and deletes must answer every probe with the identical
 // ranked verdicts — IDs, order and score bits — including under an
-// aggressive MaxBlockSize where the router's census decides the pruning.
+// aggressive MaxBlockSize where the partitions' summed live counts decide
+// the pruning.
 func TestResolvePartitionedMatchesFlat(t *testing.T) {
 	w, m := trainedModel(t)
 	right := w.inner.Right.Records
@@ -48,8 +49,8 @@ func TestResolvePartitionedMatchesFlat(t *testing.T) {
 			if fid != pid {
 				t.Fatalf("parts=%d: record %d got flat ID %d, partitioned ID %d", tc.parts, i, fid, pid)
 			}
-			// Interleave deletes so tombstoned postings and census
-			// decrements are part of what the equivalence covers.
+			// Interleave deletes so tombstoned postings, and the live
+			// counts pruning sums, are part of what the equivalence covers.
 			if i%7 == 3 {
 				id := uint64(rng.Intn(i + 1))
 				if _, err := ps.Delete(id); err != nil {

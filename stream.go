@@ -229,15 +229,13 @@ func (m *Model) evaluate(w *Workload, idx []int) (*Report, error) {
 				if row == nil {
 					continue
 				}
-				p := m.matcher.ProbRowScratch(row, s.prob)
-				m.rset.ApplyRowBitset(row, s.rules)
-				s.fired = s.rules.AppendFired(s.fired[:0])
+				inst := m.instFromRow(row, s)
 				var f []int
-				if len(s.fired) > 0 {
-					f = append([]int(nil), s.fired...)
+				if len(inst.Fired) > 0 {
+					f = append([]int(nil), inst.Fired...)
 				}
 				for _, k := range slots[base+j] {
-					probs[k] = p
+					probs[k] = inst.Prob
 					truth[k] = pairs[j].Match
 					fired[k] = f
 				}
