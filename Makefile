@@ -74,25 +74,15 @@ fuzz:
 	  $(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 10s $$pkg; \
 	done
 
-# race covers the packages whose hot paths run under internal/par worker
-# pools (disjoint-write contracts; among them classifier training and
-# labeling, the Uncertainty and TrustScore baselines, and active learning's
-# pool scoring), the facade's concurrent serving and
-# resolve paths (Model.Score/ScoreBatch/Resolve from many goroutines while
-# the match store mutates; the partitioned legs, which build verdicts after
-# ranking while deletes race them), the online match store itself (concurrent
-# Add/Delete/probe across compaction), the durability layer (concurrent
-# WAL append / snapshot rotation / replay), the HTTP serving layer
-# (direct scoring + model hot-swap under load), and rule generation
-# running beside classifier training (internal/pipeline's
-# MatcherAndFeatures, which the root TestTrain* tests drive through Train,
-# cancellation included, plus the nn and dtree packages).
+# race runs the whole test suite under the race detector: internal/par
+# worker pools (classifier training and labeling, the baselines, active
+# learning), the facade's concurrent scoring and resolve paths, the online
+# match store, the durability layer, the partitioned legs, the HTTP serving
+# layer and rule generation beside classifier training. The steady-state
+# allocation pins in model_alloc_test.go build only without -race, since
+# the race detector makes sync.Pool drop pooled scratch.
 race:
-	$(GO) test -race ./internal/par/... ./internal/featstore/... ./internal/rules/... ./internal/core/... ./internal/blocking/...
-	$(GO) test -race ./internal/server/... ./internal/match/... ./internal/wal/... ./internal/partition/... ./internal/obs/...
-	$(GO) test -race ./internal/nn/... ./internal/dtree/...
-	$(GO) test -race ./internal/classifier/... ./internal/baselines/... ./internal/active/...
-	$(GO) test -race -run 'TestScoreConcurrent|TestScoreBatchConcurrent|TestResolveConcurrent|TestResolvePartitioned|TestTrain' .
+	$(GO) test -race ./...
 
 # cover enforces statement-coverage floors on the serving-grade packages:
 # the HTTP layer, the feature store, the online match store, the WAL, the

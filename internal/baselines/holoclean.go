@@ -122,7 +122,7 @@ func HoloClean(w *dataset.Workload, trainIdx []int, trainX [][]float64,
 	// by gradient descent; logistic regression is that learning step.
 	lr, err := nn.New(nn.Config{
 		Inputs: len(labelRules) + 1, Hidden: nil, LR: cfg.LR,
-		Epochs: cfg.Epochs, Batch: 32, Adam: true, Seed: cfg.Seed,
+		Epochs: cfg.Epochs, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -19,39 +19,15 @@ import (
 	"repro/internal/par"
 )
 
-// Config controls matcher training. Zero values get sensible defaults.
+// Config controls matcher training. Zero values get the defaults.
 type Config struct {
-	Hidden  []int   // hidden widths (default [16, 8])
-	LR      float64 // learning rate (default 0.02)
-	Epochs  int     // epochs (default 40)
-	Batch   int     // minibatch (default 32)
-	L2      float64 // weight decay (default 1e-4)
-	Dropout float64
-	// UseDifferenceMetrics also feeds the catalog's difference metrics to
-	// the network. The default (false) mirrors the paper's setting: the
-	// DNN classifier consumes textual similarity, while the difference
-	// metrics are knowledge designed for risk analysis (Section 5.1) that
-	// the classifier does not exploit — which is precisely why rule risk
-	// features catch the classifier's confident mistakes.
-	UseDifferenceMetrics bool
-	Seed                 uint64
+	Epochs int    // epochs (default 40)
+	Seed   uint64 // weight initialization and minibatch order (default 1)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Hidden == nil {
-		c.Hidden = []int{16, 8}
-	}
-	if c.LR == 0 {
-		c.LR = 0.02
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 40
-	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
-	if c.L2 == 0 {
-		c.L2 = 1e-4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -59,42 +35,36 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Matcher is the trained ER classifier: it labels pairs as matching when
-// its output probability reaches 0.5. A trained Matcher is immutable and
-// safe for concurrent use.
+// The matcher network's fixed shape and optimizer settings: two ReLU
+// hidden layers of 16 and 8 units, trained by Adam at this learning rate
+// with this L2 weight decay.
+const (
+	hidden1, hidden2 = 16, 8
+	learningRate     = 0.02
+	weightDecay      = 1e-4
+)
+
+// Matcher is the trained ER classifier: a network over the catalog's
+// similarity metrics that labels pairs as matching when its output
+// probability reaches 0.5. The view mirrors the paper's setting: the DNN
+// classifier consumes textual similarity, while the difference metrics are
+// knowledge designed for risk analysis (Section 5.1) that the classifier
+// does not exploit — which is precisely why rule risk features catch the
+// classifier's confident mistakes. A trained Matcher is immutable and safe
+// for concurrent use.
 type Matcher struct {
 	net      *nn.Network
-	viewCols []int // positions within the full catalog of the metrics the network consumes
-	useDiff  bool  // whether the view includes difference metrics
+	viewCols []int // positions within the full catalog of the similarity metrics the network consumes
 }
 
-// similarityCols returns the column index in the full catalog of each
-// similarity metric.
-func similarityCols(cat *metrics.Catalog) []int {
-	var cols []int
-	for i, m := range cat.Metrics {
-		if m.Kind == metrics.Similarity {
-			cols = append(cols, i)
+// newMatcher builds the untrained matcher shell for the catalog: its view
+// is the catalog's similarity metrics.
+func newMatcher(cat *metrics.Catalog) (*Matcher, error) {
+	m := &Matcher{}
+	for i, mt := range cat.Metrics {
+		if mt.Kind == metrics.Similarity {
+			m.viewCols = append(m.viewCols, i)
 		}
-	}
-	return cols
-}
-
-func identityCols(n int) []int {
-	cols := make([]int, n)
-	for i := range cols {
-		cols[i] = i
-	}
-	return cols
-}
-
-// newMatcher builds the untrained matcher shell for the catalog and config.
-func newMatcher(cat *metrics.Catalog, cfg Config) (*Matcher, error) {
-	m := &Matcher{useDiff: cfg.UseDifferenceMetrics}
-	if cfg.UseDifferenceMetrics {
-		m.viewCols = identityCols(len(cat.Metrics))
-	} else {
-		m.viewCols = similarityCols(cat)
 	}
 	if len(m.viewCols) == 0 {
 		return nil, errors.New("classifier: catalog has no usable metrics")
@@ -201,9 +171,8 @@ func (m *Matcher) fit(ctx context.Context, xs [][]float64, match []bool, cfg Con
 		}
 	}
 	net, err := nn.New(nn.Config{
-		Inputs: len(m.viewCols), Hidden: cfg.Hidden, LR: cfg.LR,
-		Epochs: cfg.Epochs, Batch: cfg.Batch, L2: cfg.L2,
-		Dropout: cfg.Dropout, Adam: true, Seed: cfg.Seed,
+		Inputs: len(m.viewCols), Hidden: []int{hidden1, hidden2}, LR: learningRate,
+		Epochs: cfg.Epochs, L2: weightDecay, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return err
@@ -252,7 +221,7 @@ func TrainRowsFlagsCtx(ctx context.Context, cat *metrics.Catalog, rows [][]float
 	if len(rows) != len(match) {
 		return nil, fmt.Errorf("classifier: %d rows for %d training flags", len(rows), len(match))
 	}
-	m, err := newMatcher(cat, cfg)
+	m, err := newMatcher(cat)
 	if err != nil {
 		return nil, err
 	}
@@ -265,25 +234,31 @@ func TrainRowsFlagsCtx(ctx context.Context, cat *metrics.Catalog, rows [][]float
 }
 
 // MatcherSnapshot is the serializable state of a trained matcher: the
-// network weights plus the metric-view selection. The catalog itself is not
-// part of the snapshot — Restore re-binds the matcher to a caller-supplied
-// catalog, whose schema must match the one the matcher was trained on
-// (callers enforce that with a schema fingerprint).
+// network weights. The catalog itself is not part of the snapshot —
+// Restore re-binds the matcher to a caller-supplied catalog, whose schema
+// must match the one the matcher was trained on (callers enforce that with
+// a schema fingerprint).
 type MatcherSnapshot struct {
+	// UseDifferenceMetrics is always false: the view is the similarity
+	// metrics. Snapshots keep the field so saved artifacts keep their
+	// bytes, and RestoreMatcher refuses one that sets it.
 	UseDifferenceMetrics bool        `json:"use_difference_metrics"`
 	Net                  nn.Snapshot `json:"net"`
 }
 
 // Snapshot captures the trained matcher's state for persistence.
 func (m *Matcher) Snapshot() MatcherSnapshot {
-	return MatcherSnapshot{UseDifferenceMetrics: m.useDiff, Net: m.net.Snapshot()}
+	return MatcherSnapshot{Net: m.net.Snapshot()}
 }
 
 // RestoreMatcher rebuilds a matcher from a snapshot over the given catalog.
 // The restored matcher labels bit-identically to the snapshotted one when
 // the catalog is equivalent to the training catalog.
 func RestoreMatcher(cat *metrics.Catalog, s MatcherSnapshot) (*Matcher, error) {
-	m, err := newMatcher(cat, Config{UseDifferenceMetrics: s.UseDifferenceMetrics})
+	if s.UseDifferenceMetrics {
+		return nil, errors.New("classifier: snapshot's network reads difference metrics; matchers read only similarity metrics")
+	}
+	m, err := newMatcher(cat)
 	if err != nil {
 		return nil, err
 	}
@@ -500,29 +475,6 @@ func (c Calibration) Bucket(p float64) int {
 		b = 0
 	}
 	return b
-}
-
-// MatchRates returns the empirical match rate and count per bucket over the
-// given labeling, with Laplace smoothing.
-func (c Calibration) MatchRates(l Labeled) (rates []float64, counts []int) {
-	n := c.Buckets
-	if n <= 0 {
-		n = 1
-	}
-	matches := make([]int, n)
-	counts = make([]int, n)
-	for k := range l.Idx {
-		b := c.Bucket(l.Prob[k])
-		counts[b]++
-		if l.Truth[k] {
-			matches[b]++
-		}
-	}
-	rates = make([]float64, n)
-	for b := range rates {
-		rates[b] = (float64(matches[b]) + 1) / (float64(counts[b]) + 2)
-	}
-	return rates, counts
 }
 
 // Entropy returns the binary entropy of probability p in nats, used by the

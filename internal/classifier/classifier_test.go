@@ -64,8 +64,8 @@ func featureVector(w *dataset.Workload, cat *metrics.Catalog, i int) []float64 {
 }
 
 // TestFeatureVector checks that InputFromRow, the projection of a
-// full-catalog row, is bit for bit the view's metrics computed directly
-// and squashed into [0,1], for the similarity view and the full one.
+// full-catalog row, is bit for bit the similarity metrics computed
+// directly and squashed into [0,1].
 func TestFeatureVector(t *testing.T) {
 	sim := &metrics.Catalog{Corpora: testCat.Corpora}
 	for _, m := range testCat.Metrics {
@@ -75,27 +75,22 @@ func TestFeatureVector(t *testing.T) {
 	}
 	idx := testSplit.Test[:50]
 	rows := testStore.Rows(idx)
-	for _, tc := range []struct {
-		cfg  Config
-		view *metrics.Catalog
-	}{{Config{}, sim}, {Config{UseDifferenceMetrics: true}, testCat}} {
-		m, err := newMatcher(testCat, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
+	m, err := newMatcher(testCat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range idx {
+		want := featureVector(testW, sim, i)
+		got := m.InputFromRow(rows[k])
+		if len(got) != len(want) {
+			t.Fatalf("pair %d: input width %d, want %d", i, len(got), len(want))
 		}
-		for k, i := range idx {
-			want := featureVector(testW, tc.view, i)
-			got := m.InputFromRow(rows[k])
-			if len(got) != len(want) {
-				t.Fatalf("pair %d: input width %d, want %d", i, len(got), len(want))
+		for j, x := range got {
+			if x != want[j] {
+				t.Fatalf("pair %d: feature %s = %v, direct %v", i, sim.Metrics[j].Name, x, want[j])
 			}
-			for j, x := range got {
-				if x != want[j] {
-					t.Fatalf("pair %d: feature %s = %v, direct %v", i, tc.view.Metrics[j].Name, x, want[j])
-				}
-				if x < 0 || x > 1 || math.IsNaN(x) {
-					t.Errorf("pair %d: feature %s = %f outside [0,1]", i, tc.view.Metrics[j].Name, x)
-				}
+			if x < 0 || x > 1 || math.IsNaN(x) {
+				t.Errorf("pair %d: feature %s = %f outside [0,1]", i, sim.Metrics[j].Name, x)
 			}
 		}
 	}
@@ -225,26 +220,45 @@ func TestCalibration(t *testing.T) {
 		t.Error("zero-bucket calibration should map everything to 0")
 	}
 
+	// Calibration sanity: high buckets should have a higher (Laplace
+	// smoothed) match rate than low buckets for a working classifier.
 	m := trainTestMatcher(t)
 	l := labelRows(m, testSplit.Valid)
-	rates, counts := c.MatchRates(l)
-	if len(rates) != 10 || len(counts) != 10 {
-		t.Fatal("wrong bucket count")
-	}
-	total := 0
-	for b, r := range rates {
-		if r <= 0 || r >= 1 {
-			t.Errorf("bucket %d rate %f not smoothed into (0,1)", b, r)
+	var matches, counts [10]int
+	for k, p := range l.Prob {
+		b := c.Bucket(p)
+		counts[b]++
+		if l.Truth[k] {
+			matches[b]++
 		}
-		total += counts[b]
 	}
-	if total != len(l.Idx) {
-		t.Errorf("bucket counts sum %d, want %d", total, len(l.Idx))
+	rate := func(b int) float64 { return float64(matches[b]+1) / float64(counts[b]+2) }
+	if rate(9) <= rate(0) {
+		t.Errorf("rate[9]=%f should exceed rate[0]=%f", rate(9), rate(0))
 	}
-	// Calibration sanity: high buckets should have a higher match rate
-	// than low buckets for a working classifier.
-	if rates[9] <= rates[0] {
-		t.Errorf("rate[9]=%f should exceed rate[0]=%f", rates[9], rates[0])
+}
+
+// TestRestoreMatcher round-trips a trained matcher through Snapshot and
+// RestoreMatcher bit for bit, and checks that a snapshot whose network
+// reads the difference metrics too is refused.
+func TestRestoreMatcher(t *testing.T) {
+	m := trainTestMatcher(t)
+	snap := m.Snapshot()
+	if snap.UseDifferenceMetrics {
+		t.Fatal("snapshot claims a difference-metric view")
+	}
+	back, err := RestoreMatcher(testCat, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range testStore.Rows(testSplit.Test[:50]) {
+		if got, want := back.ProbRow(row), m.ProbRow(row); got != want {
+			t.Fatalf("restored matcher gives %v, original %v", got, want)
+		}
+	}
+	snap.UseDifferenceMetrics = true
+	if _, err := RestoreMatcher(testCat, snap); err == nil {
+		t.Error("RestoreMatcher accepted a snapshot with UseDifferenceMetrics set")
 	}
 }
 

@@ -77,14 +77,8 @@ func residueMasks(inputLen int) []Need {
 	return masks
 }
 
-// FuzzResidueMatchesReset is the residue oracle. For any two values
-// (invalid UTF-8 included) and every need mask, a residue kept under the
-// mask — and one kept under every need, as a match store keeps it for a
-// rank that reads a subset — rebuilds, into a Prepared whose buffers hold
-// another value's forms, exactly the forms of a fresh Reset, and the forms
-// the mask names equal the independently derived oraclePrepared's. Every
-// kernel of all five attribute types then scores the rebuilt pair
-// bit-identically to the freshly Reset one.
+// FuzzResidueMatchesReset runs the residue oracle, checkResidue, on any
+// two values, invalid UTF-8 included.
 func FuzzResidueMatchesReset(f *testing.F) {
 	seeds := [][2]string{
 		// Abt-Buy: name, description, price.
@@ -104,58 +98,79 @@ func FuzzResidueMatchesReset(f *testing.F) {
 		{"\xff\xfe abc \xc3", "abc\x80"},
 		{"nan", "NaN"},
 	}
-	// More tokens than 16 bits count, and a distinct token at an offset
-	// past 16 bits: offsets and counts take three varint bytes.
-	seeds = append(seeds, [2]string{strings.Repeat("a ", 70000) + "tail", "a tail"})
+	// More tokens than 7 bits count, and a distinct token at an offset
+	// past 7 bits: lengths, offsets and counts take two varint bytes.
+	// TestResidueLongValue covers three bytes, at a size kept out of the
+	// corpus.
+	seeds = append(seeds, [2]string{strings.Repeat("a ", 200) + "tail", "a tail"})
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
 	}
 	ms := allCatalogMetrics()
-	f.Fuzz(func(t *testing.T, a, b string) {
-		var rs ResidueScratch
-		var row, fresh, other [1]Prepared
-		var s Scratch
-		oracle := oraclePrepared(a)
-		keptAll := KeepResidue([]string{a}, []Need{NeedAll}, &rs)
-		for _, mask := range residueMasks(len(a) + len(b)) {
-			kept := KeepResidue([]string{a}, []Need{mask}, &rs)
-			fresh[0] = Prepared{}
-			fresh[0].Reset(a, mask)
-			for _, r := range []Residue{kept, keptAll} {
-				row[0].Reset(b, NeedAll) // pollute every buffer
-				RebuildRow(row[:], []string{a}, r, []Need{mask})
-				if form := diffForms(&row[0], &fresh[0], NeedAll); form != "" {
-					t.Fatalf("mask %09b: %s of %q rebuilt from its residue differ from a fresh Reset", mask, form, clip(a))
-				}
-				if form := diffForms(&row[0], oracle, mask); form != "" {
-					t.Fatalf("mask %09b: %s of %q rebuilt from its residue differ from the oracle", mask, form, clip(a))
-				}
+	f.Fuzz(func(t *testing.T, a, b string) { checkResidue(t, ms, a, b) })
+}
+
+// TestResidueLongValue runs the residue oracle once on a value with more
+// tokens than 16 bits count and a distinct token at an offset past 16
+// bits, so offsets and counts take three varint bytes. It is not a fuzz
+// seed: the fuzzer would mutate and minimize its 140 KB like any other
+// corpus entry.
+func TestResidueLongValue(t *testing.T) {
+	checkResidue(t, allCatalogMetrics(), strings.Repeat("a ", 70000)+"tail", "a tail")
+}
+
+// checkResidue is the residue oracle. For every need mask, a residue of a
+// kept under the mask — and one kept under every need, as a match store
+// keeps it for a rank that reads a subset — rebuilds, into a Prepared whose
+// buffers hold b's forms, exactly the forms of a fresh Reset, and the forms
+// the mask names equal the independently derived oraclePrepared's. Every
+// kernel of ms then scores the rebuilt pair bit-identically to the freshly
+// Reset one.
+func checkResidue(t *testing.T, ms []Metric, a, b string) {
+	t.Helper()
+	var rs ResidueScratch
+	var row, fresh, other [1]Prepared
+	var s Scratch
+	oracle := oraclePrepared(a)
+	keptAll := KeepResidue([]string{a}, []Need{NeedAll}, &rs)
+	for _, mask := range residueMasks(len(a) + len(b)) {
+		kept := KeepResidue([]string{a}, []Need{mask}, &rs)
+		fresh[0] = Prepared{}
+		fresh[0].Reset(a, mask)
+		for _, r := range []Residue{kept, keptAll} {
+			row[0].Reset(b, NeedAll) // pollute every buffer
+			RebuildRow(row[:], []string{a}, r, []Need{mask})
+			if form := diffForms(&row[0], &fresh[0], NeedAll); form != "" {
+				t.Fatalf("mask %09b: %s of %q rebuilt from its residue differ from a fresh Reset", mask, form, clip(a))
+			}
+			if form := diffForms(&row[0], oracle, mask); form != "" {
+				t.Fatalf("mask %09b: %s of %q rebuilt from its residue differ from the oracle", mask, form, clip(a))
 			}
 		}
-		// The edit-distance kernels cost the product of the values'
-		// lengths, so one exec of two long values would stall the fuzzer
-		// for minutes; what they read of such a pair is the forms pinned
-		// above. A long value against a short one still runs them.
-		if len(a)*len(b) > 1<<20 {
-			return
-		}
-		corpus := NewCorpus([]string{a, b, "data base"}, 0.5)
-		for _, m := range ms {
-			other[0].Reset(a, NeedAll)
-			RebuildRow(row[:], []string{a}, KeepResidue([]string{a}, []Need{NeedAll}, &rs), []Need{m.Needs})
-			RebuildRow(other[:], []string{b}, KeepResidue([]string{b}, []Need{m.Needs}, &rs), []Need{m.Needs})
-			var fa, fb Prepared
-			fa.Reset(a, m.Needs)
-			fb.Reset(b, m.Needs)
-			for _, c := range []*Corpus{nil, corpus} {
-				got := m.PFn(&row[0], &other[0], c, &s)
-				want := m.PFn(&fa, &fb, c, &Scratch{})
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s(%q, %q) rebuilt=%v fresh Reset=%v", m.Name, clip(a), clip(b), got, want)
-				}
+	}
+	// The edit-distance kernels cost the product of the values'
+	// lengths, so one exec of two long values would stall the fuzzer
+	// for minutes; what they read of such a pair is the forms pinned
+	// above. A long value against a short one still runs them.
+	if len(a)*len(b) > 1<<20 {
+		return
+	}
+	corpus := NewCorpus([]string{a, b, "data base"}, 0.5)
+	for _, m := range ms {
+		other[0].Reset(a, NeedAll)
+		RebuildRow(row[:], []string{a}, KeepResidue([]string{a}, []Need{NeedAll}, &rs), []Need{m.Needs})
+		RebuildRow(other[:], []string{b}, KeepResidue([]string{b}, []Need{m.Needs}, &rs), []Need{m.Needs})
+		var fa, fb Prepared
+		fa.Reset(a, m.Needs)
+		fb.Reset(b, m.Needs)
+		for _, c := range []*Corpus{nil, corpus} {
+			got := m.PFn(&row[0], &other[0], c, &s)
+			want := m.PFn(&fa, &fb, c, &Scratch{})
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s(%q, %q) rebuilt=%v fresh Reset=%v", m.Name, clip(a), clip(b), got, want)
 			}
 		}
-	})
+	}
 }
 
 // TestRebuildRowSteadyStateAllocs pins the zero-allocation contract of

@@ -1,11 +1,11 @@
 // Package nn implements a small dense feedforward neural network with
 // backpropagation, the substrate for the repository's DeepMatcher
 // substitute: the paper's classifier is DeepMatcher, a PyTorch model, and
-// risk analysis needs only a black-box probabilistic classifier. It
-// supports ReLU/sigmoid/tanh activations, SGD with momentum and Adam,
-// inverted dropout, L2 weight decay and binary cross-entropy loss — enough
-// to train a realistic, imperfect probabilistic ER classifier on similarity
-// feature vectors.
+// risk analysis needs only a black-box probabilistic classifier. Hidden
+// layers are ReLU and the single output unit is a sigmoid; training
+// minimizes binary cross-entropy with Adam, L2 weight decay and minibatches
+// of 32 — enough to train a realistic, imperfect probabilistic ER
+// classifier on similarity feature vectors.
 package nn
 
 import (
@@ -17,55 +17,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Activation selects a layer nonlinearity.
-type Activation int
+// batchSize is the minibatch size of Fit.
+const batchSize = 32
 
-// Supported activations.
-const (
-	ReLU Activation = iota
-	Sigmoid
-	Tanh
-	Linear
-)
-
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case Sigmoid:
-		return stats.Sigmoid(x)
-	case Tanh:
-		return math.Tanh(x)
-	default:
-		return x
-	}
-}
-
-// grad returns the derivative given the activation output y (all supported
-// activations admit a derivative in terms of their output).
-func (a Activation) grad(y float64) float64 {
-	switch a {
-	case ReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	case Sigmoid:
-		return y * (1 - y)
-	case Tanh:
-		return 1 - y*y
-	default:
-		return 1
-	}
-}
-
-// Layer is one dense layer: Out = act(W·In + B).
+// Layer is one dense layer: Out = act(W·In + B), where act is ReLU on a
+// hidden layer and the sigmoid on the output layer.
 type Layer struct {
 	In, Out int
-	Act     Activation
 	W       []float64 // Out x In, row-major
 	B       []float64 // Out
 
@@ -75,15 +33,12 @@ type Layer struct {
 
 // Config describes a network and its training hyperparameters.
 type Config struct {
-	Inputs  int
-	Hidden  []int   // hidden layer widths; output layer (width 1) is implicit
-	LR      float64 // learning rate (default 0.01)
-	Epochs  int     // training epochs (default 50)
-	Batch   int     // minibatch size (default 32)
-	L2      float64 // weight decay
-	Dropout float64 // inverted dropout on hidden layers
-	Adam    bool    // Adam instead of SGD+momentum
-	Seed    uint64
+	Inputs int
+	Hidden []int   // hidden layer widths; output layer (width 1) is implicit
+	LR     float64 // Adam learning rate (default 0.01)
+	Epochs int     // training epochs (default 50)
+	L2     float64 // weight decay
+	Seed   uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -93,17 +48,14 @@ func (c Config) withDefaults() Config {
 	if c.Epochs == 0 {
 		c.Epochs = 50
 	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
 
-// Network is a feedforward binary classifier: hidden layers with the
-// configured activation and a sigmoid output unit producing a probability.
+// Network is a feedforward binary classifier: ReLU hidden layers and a
+// sigmoid output unit producing a probability.
 type Network struct {
 	cfg    Config
 	layers []*Layer
@@ -118,18 +70,11 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Inputs <= 0 {
 		return nil, errors.New("nn: Inputs must be positive")
 	}
-	if cfg.Dropout < 0 || cfg.Dropout >= 1 {
-		return nil, fmt.Errorf("nn: Dropout %v out of [0,1)", cfg.Dropout)
-	}
 	n := &Network{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
 	widths := append([]int{cfg.Inputs}, cfg.Hidden...)
 	widths = append(widths, 1)
 	for i := 1; i < len(widths); i++ {
-		act := ReLU
-		if i == len(widths)-1 {
-			act = Sigmoid
-		}
-		l := &Layer{In: widths[i-1], Out: widths[i], Act: act}
+		l := &Layer{In: widths[i-1], Out: widths[i]}
 		l.W = make([]float64, l.In*l.Out)
 		l.B = make([]float64, l.Out)
 		scale := math.Sqrt(2 / float64(l.In))
@@ -141,31 +86,37 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// forward runs the network for inference, keeping per-layer activations.
-func (n *Network) forward(x []float64) [][]float64 {
-	acts := make([][]float64, len(n.layers)+1)
-	acts[0] = x
+// run is the network's one forward loop: it evaluates x layer by layer
+// into acts (acts[li] receives layer li's output), applying ReLU on hidden
+// layers and the sigmoid on the output layer, and returns the output
+// probability.
+func (n *Network) run(x []float64, acts [][]float64) float64 {
+	last := len(n.layers) - 1
 	cur := x
 	for li, l := range n.layers {
-		out := make([]float64, l.Out)
+		out := acts[li]
 		for o := 0; o < l.Out; o++ {
-			s := l.B[o]
+			v := l.B[o]
 			row := l.W[o*l.In : (o+1)*l.In]
-			for i, v := range cur {
-				s += row[i] * v
+			for i, xi := range cur {
+				v += row[i] * xi
 			}
-			out[o] = l.Act.apply(s)
+			switch {
+			case li == last:
+				v = stats.Sigmoid(v)
+			case v < 0:
+				v = 0
+			}
+			out[o] = v
 		}
-		acts[li+1] = out
 		cur = out
 	}
-	return acts
+	return cur[0]
 }
 
 // Predict returns the probability that x belongs to the positive class.
 func (n *Network) Predict(x []float64) float64 {
-	acts := n.forward(x)
-	return acts[len(acts)-1][0]
+	return n.PredictScratch(x, n.NewFwdScratch())
 }
 
 // FwdScratch holds the per-layer activation buffers of allocation-free
@@ -184,38 +135,22 @@ func (n *Network) NewFwdScratch() *FwdScratch {
 	return s
 }
 
-// PredictScratch is Predict over caller-provided activation buffers: the
-// same loop and float operations as forward, with zero heap allocations.
-// Results are bit-identical to Predict.
+// PredictScratch is Predict over caller-provided activation buffers, with
+// zero heap allocations. Results are bit-identical to Predict.
 func (n *Network) PredictScratch(x []float64, s *FwdScratch) float64 {
-	cur := x
-	for li, l := range n.layers {
-		out := s.acts[li]
-		for o := 0; o < l.Out; o++ {
-			v := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				v += row[i] * xi
-			}
-			out[o] = l.Act.apply(v)
-		}
-		cur = out
-	}
-	return cur[0]
+	return n.run(x, s.acts)
 }
 
-// Hidden returns the activations of the last hidden layer for x, or the
-// input itself when the network has no hidden layers. The TrustScore
+// Hidden returns the activations of the last hidden layer for x, or a copy
+// of the input when the network has no hidden layers. The TrustScore
 // baseline clusters in this representation space.
 func (n *Network) Hidden(x []float64) []float64 {
-	acts := n.forward(x)
+	acts := n.NewFwdScratch().acts
+	n.run(x, acts)
 	if len(acts) < 2 {
-		return x
+		return append([]float64(nil), x...)
 	}
-	h := acts[len(acts)-2]
-	out := make([]float64, len(h))
-	copy(out, h)
-	return out
+	return acts[len(acts)-2]
 }
 
 // Fit trains the network on (xs, ys) with ys in {0,1}, minimizing binary
@@ -253,11 +188,8 @@ func (n *Network) FitCtx(ctx context.Context, xs [][]float64, ys []float64, weig
 			return err
 		}
 		n.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start < len(idx); start += n.cfg.Batch {
-			end := start + n.cfg.Batch
-			if end > len(idx) {
-				end = len(idx)
-			}
+		for start := 0; start < len(idx); start += batchSize {
+			end := min(start+batchSize, len(idx))
 			n.trainBatch(xs, ys, weights, idx[start:end], ts)
 		}
 		if progress != nil {
@@ -268,12 +200,10 @@ func (n *Network) FitCtx(ctx context.Context, xs [][]float64, ys []float64, weig
 }
 
 // trainScratch holds every buffer of a training step, sized once per
-// FitCtx call: per-layer activations, inverted-dropout masks (hidden
-// layers, only with Dropout > 0), backpropagated deltas and the minibatch
-// gradients.
+// FitCtx call: per-layer activations, backpropagated deltas and the
+// minibatch gradients.
 type trainScratch struct {
 	acts         [][]float64 // acts[0] is the input row; acts[li+1] is layer li's output
-	masks        [][]float64
 	deltas       [][]float64
 	gradW, gradB [][]float64
 }
@@ -286,50 +216,13 @@ func (n *Network) newTrainScratch() *trainScratch {
 		gradW:  make([][]float64, L),
 		gradB:  make([][]float64, L),
 	}
-	if n.cfg.Dropout > 0 {
-		s.masks = make([][]float64, L-1)
-	}
 	for li, l := range n.layers {
 		s.acts[li+1] = make([]float64, l.Out)
 		s.deltas[li] = make([]float64, l.Out)
 		s.gradW[li] = make([]float64, len(l.W))
 		s.gradB[li] = make([]float64, len(l.B))
-		if s.masks != nil && li < L-1 {
-			s.masks[li] = make([]float64, l.Out)
-		}
 	}
 	return s
-}
-
-// trainForward runs the network on x into the scratch's activation
-// buffers, masking hidden activations with fresh inverted-dropout draws
-// when Dropout > 0.
-func (n *Network) trainForward(x []float64, s *trainScratch) {
-	s.acts[0] = x
-	cur := x
-	for li, l := range n.layers {
-		out := s.acts[li+1]
-		for o := 0; o < l.Out; o++ {
-			v := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				v += row[i] * xi
-			}
-			out[o] = l.Act.apply(v)
-		}
-		if s.masks != nil && li < len(n.layers)-1 {
-			mask := s.masks[li]
-			keep := 1 - n.cfg.Dropout
-			for o := range out {
-				mask[o] = 0
-				if n.rng.Float64() < keep {
-					mask[o] = 1 / keep
-				}
-				out[o] *= mask[o]
-			}
-		}
-		cur = out
-	}
 }
 
 // trainBatch accumulates gradients over the batch and applies one update,
@@ -341,13 +234,13 @@ func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int,
 	}
 	last := len(n.layers) - 1
 	for _, i := range batch {
-		n.trainForward(xs[i], s)
+		s.acts[0] = xs[i]
+		p := n.run(xs[i], s.acts[1:])
 		wgt := 1.0
 		if weights != nil {
 			wgt = weights[i]
 		}
 		// Output delta for sigmoid + BCE: (p - y).
-		p := s.acts[last+1][0]
 		s.deltas[last][0] = (p - ys[i]) * wgt
 		for li := last; li >= 0; li-- {
 			l := n.layers[li]
@@ -364,6 +257,8 @@ func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int,
 			if li == 0 {
 				break
 			}
+			// Layer li-1 is hidden, so its activation is ReLU, whose
+			// derivative is 1 where the activation is positive, else 0.
 			prev := n.layers[li-1]
 			nd := s.deltas[li-1]
 			for j := 0; j < prev.Out; j++ {
@@ -371,9 +266,9 @@ func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int,
 				for o := 0; o < l.Out; o++ {
 					sum += l.W[o*l.In+j] * delta[o]
 				}
-				g := prev.Act.grad(s.acts[li][j])
-				if s.masks != nil {
-					g *= s.masks[li-1][j]
+				g := 0.0
+				if s.acts[li][j] > 0 {
+					g = 1
 				}
 				nd[j] = sum * g
 			}
@@ -386,38 +281,31 @@ func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int,
 	}
 }
 
+// applyUpdate takes one Adam step on l from the minibatch gradients scaled
+// by scale, with L2 weight decay on the weights.
 func (n *Network) applyUpdate(l *Layer, gW, gB []float64, scale float64) {
-	lr := n.cfg.LR
-	if n.cfg.Adam {
-		if l.mW == nil {
-			l.mW = make([]float64, len(l.W))
-			l.vW = make([]float64, len(l.W))
-			l.mB = make([]float64, len(l.B))
-			l.vB = make([]float64, len(l.B))
-		}
-		const b1, b2, eps = 0.9, 0.999, 1e-8
-		t := float64(n.step)
-		corr1 := 1 - math.Pow(b1, t)
-		corr2 := 1 - math.Pow(b2, t)
-		for j := range l.W {
-			g := gW[j]*scale + n.cfg.L2*l.W[j]
-			l.mW[j] = b1*l.mW[j] + (1-b1)*g
-			l.vW[j] = b2*l.vW[j] + (1-b2)*g*g
-			l.W[j] -= lr * (l.mW[j] / corr1) / (math.Sqrt(l.vW[j]/corr2) + eps)
-		}
-		for j := range l.B {
-			g := gB[j] * scale
-			l.mB[j] = b1*l.mB[j] + (1-b1)*g
-			l.vB[j] = b2*l.vB[j] + (1-b2)*g*g
-			l.B[j] -= lr * (l.mB[j] / corr1) / (math.Sqrt(l.vB[j]/corr2) + eps)
-		}
-		return
+	if l.mW == nil {
+		l.mW = make([]float64, len(l.W))
+		l.vW = make([]float64, len(l.W))
+		l.mB = make([]float64, len(l.B))
+		l.vB = make([]float64, len(l.B))
 	}
+	const b1, b2, eps = 0.9, 0.999, 1e-8
+	lr := n.cfg.LR
+	t := float64(n.step)
+	corr1 := 1 - math.Pow(b1, t)
+	corr2 := 1 - math.Pow(b2, t)
 	for j := range l.W {
-		l.W[j] -= lr * (gW[j]*scale + n.cfg.L2*l.W[j])
+		g := gW[j]*scale + n.cfg.L2*l.W[j]
+		l.mW[j] = b1*l.mW[j] + (1-b1)*g
+		l.vW[j] = b2*l.vW[j] + (1-b2)*g*g
+		l.W[j] -= lr * (l.mW[j] / corr1) / (math.Sqrt(l.vW[j]/corr2) + eps)
 	}
 	for j := range l.B {
-		l.B[j] -= lr * gB[j] * scale
+		g := gB[j] * scale
+		l.mB[j] = b1*l.mB[j] + (1-b1)*g
+		l.vB[j] = b2*l.vB[j] + (1-b2)*g*g
+		l.B[j] -= lr * (l.mB[j] / corr1) / (math.Sqrt(l.vB[j]/corr2) + eps)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestLearnsXOR(t *testing.T) {
 		X = append(X, xs[i%4])
 		Y = append(Y, ys[i%4])
 	}
-	net, err := New(Config{Inputs: 2, Hidden: []int{8}, LR: 0.05, Epochs: 400, Batch: 16, Adam: true, Seed: 3})
+	net, err := New(Config{Inputs: 2, Hidden: []int{8}, LR: 0.05, Epochs: 400, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestLearnsLinearlySeparable(t *testing.T) {
 			ys = append(ys, 0)
 		}
 	}
-	net, _ := New(Config{Inputs: 2, Hidden: []int{4}, LR: 0.1, Epochs: 100, Batch: 32, Seed: 5})
+	net, _ := New(Config{Inputs: 2, Hidden: []int{4}, LR: 0.1, Epochs: 100, Seed: 5})
 	if err := net.Fit(xs, ys, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -174,38 +174,9 @@ func TestHiddenRepresentation(t *testing.T) {
 	}
 }
 
-func TestDropoutStillLearns(t *testing.T) {
-	xs, ys := xorData()
-	var X [][]float64
-	var Y []float64
-	for i := 0; i < 128; i++ {
-		X = append(X, xs[i%4])
-		Y = append(Y, ys[i%4])
-	}
-	net, _ := New(Config{Inputs: 2, Hidden: []int{16}, LR: 0.05, Epochs: 500, Batch: 16, Adam: true, Dropout: 0.2, Seed: 15})
-	if err := net.Fit(X, Y, nil); err != nil {
-		t.Fatal(err)
-	}
-	correct := 0
-	for i, x := range xs {
-		if (net.Predict(x) >= 0.5) == (ys[i] == 1) {
-			correct++
-		}
-	}
-	if correct < 3 {
-		t.Errorf("dropout network got %d/4 on XOR", correct)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Inputs: 0}); err == nil {
 		t.Error("zero inputs should fail")
-	}
-	if _, err := New(Config{Inputs: 2, Dropout: 1.0}); err == nil {
-		t.Error("dropout 1.0 should fail")
-	}
-	if _, err := New(Config{Inputs: 2, Dropout: -0.1}); err == nil {
-		t.Error("negative dropout should fail")
 	}
 	net, _ := New(Config{Inputs: 2})
 	if err := net.Fit([][]float64{{1, 2}}, []float64{1, 0}, nil); err == nil {
@@ -219,30 +190,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestActivations pins the activation run applies by layer position:
+// ReLU on the hidden layer (a negative pre-activation gives 0, a positive
+// one passes through) and the sigmoid on the output.
 func TestActivations(t *testing.T) {
-	if ReLU.apply(-1) != 0 || ReLU.apply(2) != 2 {
-		t.Error("ReLU apply")
-	}
-	if ReLU.grad(0) != 0 || ReLU.grad(3) != 1 {
-		t.Error("ReLU grad")
-	}
-	if math.Abs(Sigmoid.apply(0)-0.5) > 1e-12 {
-		t.Error("Sigmoid apply")
-	}
-	if math.Abs(Sigmoid.grad(0.5)-0.25) > 1e-12 {
-		t.Error("Sigmoid grad")
-	}
-	if math.Abs(Tanh.apply(0)) > 1e-12 || math.Abs(Tanh.grad(0)-1) > 1e-12 {
-		t.Error("Tanh")
-	}
-	if Linear.apply(3.5) != 3.5 || Linear.grad(2) != 1 {
-		t.Error("Linear")
+	net, _ := New(Config{Inputs: 1, Hidden: []int{2}, Seed: 17})
+	hid, out := net.layers[0], net.layers[1]
+	copy(hid.W, []float64{1, -1})
+	copy(hid.B, []float64{0, 0.5})
+	copy(out.W, []float64{1, 2})
+	out.B[0] = -1
+	acts := net.NewFwdScratch().acts
+	for _, tc := range []struct{ x, h0, h1 float64 }{
+		{2, 2, 0},    // second unit: -2 + 0.5 < 0
+		{-3, 0, 3.5}, // first unit: -3 < 0
+		{0.25, 0.25, 0.25},
+	} {
+		p := net.run([]float64{tc.x}, acts)
+		if acts[0][0] != tc.h0 || acts[0][1] != tc.h1 {
+			t.Errorf("x=%v: hidden %v, want [%v %v]", tc.x, acts[0], tc.h0, tc.h1)
+		}
+		want := stats.Sigmoid(-1 + tc.h0 + 2*tc.h1)
+		if p != want || acts[1][0] != want {
+			t.Errorf("x=%v: output %v, want sigmoid %v", tc.x, p, want)
+		}
 	}
 }
 
 func TestGradientMatchesFiniteDifference(t *testing.T) {
 	// Verify backprop on a tiny network against numeric differentiation.
-	net, _ := New(Config{Inputs: 2, Hidden: []int{3}, LR: 0, Epochs: 1, Batch: 1, Seed: 16})
+	net, _ := New(Config{Inputs: 2, Hidden: []int{3}, Epochs: 1, Seed: 16})
 	x := []float64{0.3, -0.7}
 	y := 1.0
 	loss := func() float64 { return net.Loss([][]float64{x}, []float64{y}) }
@@ -266,8 +243,8 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 		gradB[li] = make([]float64, len(lay.B))
 	}
 	// Recompute the analytic gradient exactly as trainBatch does.
-	acts := net.forward(x)
-	p := acts[len(acts)-1][0]
+	acts := append([][]float64{x}, net.NewFwdScratch().acts...)
+	p := net.run(x, acts[1:])
 	delta := []float64{p - y}
 	for li := len(net.layers) - 1; li >= 0; li-- {
 		lay := net.layers[li]
@@ -289,7 +266,9 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 			for o := 0; o < lay.Out; o++ {
 				s += lay.W[o*lay.In+j] * delta[o]
 			}
-			nd[j] = s * prev.Act.grad(acts[li][j])
+			if acts[li][j] > 0 { // ReLU'
+				nd[j] = s
+			}
 		}
 		delta = nd
 	}
@@ -299,7 +278,8 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 }
 
 // TestPredictScratchMatchesPredict pins the allocation-free inference path
-// against the reference forward pass, and its zero-allocation contract.
+// against Predict and against the reference forward loop of
+// reference_train_test.go.
 func TestPredictScratchMatchesPredict(t *testing.T) {
 	net, err := New(Config{Inputs: 7, Hidden: []int{16, 8}, Seed: 3})
 	if err != nil {
@@ -317,6 +297,10 @@ func TestPredictScratchMatchesPredict(t *testing.T) {
 	for i, x := range xs {
 		if got, want := net.PredictScratch(x, s), net.Predict(x); got != want {
 			t.Fatalf("input %d: PredictScratch=%v Predict=%v", i, got, want)
+		}
+		acts := net.referenceForwardTrain(x)
+		if got, want := net.PredictScratch(x, s), acts[len(acts)-1][0]; got != want {
+			t.Fatalf("input %d: PredictScratch=%v reference=%v", i, got, want)
 		}
 	}
 }
@@ -339,5 +323,42 @@ func TestPredictScratchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictScratch allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestRestoreChecksActivationCodes round-trips a network through Snapshot
+// and Restore bit for bit, and checks that Restore refuses an activation
+// code that does not match the layer's position: codes no layer applies,
+// a hidden layer marked sigmoid and an output layer marked ReLU.
+func TestRestoreChecksActivationCodes(t *testing.T) {
+	net, _ := New(Config{Inputs: 3, Hidden: []int{4, 2}, Seed: 18})
+	snap := net.Snapshot()
+	for li, want := range []int{0, 0, 1} {
+		if snap.Layers[li].Act != want {
+			t.Fatalf("layer %d snapshot activation code %d, want %d", li, snap.Layers[li].Act, want)
+		}
+	}
+	back, err := Restore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.3, -1.2, 2}
+	if back.Predict(x) != net.Predict(x) {
+		t.Fatalf("restored network predicts %v, original %v", back.Predict(x), net.Predict(x))
+	}
+	for _, tc := range []struct {
+		name       string
+		layer, act int
+	}{
+		{"code 2", 0, 2},
+		{"code 3", 2, 3},
+		{"hidden layer marked sigmoid", 1, 1},
+		{"output layer marked ReLU", 2, 0},
+	} {
+		bad := net.Snapshot()
+		bad.Layers[tc.layer].Act = tc.act
+		if _, err := Restore(bad); err == nil {
+			t.Errorf("%s: Restore accepted activation code %d on layer %d", tc.name, tc.act, tc.layer)
+		}
 	}
 }

@@ -11,9 +11,25 @@ import (
 type LayerSnapshot struct {
 	In  int       `json:"in"`
 	Out int       `json:"out"`
-	Act int       `json:"act"`
+	Act int       `json:"act"` // actReLU on a hidden layer, actSigmoid on the output layer
 	W   []float64 `json:"w"`
 	B   []float64 `json:"b"`
+}
+
+// The activation codes a snapshot records per layer. A layer's activation
+// follows from its position, so Restore only checks the code.
+const (
+	actReLU    = 0
+	actSigmoid = 1
+)
+
+// actCode returns the activation code of layer li of a network with the
+// given number of layers.
+func actCode(li, layers int) int {
+	if li == layers-1 {
+		return actSigmoid
+	}
+	return actReLU
 }
 
 // Snapshot is the serializable state of a trained network: the architecture
@@ -30,7 +46,7 @@ func (n *Network) Snapshot() Snapshot {
 	s := Snapshot{Inputs: n.cfg.Inputs, Layers: make([]LayerSnapshot, len(n.layers))}
 	for i, l := range n.layers {
 		s.Layers[i] = LayerSnapshot{
-			In: l.In, Out: l.Out, Act: int(l.Act),
+			In: l.In, Out: l.Out, Act: actCode(i, len(n.layers)),
 			W: append([]float64(nil), l.W...),
 			B: append([]float64(nil), l.B...),
 		}
@@ -57,11 +73,12 @@ func Restore(s Snapshot) (*Network, error) {
 			return nil, fmt.Errorf("nn: layer %d has inconsistent shapes (in=%d out=%d |W|=%d |B|=%d)",
 				i, ls.In, ls.Out, len(ls.W), len(ls.B))
 		}
-		if ls.Act < int(ReLU) || ls.Act > int(Linear) {
-			return nil, fmt.Errorf("nn: layer %d has unknown activation %d", i, ls.Act)
+		if want := actCode(i, len(s.Layers)); ls.Act != want {
+			return nil, fmt.Errorf("nn: layer %d of %d has activation code %d, want %d (ReLU hidden layers, sigmoid output)",
+				i, len(s.Layers), ls.Act, want)
 		}
 		n.layers = append(n.layers, &Layer{
-			In: ls.In, Out: ls.Out, Act: Activation(ls.Act),
+			In: ls.In, Out: ls.Out,
 			W: append([]float64(nil), ls.W...),
 			B: append([]float64(nil), ls.B...),
 		})

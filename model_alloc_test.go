@@ -1,3 +1,5 @@
+//go:build !race
+
 package learnrisk
 
 import (
@@ -21,6 +23,10 @@ import (
 // makes the ScoreBatch bound deterministic (no worker goroutine spawns);
 // the parallel path's extra cost is O(workers) goroutines per call, also
 // independent of the batch size.
+//
+// The file builds only without -race: the race detector makes sync.Pool
+// drop pooled values at random, so the pooled scratch is rebuilt and the
+// counts mean nothing there.
 
 // scoreBatchAllocBound is the documented per-call allocation budget of
 // ScoreBatch at GOMAXPROCS=1: the result slice, the chunk closure, and
