@@ -65,13 +65,16 @@ gobench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # fuzz runs each native fuzz target for 10s; `go test -fuzz` takes one
-# target per run. Their seed corpora also run under `make test`.
-FUZZ_TARGETS = ./internal/match:FuzzDecodeOp ./internal/match:FuzzDecodeSnapHeader ./internal/metrics:FuzzResidueMatchesReset ./internal/partition:FuzzPartitionedMatchesFlat
+# target per run. Their seed corpora also run under `make test`. The
+# fuzzer minimizes every new interesting input for up to 60s by default,
+# which stalls a 10s run after its first find; -fuzzminimizetime bounds
+# that to 10 executions, so the time goes to new inputs.
+FUZZ_TARGETS = ./internal/match:FuzzDecodeOp ./internal/match:FuzzDecodeSnapHeader ./internal/metrics:FuzzResidueMatchesReset ./internal/partition:FuzzPartitionedMatchesFlat ./internal/nn:FuzzTrainBatchMatchesReference
 
 fuzz:
 	@set -e; for pt in $(FUZZ_TARGETS); do \
 	  pkg=$${pt%%:*}; fn=$${pt##*:}; \
-	  $(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 10s $$pkg; \
+	  $(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime 10s -fuzzminimizetime 10x $$pkg; \
 	done
 
 # race runs the whole test suite under the race detector: internal/par
@@ -108,11 +111,12 @@ cover:
 
 # allocs runs the allocation-regression guards explicitly: steady-state
 # Model.Score and the rules/featstore/metrics scratch paths are pinned to
-# 0 allocs/op, ScoreBatch to a small per-call bound (model_alloc_test.go).
-# They also run as part of `make test`; this target is the fast loop while
-# working on the hot path.
+# 0 allocs/op, ScoreBatch to a small per-call bound (model_alloc_test.go),
+# and the classifier's labeling and training to counts that do not grow
+# with the number of rows. They also run as part of `make test`; this
+# target is the fast loop while working on the hot path.
 allocs:
-	$(GO) test -run 'Alloc' . ./internal/rules/ ./internal/featstore/ ./internal/metrics/ ./internal/nn/ ./internal/obs/
+	$(GO) test -run 'Alloc' . ./internal/rules/ ./internal/featstore/ ./internal/metrics/ ./internal/nn/ ./internal/obs/ ./internal/classifier/
 
 # perfbench-check builds, vets and tests the nested perfbench module. Its
 # go.mod replaces repro with ../, so `go test ./...` at the root skips it,

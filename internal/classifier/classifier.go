@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -225,8 +226,12 @@ func TrainRowsFlagsCtx(ctx context.Context, cat *metrics.Catalog, rows [][]float
 	if err != nil {
 		return nil, err
 	}
+	width := len(m.viewCols)
+	flat := make([]float64, len(rows)*width)
 	xs := make([][]float64, len(rows))
-	par.For(len(rows), func(k int) { xs[k] = m.InputFromRow(rows[k]) })
+	par.For(len(rows), func(k int) {
+		xs[k] = m.InputFromRowInto(flat[k*width:(k+1)*width:(k+1)*width], rows[k])
+	})
 	if err := m.fit(ctx, xs, match, cfg, progress); err != nil {
 		return nil, err
 	}
@@ -313,6 +318,10 @@ func (m *Matcher) LabelRows(w *dataset.Workload, idx []int, rows [][]float64) La
 // idx[k]/rows[k]) instead of a workload — the facade batch pipeline's
 // form, where flags came from one pass over the pair stream. With truth
 // gathered from w.Pairs it is exactly LabelRows.
+//
+// The rows are split into one chunk per worker, and each chunk is labeled
+// through one ProbScratch, so the allocations of a call do not grow with
+// the number of rows.
 func (m *Matcher) LabelRowsTruth(idx []int, rows [][]float64, truth []bool) Labeled {
 	l := Labeled{
 		Idx:   append([]int(nil), idx...),
@@ -320,10 +329,14 @@ func (m *Matcher) LabelRowsTruth(idx []int, rows [][]float64, truth []bool) Labe
 		Label: make([]bool, len(idx)),
 		Truth: append([]bool(nil), truth...),
 	}
-	par.For(len(idx), func(k int) {
-		p := m.ProbRow(rows[k])
-		l.Prob[k] = p
-		l.Label[k] = p >= 0.5
+	workers := runtime.GOMAXPROCS(0)
+	par.ForChunks(len(idx), (len(idx)+workers-1)/workers, func(_, lo, hi int) {
+		s := m.NewProbScratch()
+		for k := lo; k < hi; k++ {
+			p := m.ProbRowScratch(rows[k], s)
+			l.Prob[k] = p
+			l.Label[k] = p >= 0.5
+		}
 	})
 	return l
 }

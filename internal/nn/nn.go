@@ -6,6 +6,17 @@
 // minimizes binary cross-entropy with Adam, L2 weight decay and minibatches
 // of 32 — enough to train a realistic, imperfect probabilistic ER
 // classifier on similarity feature vectors.
+//
+// The forward and backward loops skip zeros. ER similarity rows hold many
+// exact zeros, and most ReLU units of a trained matcher are dead on any
+// one row, so the forward loop sums each layer's nonzero inputs only, and
+// backpropagation skips units whose delta is zero (dead units and units
+// the ReLU gate closes) and inputs that are zero. The result is
+// bit-identical to the dense loops whenever weights and inputs are finite:
+// every skipped term is then ±0, and adding ±0 changes an accumulator only
+// when the accumulator is −0. No accumulator is: each starts at +0 or at a
+// bias, and under round-to-nearest a sum is −0 only when both addends are,
+// so a bias that starts at +0 never becomes −0 in training.
 package nn
 
 import (
@@ -87,31 +98,77 @@ func New(cfg Config) (*Network, error) {
 }
 
 // run is the network's one forward loop: it evaluates x layer by layer
-// into acts (acts[li] receives layer li's output), applying ReLU on hidden
-// layers and the sigmoid on the output layer, and returns the output
+// into s.acts (s.acts[li] receives layer li's output), applying ReLU on
+// hidden layers and the sigmoid on the output layer, and returns the output
 // probability.
-func (n *Network) run(x []float64, acts [][]float64) float64 {
+//
+// It sums over nonzero inputs only: s.nz[li] receives the ascending
+// positions of layer li's nonzero inputs, and each output's sum starts at
+// its bias and adds the terms of those positions in ascending order, four
+// outputs per pass. For finite weights and inputs this is bit-identical to
+// the dense loop over every input (see the package comment); backprop reads
+// the same lists.
+func (n *Network) run(x []float64, s *FwdScratch) float64 {
 	last := len(n.layers) - 1
+	s.nz[0] = nonzero(s.nz[0], x)
 	cur := x
 	for li, l := range n.layers {
-		out := acts[li]
-		for o := 0; o < l.Out; o++ {
+		nz, out := s.nz[li], s.acts[li]
+		o := 0
+		for ; o+4 <= l.Out; o += 4 {
+			r0 := l.W[o*l.In : (o+1)*l.In]
+			r1 := l.W[(o+1)*l.In : (o+2)*l.In]
+			r2 := l.W[(o+2)*l.In : (o+3)*l.In]
+			r3 := l.W[(o+3)*l.In : (o+4)*l.In]
+			v0, v1, v2, v3 := l.B[o], l.B[o+1], l.B[o+2], l.B[o+3]
+			for _, i := range nz {
+				xi := cur[i]
+				v0 += r0[i] * xi
+				v1 += r1[i] * xi
+				v2 += r2[i] * xi
+				v3 += r3[i] * xi
+			}
+			out[o], out[o+1], out[o+2], out[o+3] = v0, v1, v2, v3
+		}
+		for ; o < l.Out; o++ {
 			v := l.B[o]
 			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				v += row[i] * xi
-			}
-			switch {
-			case li == last:
-				v = stats.Sigmoid(v)
-			case v < 0:
-				v = 0
+			for _, i := range nz {
+				v += row[i] * cur[i]
 			}
 			out[o] = v
 		}
+		if li == last {
+			for o, v := range out {
+				out[o] = stats.Sigmoid(v)
+			}
+			break
+		}
+		for o, v := range out {
+			if v < 0 {
+				out[o] = 0
+			}
+		}
+		s.nz[li+1] = nonzero(s.nz[li+1], out)
 		cur = out
 	}
-	return cur[0]
+	return s.acts[last][0]
+}
+
+// nonzero lists the positions of v's nonzero entries in dst, ascending;
+// ±0 is zero, NaN is not. dst needs capacity len(v). Each position is
+// written and then kept or overwritten, which compiles to a conditional
+// move rather than a branch on the data.
+func nonzero(dst []int, v []float64) []int {
+	dst = dst[:len(v)]
+	k := 0
+	for i, x := range v {
+		dst[k] = i
+		if x != 0 {
+			k++
+		}
+	}
+	return dst[:k]
 }
 
 // Predict returns the probability that x belongs to the positive class.
@@ -119,38 +176,47 @@ func (n *Network) Predict(x []float64) float64 {
 	return n.PredictScratch(x, n.NewFwdScratch())
 }
 
-// FwdScratch holds the per-layer activation buffers of allocation-free
-// inference. One FwdScratch serves one goroutine at a time; build it with
+// FwdScratch holds the per-layer buffers of allocation-free inference:
+// each layer's output and the positions of each layer's nonzero inputs.
+// One FwdScratch serves one goroutine at a time; build it with
 // NewFwdScratch and reuse it across any number of PredictScratch calls.
 type FwdScratch struct {
-	acts [][]float64
+	acts [][]float64 // acts[li] is layer li's output
+	nz   [][]int     // nz[li] lists layer li's nonzero input positions, ascending
 }
 
 // NewFwdScratch sizes a forward-pass scratch for this network.
 func (n *Network) NewFwdScratch() *FwdScratch {
-	s := &FwdScratch{acts: make([][]float64, len(n.layers))}
+	outs, ins := 0, 0
+	for _, l := range n.layers {
+		outs += l.Out
+		ins += l.In
+	}
+	s := &FwdScratch{acts: make([][]float64, len(n.layers)), nz: make([][]int, len(n.layers))}
+	accs, idx := make([]float64, outs), make([]int, ins)
 	for i, l := range n.layers {
-		s.acts[i] = make([]float64, l.Out)
+		s.acts[i], accs = accs[:l.Out:l.Out], accs[l.Out:]
+		s.nz[i], idx = idx[:0:l.In], idx[l.In:]
 	}
 	return s
 }
 
-// PredictScratch is Predict over caller-provided activation buffers, with
-// zero heap allocations. Results are bit-identical to Predict.
+// PredictScratch is Predict over caller-provided buffers, with zero heap
+// allocations. Results are bit-identical to Predict.
 func (n *Network) PredictScratch(x []float64, s *FwdScratch) float64 {
-	return n.run(x, s.acts)
+	return n.run(x, s)
 }
 
 // Hidden returns the activations of the last hidden layer for x, or a copy
 // of the input when the network has no hidden layers. The TrustScore
 // baseline clusters in this representation space.
 func (n *Network) Hidden(x []float64) []float64 {
-	acts := n.NewFwdScratch().acts
-	n.run(x, acts)
-	if len(acts) < 2 {
+	s := n.NewFwdScratch()
+	n.run(x, s)
+	if len(s.acts) < 2 {
 		return append([]float64(nil), x...)
 	}
-	return acts[len(acts)-2]
+	return s.acts[len(s.acts)-2]
 }
 
 // Fit trains the network on (xs, ys) with ys in {0,1}, minimizing binary
@@ -200,10 +266,11 @@ func (n *Network) FitCtx(ctx context.Context, xs [][]float64, ys []float64, weig
 }
 
 // trainScratch holds every buffer of a training step, sized once per
-// FitCtx call: per-layer activations, backpropagated deltas and the
-// minibatch gradients.
+// FitCtx call: the forward pass's activations and nonzero-input lists,
+// backpropagated deltas and the minibatch gradients.
 type trainScratch struct {
-	acts         [][]float64 // acts[0] is the input row; acts[li+1] is layer li's output
+	fwd          *FwdScratch
+	outUnits     []int // every unit of the output layer
 	deltas       [][]float64
 	gradW, gradB [][]float64
 }
@@ -211,22 +278,28 @@ type trainScratch struct {
 func (n *Network) newTrainScratch() *trainScratch {
 	L := len(n.layers)
 	s := &trainScratch{
-		acts:   make([][]float64, L+1),
+		fwd:    n.NewFwdScratch(),
 		deltas: make([][]float64, L),
 		gradW:  make([][]float64, L),
 		gradB:  make([][]float64, L),
 	}
 	for li, l := range n.layers {
-		s.acts[li+1] = make([]float64, l.Out)
 		s.deltas[li] = make([]float64, l.Out)
 		s.gradW[li] = make([]float64, len(l.W))
 		s.gradB[li] = make([]float64, len(l.B))
+	}
+	for o := range n.layers[L-1].Out {
+		s.outUnits = append(s.outUnits, o)
 	}
 	return s
 }
 
 // trainBatch accumulates gradients over the batch and applies one update,
-// entirely within the training scratch.
+// entirely within the training scratch. Backprop visits only what can
+// contribute: units with a nonzero delta and nonzero inputs, from the
+// forward pass's lists. A hidden unit's delta can be nonzero only where
+// its ReLU output is, which is exactly the next layer's nonzero-input
+// list; the deltas of other units are never written or read.
 func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int, s *trainScratch) {
 	for li := range n.layers {
 		clear(s.gradW[li])
@@ -234,8 +307,7 @@ func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int,
 	}
 	last := len(n.layers) - 1
 	for _, i := range batch {
-		s.acts[0] = xs[i]
-		p := n.run(xs[i], s.acts[1:])
+		p := n.run(xs[i], s.fwd)
 		wgt := 1.0
 		if weights != nil {
 			wgt = weights[i]
@@ -244,33 +316,44 @@ func (n *Network) trainBatch(xs [][]float64, ys, weights []float64, batch []int,
 		s.deltas[last][0] = (p - ys[i]) * wgt
 		for li := last; li >= 0; li-- {
 			l := n.layers[li]
-			in := s.acts[li]
+			in := xs[i]
+			if li > 0 {
+				in = s.fwd.acts[li-1]
+			}
+			nzIn := s.fwd.nz[li]
+			units := s.outUnits
+			if li < last {
+				units = s.fwd.nz[li+1]
+			}
 			delta := s.deltas[li]
 			gradW, gradB := s.gradW[li], s.gradB[li]
-			for o := 0; o < l.Out; o++ {
-				gradB[o] += delta[o]
+			for _, o := range units {
+				d := delta[o]
+				if d == 0 {
+					continue
+				}
+				gradB[o] += d
 				row := gradW[o*l.In : (o+1)*l.In]
-				for j, v := range in {
-					row[j] += delta[o] * v
+				for _, j := range nzIn {
+					row[j] += d * in[j]
 				}
 			}
 			if li == 0 {
 				break
 			}
 			// Layer li-1 is hidden, so its activation is ReLU, whose
-			// derivative is 1 where the activation is positive, else 0.
-			prev := n.layers[li-1]
+			// derivative is 1 where the activation is positive, else 0:
+			// only its nonzero outputs, layer li's nonzero inputs, get a
+			// delta.
 			nd := s.deltas[li-1]
-			for j := 0; j < prev.Out; j++ {
+			for _, j := range nzIn {
 				sum := 0.0
-				for o := 0; o < l.Out; o++ {
-					sum += l.W[o*l.In+j] * delta[o]
+				for _, o := range units {
+					if d := delta[o]; d != 0 {
+						sum += l.W[o*l.In+j] * d
+					}
 				}
-				g := 0.0
-				if s.acts[li][j] > 0 {
-					g = 1
-				}
-				nd[j] = sum * g
+				nd[j] = sum
 			}
 		}
 	}

@@ -200,13 +200,14 @@ func TestActivations(t *testing.T) {
 	copy(hid.B, []float64{0, 0.5})
 	copy(out.W, []float64{1, 2})
 	out.B[0] = -1
-	acts := net.NewFwdScratch().acts
+	s := net.NewFwdScratch()
+	acts := s.acts
 	for _, tc := range []struct{ x, h0, h1 float64 }{
 		{2, 2, 0},    // second unit: -2 + 0.5 < 0
 		{-3, 0, 3.5}, // first unit: -3 < 0
 		{0.25, 0.25, 0.25},
 	} {
-		p := net.run([]float64{tc.x}, acts)
+		p := net.run([]float64{tc.x}, s)
 		if acts[0][0] != tc.h0 || acts[0][1] != tc.h1 {
 			t.Errorf("x=%v: hidden %v, want [%v %v]", tc.x, acts[0], tc.h0, tc.h1)
 		}
@@ -243,8 +244,9 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 		gradB[li] = make([]float64, len(lay.B))
 	}
 	// Recompute the analytic gradient exactly as trainBatch does.
-	acts := append([][]float64{x}, net.NewFwdScratch().acts...)
-	p := net.run(x, acts[1:])
+	fwd := net.NewFwdScratch()
+	p := net.run(x, fwd)
+	acts := append([][]float64{x}, fwd.acts...)
 	delta := []float64{p - y}
 	for li := len(net.layers) - 1; li >= 0; li-- {
 		lay := net.layers[li]
@@ -279,7 +281,8 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 
 // TestPredictScratchMatchesPredict pins the allocation-free inference path
 // against Predict and against the reference forward loop of
-// reference_train_test.go.
+// reference_train_test.go: on dense rows, and bit for bit in every layer
+// on zeroSet's rows through a network with dead hidden units.
 func TestPredictScratchMatchesPredict(t *testing.T) {
 	net, err := New(Config{Inputs: 7, Hidden: []int{16, 8}, Seed: 3})
 	if err != nil {
@@ -301,6 +304,28 @@ func TestPredictScratchMatchesPredict(t *testing.T) {
 		acts := net.referenceForwardTrain(x)
 		if got, want := net.PredictScratch(x, s), acts[len(acts)-1][0]; got != want {
 			t.Fatalf("input %d: PredictScratch=%v reference=%v", i, got, want)
+		}
+	}
+
+	zeros, _, _ := zeroSet()
+	dead, err := New(Config{Inputs: 12, Hidden: []int{16, 8}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killUnits(dead)
+	ds := dead.NewFwdScratch()
+	for i, x := range zeros {
+		p := dead.PredictScratch(x, ds)
+		if math.Float64bits(p) != math.Float64bits(dead.Predict(x)) {
+			t.Fatalf("zero row %d: PredictScratch=%v Predict=%v", i, p, dead.Predict(x))
+		}
+		ref := dead.referenceForwardTrain(x)
+		for li, acts := range ds.acts {
+			for o, v := range acts {
+				if math.Float64bits(v) != math.Float64bits(ref[li+1][o]) {
+					t.Fatalf("zero row %d: layer %d output %d = %v, reference %v", i, li, o, v, ref[li+1][o])
+				}
+			}
 		}
 	}
 }
